@@ -130,33 +130,12 @@ func apiSurface(t *testing.T) []string {
 	return lines
 }
 
-// TestNoNewDeprecatedSymbols freezes the deprecation set: the legacy
-// entry points below may stay deprecated, but no release may deprecate
-// anything else without updating this list (and writing the migration
-// note that justifies it).
+// TestNoNewDeprecatedSymbols keeps the facade free of deprecated
+// symbols: an entry point that is superseded is removed, not kept as an
+// alias.
 func TestNoNewDeprecatedSymbols(t *testing.T) {
-	allowed := map[string]bool{
-		"Options":       true,
-		"Run":           true,
-		"RunCounter":    true,
-		"RunPrograms":   true,
-		"WithServe":     true,
-		"WithTelemetry": true,
-	}
-	got := deprecatedSymbols(t)
-	for _, name := range got {
-		if !allowed[name] {
-			t.Errorf("new deprecated symbol %q: either undeprecate it or extend the freeze list deliberately", name)
-		}
-	}
-	seen := map[string]bool{}
-	for _, name := range got {
-		seen[name] = true
-	}
-	for name := range allowed {
-		if !seen[name] {
-			t.Errorf("symbol %q no longer deprecated (or gone): shrink the freeze list", name)
-		}
+	for _, name := range deprecatedSymbols(t) {
+		t.Errorf("deprecated symbol %q: remove it instead of deprecating it", name)
 	}
 }
 

@@ -64,6 +64,12 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The benchmark module (perfbench/) builds against the facade and the
+# internal packages but is its own module, so `go vet ./...` above skips
+# it: vet it here, so an API change that breaks the benchmark fails now
+# rather than at benchmark time.
+(cd perfbench && GOWORK=off GOPROXY=off go vet ./...)
+
 # Sweep-runner smoke under the race detector: serial, parallel and
 # warm-cache runs must render byte-identical tables, and a warm cache
 # must simulate nothing.
@@ -328,7 +334,7 @@ done
 fleet_worker() {
 	# $1: worker slot variable (w1..w3); $2: worker id.
 	"$stats/dynamo-worker" -addr "$waddr" -id "$2" -slots 2 \
-		-heartbeat 250ms -poll 100ms -quiet >/dev/null 2>&1 &
+		-heartbeat 250ms -quiet >/dev/null 2>&1 &
 	eval "$1=$!"
 }
 fleet_worker w1 fleet-a

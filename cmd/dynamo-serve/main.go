@@ -1,6 +1,6 @@
 // Command dynamo-serve hosts the sweep control plane: a long-running
 // HTTP/JSON service over the sweep runner that accepts whole sweeps,
-// schedules concurrent sweeps fairly on one worker pool, and serves
+// schedules concurrent sweeps fairly through one lease table, and serves
 // results out of the content-addressed cache.
 //
 // Usage:
@@ -16,13 +16,18 @@
 //	GET    /v1/jobs/{digest}/span   job trace span
 //	GET    /metrics /progress /jobs telemetry
 //
-// With -workers, jobs are not executed in-process: dynamo-worker
-// processes pull them through POST /v1/work/lease (TTL lease + fencing
-// token), heartbeat via POST /v1/work/{digest}/heartbeat, and commit via
-// POST /v1/work/{digest}/result. A worker that stops heartbeating is
-// presumed dead after -lease-ttl: its job requeues, resuming from the
-// last checkpoint it shipped, and any commit under the stale fence is
-// rejected.
+// Every job the cache cannot answer waits in the lease table, which
+// grants jobs round-robin across sweeps to worker slots: -jobs
+// in-process slots, plus any dynamo-worker processes pulling through
+// POST /v1/work/lease (TTL lease + fencing token, held open until work
+// arrives), heartbeating via POST /v1/work/{digest}/heartbeat, and
+// committing via POST /v1/work/{digest}/result. -workers starts no
+// in-process slots, so the fleet executes everything; fleet capacity is
+// its slot count, not -jobs. A worker that stops heartbeating is presumed
+// dead after -lease-ttl: its job requeues, resuming from the last
+// checkpoint it shipped, and any commit under the stale fence is
+// rejected. With -preempt, a starved sweep takes a slot from the
+// best-fed one: that lease yields at its next checkpoint and requeues.
 //
 // The cache directory is the service's durable state: results, job
 // checkpoints and accepted sweep documents all live there. SIGINT or
@@ -58,8 +63,8 @@ func main() {
 	resume := cliflags.Resume(flag.CommandLine)
 	preempt := flag.Bool("preempt", false, "time-slice long jobs across sweeps at checkpoint boundaries (use with -ckpt-every)")
 	maxQueued := flag.Int("max-queued", 0, "bound the admission queue: reject sweeps past this many pending jobs with HTTP 429 (0 = unbounded)")
-	workers := flag.Bool("workers", false, "dispatch jobs to external dynamo-worker processes via /v1/work leases instead of executing in-process")
-	leaseTTL := flag.Duration("lease-ttl", 0, "worker lease TTL before a silent worker is presumed dead and its job requeued (with -workers; 0 = 10s default)")
+	workers := flag.Bool("workers", false, "start no in-process worker slots: external dynamo-worker processes execute every job via /v1/work leases")
+	leaseTTL := flag.Duration("lease-ttl", 0, "worker lease TTL before a silent worker is presumed dead and its job requeued (0 = 10s default)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the deterministic fault injector (with -fault-level)")
 	faultLevel := flag.Int("fault-level", 0, "inject storage and network faults at this intensity, 0 = off (testing only)")
 	faultBudget := flag.Int("fault-budget", -1, "stop injecting after this many faults (-1 = unlimited)")
@@ -128,7 +133,7 @@ func main() {
 		if ttl <= 0 {
 			ttl = 10 * time.Second
 		}
-		log.Infof("dynamo-serve: worker dispatch on (/v1/work, lease TTL %s)", ttl)
+		log.Infof("dynamo-serve: no in-process slots; fleet workers lease jobs via /v1/work (lease TTL %s)", ttl)
 	}
 
 	signals := make(chan os.Signal, 1)

@@ -8,7 +8,9 @@
 //	dynamo-worker -addr HOST:PORT [flags]
 //
 // Protocol (see internal/service): each job is pulled via POST
-// /v1/work/lease under a TTL lease with a fencing token. While the job
+// /v1/work/lease under a TTL lease with a fencing token; the server holds
+// the call open until work arrives, so an idle worker costs one request
+// per hold and picks up new work at once. While the job
 // runs, the worker heartbeats via POST /v1/work/{digest}/heartbeat —
 // renewing the lease and shipping the job's latest checkpoint bytes — and
 // finally commits via POST /v1/work/{digest}/result. If this process is
@@ -29,7 +31,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"dynamo/internal/cliflags"
 	"dynamo/internal/faultio"
@@ -42,7 +43,6 @@ func main() {
 	slots := flag.Int("slots", 1, "jobs executing concurrently in this worker")
 	ttl := flag.Duration("ttl", 0, "lease TTL to request (0 = server default)")
 	heartbeat := flag.Duration("heartbeat", 0, "lease renewal cadence (0 = a third of the granted TTL)")
-	poll := flag.Duration("poll", 250*time.Millisecond, "idle backoff between lease attempts when the queue is empty")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the deterministic fault injector (with -fault-level)")
 	faultLevel := flag.Int("fault-level", 0, "inject transport faults at this intensity, 0 = off (testing only)")
 	faultBudget := flag.Int("fault-budget", -1, "stop injecting after this many faults (-1 = unlimited)")
@@ -56,7 +56,6 @@ func main() {
 		Slots:     *slots,
 		TTL:       *ttl,
 		Heartbeat: *heartbeat,
-		Poll:      *poll,
 		Log:       log.DebugWriter(),
 	}
 	if *faultLevel > 0 {

@@ -124,7 +124,7 @@ func TestProfileRequiresObs(t *testing.T) {
 	s := newSession(t, smallConfig(),
 		WithThreads(4), WithScale(0.1), WithProfile(NewProfiler(8)))
 	_, err := s.Run("histogram")
-	if err == nil || !strings.Contains(err.Error(), "requires Options.Obs") {
+	if err == nil || !strings.Contains(err.Error(), "requires WithObs") {
 		t.Fatalf("err = %v", err)
 	}
 }

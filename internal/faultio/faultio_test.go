@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -122,9 +123,11 @@ func TestNilInjectorTransparent(t *testing.T) {
 }
 
 func TestWrapHandlerDropAndDup(t *testing.T) {
-	var served int
+	// Atomic: the client can see a duplicated request's connection drop
+	// before the handler that served it has returned.
+	var served atomic.Int32
 	base := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served++
+		served.Add(1)
 		io.WriteString(w, "ok")
 	})
 	// Drop: connection aborts, handler never runs.
@@ -134,11 +137,11 @@ func TestWrapHandlerDropAndDup(t *testing.T) {
 		t.Fatal("dropped response reached the client")
 	}
 	srv.Close()
-	if served != 0 {
-		t.Fatalf("drop ran the handler %d times", served)
+	if n := served.Load(); n != 0 {
+		t.Fatalf("drop ran the handler %d times", n)
 	}
 	// Dup: handler runs (side effects land), response still lost.
-	served = 0
+	served.Store(0)
 	in = New(Options{Seed: 3, DupPermille: 1000, Budget: 1})
 	srv = httptest.NewServer(in.WrapHandler(base))
 	defer srv.Close()
@@ -151,8 +154,8 @@ func TestWrapHandlerDropAndDup(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if served != 2 {
-		t.Fatalf("handler ran %d times, want 2 (dup + clean retry)", served)
+	if n := served.Load(); n != 2 {
+		t.Fatalf("handler ran %d times, want 2 (dup + clean retry)", n)
 	}
 }
 

@@ -6,23 +6,26 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"dynamo/internal/checkpoint"
 	"dynamo/internal/machine"
 	"dynamo/internal/telemetry"
 )
 
 // long returns a request big enough (~277k events) to cross several
-// interrupt-poll strides, so a live preemption lands mid-run.
+// checkpoint strides, so a yield lands mid-run.
 func long() Request {
 	return Request{Workload: "tc", Policy: "all-near", Threads: 2, Scale: 1.0}
 }
 
-// TestPreemptResumesByteIdentical is the acceptance test for
-// checkpoint-based preemption: a job preempted mid-run yields with
-// ErrPreempted and a persisted checkpoint, and resubmitting the same
-// request resumes it — without Options.Resume — to a result
-// byte-identical to an uninterrupted run.
+// TestPreemptResumesByteIdentical is the runner half of preemption: a job
+// whose per-task interrupt fires after its first checkpoint — the way a
+// yielded lease stops its execution — stops with machine.ErrInterrupted,
+// leaves a persisted checkpoint and no quarantine marker, and resubmitting
+// the same request resumes it to a result byte-identical to an
+// uninterrupted run.
 func TestPreemptResumesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	q := long().normalize()
@@ -34,25 +37,39 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 	}
 	base, _ := json.Marshal(fresh.Result)
 
+	// Yield from inside the checkpoint sink, so the interrupt lands
+	// deterministically after the first persisted checkpoint.
+	yield := make(chan struct{})
+	var once sync.Once
+	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
+		if sink := x.sink; sink != nil {
+			x.sink = func(ck *checkpoint.Checkpoint) {
+				sink(ck)
+				once.Do(func() { close(yield) })
+			}
+		}
+		return execute(q, x)
+	})
+
 	tel := telemetry.NewSweep(telemetry.SweepOptions{})
-	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Telemetry: tel})
-	task := r.Submit(q)
-	// Preempt before the first stride poll: the job starts anyway (preempt
-	// never aborts a queued job) and yields at its first poll point.
-	task.Preempt()
-	if _, err := task.Wait(); !errors.Is(err, ErrPreempted) {
-		t.Fatalf("preempted task err = %v, want ErrPreempted", err)
+	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Resume: true, Telemetry: tel})
+	task := r.SubmitInterruptible(q, yield)
+	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
+		t.Fatalf("yielded task err = %v, want ErrInterrupted", err)
 	}
 	st := r.Stats()
-	if st.Preempted != 1 || st.Errors != 0 || st.Interrupted != 0 {
-		t.Fatalf("stats after preempt = %+v", st)
+	if st.Interrupted != 1 || st.Errors != 0 || st.Misses != 0 {
+		t.Fatalf("stats after yield = %+v", st)
 	}
 	if _, err := os.Stat(filepath.Join(dir, digest+".ckpt.json")); err != nil {
-		t.Fatalf("preempted job left no checkpoint: %v", err)
+		t.Fatalf("yielded job left no checkpoint: %v", err)
 	}
-	// Preemption is not a failure: no quarantine marker, no Failed entry.
+	// A yield is not a failure: no quarantine marker, no Failed entry.
 	if failures := r.Failed(); len(failures) != 0 {
-		t.Fatalf("preempted job listed as failed: %v", failures)
+		t.Fatalf("yielded job listed as failed: %v", failures)
+	}
+	if _, err := os.Stat(filepath.Join(dir, digest+".failed.json")); !os.IsNotExist(err) {
+		t.Fatal("yielded job quarantined")
 	}
 
 	out, err := r.Run(q)
@@ -64,141 +81,17 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 		t.Fatalf("stats after resume = %+v", st)
 	}
 	if got, _ := json.Marshal(out.Result); !bytes.Equal(got, base) {
-		t.Fatal("preempted-and-resumed result differs from the uninterrupted run")
+		t.Fatal("yielded-and-resumed result differs from the uninterrupted run")
 	}
-	// Completed job: checkpoint cleaned up, gauges balanced, counter up.
+	// Completed job: checkpoint cleaned up, gauges balanced, counters up.
 	if _, err := os.Stat(filepath.Join(dir, digest+".ckpt.json")); !os.IsNotExist(err) {
 		t.Fatal("completed job left its checkpoint behind")
 	}
 	p := tel.Progress()
 	if p.Queued != 0 || p.Running != 0 {
-		t.Fatalf("gauges not drained after preempt+resume: %d queued, %d running", p.Queued, p.Running)
+		t.Fatalf("gauges not drained after yield+resume: %d queued, %d running", p.Queued, p.Running)
 	}
-	if p.Preempted != 1 || p.Resumed != 1 {
-		t.Fatalf("telemetry preempted/resumed = %d/%d, want 1/1", p.Preempted, p.Resumed)
+	if p.InterruptedJobs != 1 || p.Resumed != 1 {
+		t.Fatalf("telemetry interrupted/resumed = %d/%d, want 1/1", p.InterruptedJobs, p.Resumed)
 	}
-}
-
-// TestPreemptQueuedJobYieldsWithoutCancelling pins the queue semantics: a
-// preempt issued while the job is still waiting for a worker does not
-// abort it — the job runs, observes the pending preempt at its first
-// poll, and yields as preempted (resumable), not cancelled.
-func TestPreemptQueuedJobYieldsWithoutCancelling(t *testing.T) {
-	block := make(chan struct{})
-	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
-		if q.Workload == "tc" {
-			<-block
-			return execute(q, execCtx{})
-		}
-		// The preempted job: honor the merged interrupt like the machine.
-		<-x.interrupt
-		return nil, machine.ErrInterrupted
-	})
-	tel := telemetry.NewSweep(telemetry.SweepOptions{})
-	r := New(Options{Jobs: 1, Telemetry: tel})
-	first := r.Submit(quick()) // occupies the single worker
-	second := r.Submit(Request{Workload: "histogram", Policy: "all-near", Threads: 2, Scale: 0.05})
-	second.Preempt() // lands while second is queued
-	close(block)
-
-	if _, err := first.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := second.Wait(); !errors.Is(err, ErrPreempted) {
-		t.Fatalf("queued-then-preempted task err = %v, want ErrPreempted", err)
-	}
-	st := r.Stats()
-	if st.Preempted != 1 || st.Interrupted != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	p := tel.Progress()
-	if p.Queued != 0 || p.Running != 0 {
-		t.Fatalf("gauges not drained: %d queued, %d running", p.Queued, p.Running)
-	}
-}
-
-// TestCancelOutranksPreempt: when both the cancel tier and the preempt
-// tier have fired by the time the job stops, the job is cancelled —
-// preemption must not mask an interrupt into a silently-resumable state
-// the sweep no longer wants.
-func TestCancelOutranksPreempt(t *testing.T) {
-	interrupt := make(chan struct{})
-	started := make(chan struct{})
-	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
-		close(started)
-		<-x.interrupt
-		return nil, machine.ErrInterrupted
-	})
-	r := New(Options{Jobs: 1, Interrupt: interrupt})
-	task := r.Submit(quick())
-	<-started
-	task.Preempt()
-	close(interrupt)
-	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	st := r.Stats()
-	if st.Interrupted != 1 || st.Preempted != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestEntryBytesHealsLostCacheFile: after a successful run, EntryBytes
-// re-materializes the canonical cache document from memory even when the
-// on-disk copy was deleted (crash, injected fault), and re-persists it.
-func TestEntryBytesHealsLostCacheFile(t *testing.T) {
-	dir := t.TempDir()
-	q := quick().normalize()
-	digest := q.Digest()
-	r := New(Options{Jobs: 1, CacheDir: dir})
-	if _, err := r.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, digest+".json")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := r.EntryBytes(digest)
-	if err != nil {
-		t.Fatalf("EntryBytes after cache loss: %v", err)
-	}
-	var wd, gd struct {
-		Result    json.RawMessage `json:"result"`
-		Request   json.RawMessage `json:"request"`
-		Schema    int             `json:"schema"`
-		ElapsedNS int64           `json:"elapsed_ns"`
-	}
-	if err := json.Unmarshal(want, &wd); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(got, &gd); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wd.Result, gd.Result) || !bytes.Equal(wd.Request, gd.Request) || wd.Schema != gd.Schema {
-		t.Fatal("healed document differs from the original cache entry")
-	}
-	// And the heal re-persisted the document.
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("heal did not re-persist the cache entry: %v", err)
-	}
-
-	if _, err := r.EntryBytes("nope"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("unknown digest err = %v, want os.ErrNotExist", err)
-	}
-}
-
-// The preempt handle is idempotent and safe after completion.
-func TestPreemptIdempotent(t *testing.T) {
-	r := New(Options{Jobs: 1})
-	task := r.Submit(quick())
-	if _, err := task.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	task.Preempt()
-	task.Preempt() // second call must not panic on the closed channel
 }

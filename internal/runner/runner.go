@@ -57,20 +57,15 @@ type Options struct {
 	// the runner's lifetime; a journal-less Telemetry surface is created
 	// automatically when none was supplied. See Runner.TelemetryAddr.
 	ServeAddr string
-	// Execute, when non-nil, replaces local simulation: a cache-missing
-	// job calls it instead of building a machine in this process. The
-	// remote client mode routes jobs to a sweep server through it while
-	// keeping the pool, dedupe, retry, telemetry and stats semantics.
-	// Checkpoint capture and resume are skipped — whoever executes owns
-	// them.
-	Execute func(Request) (*Outcome, error)
-	// ExecuteInterruptible is Execute's interrupt-aware form and takes
-	// precedence over it: the channel closes when the job is cancelled or
-	// preempted, so a remote executor can stop waiting (and withdraw or
-	// cancel the remote work) instead of polling until the job's natural
-	// end. Return an error wrapping machine.ErrInterrupted to report the
-	// interruption. The sweep service's lease dispatcher and the remote
-	// client both plug in here.
+	// ExecuteInterruptible, when non-nil, replaces local simulation: a
+	// cache-missing job calls it instead of building a machine in this
+	// process, while the runner keeps its pool, dedupe, retry, telemetry
+	// and stats semantics. Checkpoint capture and resume are skipped —
+	// whoever executes owns them. The channel closes when the job is
+	// cancelled, so the executor can stop waiting (and withdraw or cancel
+	// the remote work) instead of running to the job's natural end; return
+	// an error wrapping machine.ErrInterrupted to report the interruption.
+	// The sweep service's lease table and the remote client plug in here.
 	ExecuteInterruptible func(Request, <-chan struct{}) (*Outcome, error)
 	// FS, when non-nil, replaces the file plane beneath the persistent
 	// cache (results, checkpoints, quarantine markers) — the seam the
@@ -110,13 +105,10 @@ type Stats struct {
 	Evictions uint64
 	// Retries counts re-executions of transiently failed jobs; Resumed
 	// counts jobs restored from a persisted checkpoint; Interrupted
-	// counts jobs cancelled by Options.Interrupt; Preempted counts jobs
-	// that cooperatively yielded at a checkpoint boundary (Task.Preempt)
-	// and will resume on their next submission.
+	// counts cancelled jobs (Options.Interrupt or a per-task interrupt).
 	Retries     uint64
 	Resumed     uint64
 	Interrupted uint64
-	Preempted   uint64
 	// Saved is the recorded simulation time of every disk hit.
 	Saved time.Duration
 	// SimEvents totals the kernel events executed by jobs this process
@@ -133,13 +125,6 @@ func (s Stats) Simulated() uint64 { return s.Misses }
 // ErrJobPanicked marks a job whose simulation panicked; the runner
 // recovered, quarantined the job, and kept the rest of the sweep alive.
 var ErrJobPanicked = errors.New("runner: job panicked")
-
-// ErrPreempted marks a job that cooperatively yielded at a checkpoint
-// boundary after Task.Preempt: not failed, not cancelled — its persisted
-// checkpoint resumes it on the next submission of the same request, even
-// without Options.Resume. The sweep service's dispatcher uses this to
-// time-slice long jobs across competing sweeps.
-var ErrPreempted = errors.New("runner: job preempted")
 
 // JobError is a failed job: the request that failed and why. Sweep code
 // matches causes through it with errors.Is/As (machine.ErrTimeout,
@@ -170,17 +155,12 @@ func (r *Runner) safeExecute(q Request, x execCtx) (out *Outcome, err error) {
 	if r.opts.ExecuteInterruptible != nil {
 		return r.opts.ExecuteInterruptible(q, x.interrupt)
 	}
-	if r.opts.Execute != nil {
-		return r.opts.Execute(q)
-	}
 	return executeFn(q, x)
 }
 
 // remoteExec reports whether job execution is delegated to an external
 // executor, which then owns checkpoint capture and resume.
-func (r *Runner) remoteExec() bool {
-	return r.opts.Execute != nil || r.opts.ExecuteInterruptible != nil
-}
+func (r *Runner) remoteExec() bool { return r.opts.ExecuteInterruptible != nil }
 
 // Task is a submitted job's handle.
 type Task struct {
@@ -194,25 +174,12 @@ type Task struct {
 	// SubmitInterruptible); the runner-wide Options.Interrupt still
 	// applies on top.
 	interrupt <-chan struct{}
-	// preempt asks a running task to yield at its next checkpoint
-	// boundary; unlike interrupt it marks the job resumable-by-default.
-	preempt     chan struct{}
-	preemptOnce sync.Once
 }
 
 // Wait blocks until the job completes and returns its outcome.
 func (t *Task) Wait() (*Outcome, error) {
 	<-t.done
 	return t.out, t.err
-}
-
-// Preempt asks a running task to cooperatively yield: the machine stops
-// at its next interrupt poll, persists a final checkpoint (when
-// checkpointing is on), and the task completes with ErrPreempted. The
-// next submission of the same request resumes from that checkpoint.
-// Idempotent; a no-op on a task that already finished.
-func (t *Task) Preempt() {
-	t.preemptOnce.Do(func() { close(t.preempt) })
 }
 
 // Runner is the sweep engine. Submissions with equal request digests
@@ -232,10 +199,6 @@ type Runner struct {
 	order  []*Task
 	failed []*JobError
 	stats  Stats
-	// resumeNext marks digests whose last task was preempted: their next
-	// submission loads the persisted checkpoint even without
-	// Options.Resume, so a time-sliced job continues instead of restarting.
-	resumeNext map[string]struct{}
 }
 
 // New builds a runner.
@@ -244,12 +207,11 @@ func New(opts Options) *Runner {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
 	r := &Runner{
-		opts:       opts,
-		store:      newStore(opts.CacheDir, opts.FS),
-		sem:        make(chan struct{}, opts.Jobs),
-		tel:        opts.Telemetry,
-		tasks:      make(map[string]*Task),
-		resumeNext: make(map[string]struct{}),
+		opts:  opts,
+		store: newStore(opts.CacheDir, opts.FS),
+		sem:   make(chan struct{}, opts.Jobs),
+		tel:   opts.Telemetry,
+		tasks: make(map[string]*Task),
 	}
 	if opts.ServeAddr != "" && r.tel == nil {
 		r.tel = telemetry.NewSweep(telemetry.SweepOptions{})
@@ -329,7 +291,7 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 		r.tel.JobDeduped()
 		return t
 	}
-	t := &Task{req: req, done: make(chan struct{}), interrupt: interrupt, preempt: make(chan struct{})}
+	t := &Task{req: req, done: make(chan struct{}), interrupt: interrupt}
 	if r.tel.Enabled() {
 		// Guarded so the request never renders when telemetry is off.
 		t.jt = r.tel.StartJob(digest, req.String())
@@ -345,16 +307,14 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 
 // replayable reports whether a memoized task's answer is no answer at
 // all: a job that terminated with machine.ErrInterrupted was cancelled,
-// not computed — and a preempted job merely yielded its slice — so a
-// later submission of the same request replaces it with a fresh task
-// instead of replaying the cancellation. A long-running sweep service
-// depends on this — cancelling one sweep must not poison the same
-// request for every future sweep, and a preempted job must be
-// re-submittable to continue.
+// not computed, so a later submission of the same request replaces it
+// with a fresh task instead of replaying the cancellation. A long-running
+// sweep service depends on this — cancelling one sweep must not poison
+// the same request for every future sweep.
 func replayable(t *Task) bool {
 	select {
 	case <-t.done:
-		return errors.Is(t.err, machine.ErrInterrupted) || errors.Is(t.err, ErrPreempted)
+		return errors.Is(t.err, machine.ErrInterrupted)
 	default:
 		return false
 	}
@@ -504,17 +464,10 @@ func (r *Runner) run(t *Task) {
 	}
 
 	digest := t.req.Digest()
-	// Two interrupt tiers: cancel (sweep-wide or per-task) abandons the
-	// job; preempt merely asks it to yield its slice. The machine watches
-	// their merge — both stop it at a checkpoint boundary — and the
-	// classification below tells them apart by polling the cancel sources.
-	cancel := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
-	intr := mergeInterrupt(cancel, t.preempt, t.done)
+	// The machine watches one channel: the merge of the sweep-wide and
+	// per-task cancellation sources.
+	intr := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
 	x := execCtx{interrupt: intr}
-	r.mu.Lock()
-	_, resumeOnce := r.resumeNext[digest]
-	delete(r.resumeNext, digest)
-	r.mu.Unlock()
 	if r.store != nil && !r.remoteExec() {
 		x.identity = digest
 		if r.opts.CkptEvery > 0 {
@@ -525,7 +478,7 @@ func (r *Runner) run(t *Task) {
 				}
 			}
 		}
-		if r.opts.Resume || resumeOnce {
+		if r.opts.Resume {
 			switch ck, err := r.store.loadCkpt(t.req); {
 			case err == nil:
 				x.resume = ck
@@ -556,8 +509,7 @@ func (r *Runner) run(t *Task) {
 	if r.cancelledNow(t) {
 		// The sweep (or this job's own sweep) was cancelled while it sat
 		// in the queue; its persisted checkpoint (if any) stays put for
-		// the next resume. A pending preempt alone does not abort a queued
-		// job — it runs and yields at its first checkpoint poll.
+		// the next resume.
 		<-r.sem
 		r.finishInterrupted(t, true)
 		return
@@ -607,11 +559,7 @@ func (r *Runner) run(t *Task) {
 	r.tel.JobRunDone()
 
 	if errors.Is(runErr, machine.ErrInterrupted) {
-		if r.cancelledNow(t) {
-			r.finishInterrupted(t, false)
-		} else {
-			r.finishPreempted(t)
-		}
+		r.finishInterrupted(t, false)
 		return
 	}
 	if runErr != nil {
@@ -674,23 +622,6 @@ func (r *Runner) finishInterrupted(t *Task, fromQueue bool) {
 // the source by a scheduling quantum.
 func (r *Runner) cancelledNow(t *Task) bool {
 	return interruptedNow(r.opts.Interrupt) || interruptedNow(t.interrupt)
-}
-
-// finishPreempted records a job that cooperatively yielded: it reports
-// ErrPreempted through its task and marks its digest to resume from the
-// persisted checkpoint on the next submission. Like a cancelled job it is
-// neither quarantined nor an error — but unlike one, yielding was the
-// runner's own scheduling decision, so the resume is automatic.
-func (r *Runner) finishPreempted(t *Task) {
-	je := &JobError{Request: t.req, Err: ErrPreempted}
-	r.mu.Lock()
-	r.stats.Preempted++
-	r.resumeNext[t.req.Digest()] = struct{}{}
-	r.mu.Unlock()
-	t.err = je
-	r.tel.JobPreempted()
-	t.jt.Done(telemetry.OutcomePreempted, 0, ErrPreempted)
-	r.logf(t, "preempted %s (resumes on next submit)", t.req)
 }
 
 // EntryBytes returns the canonical persisted-cache document for a job

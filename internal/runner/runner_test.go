@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,5 +234,54 @@ func TestCounterAndProfileRequests(t *testing.T) {
 	}
 	if out.Result.Obs == nil {
 		t.Fatal("observed run returned no observability report")
+	}
+}
+
+// TestEntryBytesHealsLostCacheFile: after a successful run, EntryBytes
+// re-materializes the canonical cache document from memory even when the
+// on-disk copy was deleted (crash, injected fault), and re-persists it.
+func TestEntryBytesHealsLostCacheFile(t *testing.T) {
+	dir := t.TempDir()
+	q := quick().normalize()
+	digest := q.Digest()
+	r := New(Options{Jobs: 1, CacheDir: dir})
+	if _, err := r.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, digest+".json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := r.EntryBytes(digest)
+	if err != nil {
+		t.Fatalf("EntryBytes after cache loss: %v", err)
+	}
+	var wd, gd struct {
+		Result    json.RawMessage `json:"result"`
+		Request   json.RawMessage `json:"request"`
+		Schema    int             `json:"schema"`
+		ElapsedNS int64           `json:"elapsed_ns"`
+	}
+	if err := json.Unmarshal(want, &wd); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &gd); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wd.Result, gd.Result) || !bytes.Equal(wd.Request, gd.Request) || wd.Schema != gd.Schema {
+		t.Fatal("healed document differs from the original cache entry")
+	}
+	// And the heal re-persisted the document.
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("heal did not re-persist the cache entry: %v", err)
+	}
+
+	if _, err := r.EntryBytes("nope"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unknown digest err = %v, want os.ErrNotExist", err)
 	}
 }

@@ -117,8 +117,6 @@ func kindErr(kind string) error {
 		return ErrLeaseExpired
 	case "stale-commit":
 		return ErrStaleCommit
-	case "no-workers":
-		return ErrNoWorkers
 	}
 	return nil
 }
@@ -349,10 +347,8 @@ func (c *Client) Span(digest string) (*Span, error) {
 	return &sp, nil
 }
 
-// Execute runs one request remotely and blocks for its outcome. It is
-// shaped to plug into runner.Options.Execute, so a local runner keeps
-// its pool, dedupe, stats and telemetry semantics while every actual
-// simulation happens on the server.
+// Execute runs one request remotely and blocks for its outcome; see
+// ExecuteInterruptible for the runner-facing form.
 //
 // Execute self-heals across whole-sweep loss: when the server crashed
 // between admitting the sweep and persisting its result — the sweep id
@@ -388,10 +384,12 @@ func (c *Client) ExecuteContext(ctx context.Context, q runner.Request) (*runner.
 }
 
 // ExecuteInterruptible is ExecuteContext shaped for
-// runner.Options.ExecuteInterruptible: the interrupt channel closing
-// cancels the remote wait, and the interruption reports as an error
-// wrapping machine.ErrInterrupted — what the runner's cancellation and
-// preemption classification expects.
+// runner.Options.ExecuteInterruptible, so a local runner keeps its pool,
+// dedupe, stats and telemetry semantics while every actual simulation
+// happens on the server: the interrupt channel closing cancels the remote
+// wait, and the interruption reports as an error wrapping
+// machine.ErrInterrupted — what the runner's cancellation classification
+// expects.
 func (c *Client) ExecuteInterruptible(q runner.Request, interrupt <-chan struct{}) (*runner.Outcome, error) {
 	if interrupt == nil {
 		return c.ExecuteContext(context.Background(), q)
@@ -473,8 +471,9 @@ func (c *Client) executeOnce(ctx context.Context, q runner.Request) (*runner.Out
 }
 
 // Lease pulls one job from the server's work queue under a TTL lease
-// (the server default when ttl is zero). A nil grant with a nil error
-// means no work is pending right now — the worker's cue to idle-poll.
+// (the server default when ttl is zero). The server holds the call open
+// until work arrives, for a bounded hold; a nil grant with a nil error
+// means none arrived — the worker's cue to ask again.
 func (c *Client) Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
 	body := LeaseRequest{Schema: runner.WireSchema, Worker: worker}
 	if ttl > 0 {

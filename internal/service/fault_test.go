@@ -31,10 +31,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestPreemptionTimeSlicesAcrossSweeps: with one worker and preemption
-// on, a long job from sweep A yields its slice when sweep B arrives
-// starved, B runs to completion, and A resumes from its checkpoint to a
-// result byte-identical to an uninterrupted local run.
+// TestPreemptionTimeSlicesAcrossSweeps: with one worker slot and
+// preemption on, a long job from sweep A yields its lease when sweep B
+// arrives starved, B runs to completion, and A resumes from its shipped
+// checkpoint to a result byte-identical to an uninterrupted local run.
 func TestPreemptionTimeSlicesAcrossSweeps(t *testing.T) {
 	cache := t.TempDir()
 	svc, err := New(Options{
@@ -67,11 +67,6 @@ func TestPreemptionTimeSlicesAcrossSweeps(t *testing.T) {
 		return err == nil && st.State == SweepDone
 	})
 
-	rst := svc.Runner().Stats()
-	if rst.Preempted < 1 || rst.Resumed < 1 {
-		t.Fatalf("runner stats = %+v, want at least one preemption and one resume", rst)
-	}
-
 	// The preempted-and-resumed job's result is byte-identical to an
 	// uninterrupted run of the same request.
 	local := runner.New(runner.Options{Jobs: 1, CacheDir: t.TempDir()})
@@ -95,8 +90,9 @@ func TestPreemptionTimeSlicesAcrossSweeps(t *testing.T) {
 	if p.Queued != 0 || p.Running != 0 {
 		t.Fatalf("gauges not drained: %d queued, %d running", p.Queued, p.Running)
 	}
-	if p.Preempted < 1 {
-		t.Fatalf("telemetry preempted = %d, want >= 1", p.Preempted)
+	// The yield, then the resume from its checkpoint, both happened.
+	if p.Preempted < 1 || p.Resumed < 1 {
+		t.Fatalf("telemetry preempted/resumed = %d/%d, want >= 1 each", p.Preempted, p.Resumed)
 	}
 }
 
@@ -182,9 +178,10 @@ func TestOverloadBackpressure(t *testing.T) {
 	}
 
 	// Wire, with backoff: the long job finishes well inside the retry
-	// budget, capacity frees, and the same batch is admitted.
+	// budget (several seconds, room for a race-instrumented build),
+	// capacity frees, and the same batch is admitted.
 	c1 := Dial(srv.Addr())
-	c1.Retries = 10
+	c1.Retries = 30
 	c1.Backoff = 25 * time.Millisecond
 	c1.MaxBackoff = 200 * time.Millisecond
 	st, err := c1.Submit(counterReq(3), counterReq(4))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -32,9 +33,8 @@ var ErrLeaseExpired = errors.New("service: lease expired")
 // idempotently, never fenced.
 var ErrStaleCommit = errors.New("service: stale commit fenced")
 
-// ErrNoWorkers rejects work-API calls on a service running without
-// Options.Workers: there is no lease table to talk to.
-var ErrNoWorkers = errors.New("service: worker dispatch disabled")
+// errWithdrawn settles an item the runner gave up on.
+var errWithdrawn = fmt.Errorf("service: job withdrawn: %w", machine.ErrInterrupted)
 
 // workItem states.
 const (
@@ -50,19 +50,25 @@ const (
 type workItem struct {
 	digest string
 	req    runner.Request
-	state  int
+	// lane is the sweep the item is scheduled under (see grantLocked).
+	lane  string
+	state int
 	// fence is the monotone fencing token of the item's latest grant.
 	// Heartbeats and commits must present it; after a revocation the next
 	// grant draws a strictly larger token, fencing the old holder out.
 	fence   uint64
 	worker  string
 	ttl     time.Duration
+	granted time.Time // when the live lease began (the preemption floor)
 	expires time.Time
 	attempt int
-	// withdrawn marks an item whose dispatcher gave up on it (sweep
-	// cancelled, job preempted, service draining): a leased holder learns
-	// via the Yield bit on its next heartbeat and releases.
+	// withdrawn marks an item the runner gave up on (sweep cancelled or
+	// expired, service draining), and yield a lease picked to give up its
+	// slice to a starved sweep. Either way the holder learns via the Yield
+	// bit on its next heartbeat and releases; a withdrawn item then
+	// finishes interrupted, a yielded one requeues.
 	withdrawn bool
+	yield     bool
 	// ckpt is the latest shipped checkpoint document; it seeds the next
 	// grant so a revoked job resumes instead of restarting.
 	ckpt []byte
@@ -84,34 +90,54 @@ type leaseTableOptions struct {
 	Log       io.Writer
 	TTL       time.Duration // default lease TTL
 	CkptEvery uint64        // checkpoint cadence advertised to workers
+	// Preempt and PreemptSlice: see Options.
+	Preempt      bool
+	PreemptSlice time.Duration
 }
 
-// leaseTable is the work-distribution core behind the /v1/work routes:
-// jobs the runner's pool would have executed in-process park here instead,
-// workers pull them under TTL leases, and the expiry scanner treats a
-// missed heartbeat as worker death — the lease is revoked, the job
-// requeued to resume from its last shipped checkpoint, and any later
-// commit bearing the stale fencing token rejected. Commits are
-// at-most-once per digest: idempotent for byte-identical duplicates, a
-// structured ErrStaleCommit otherwise.
+// leaseTable is the service's only scheduler: every job the runner does
+// not answer from its cache parks here, and workers — in-process slots
+// and fleet processes alike — pull jobs under TTL leases. Grant order is
+// round-robin across sweeps; preemption asks one lease to yield at its
+// next checkpoint; the expiry scanner treats a missed heartbeat as worker
+// death — the lease is revoked, the job requeued to resume from its last
+// shipped checkpoint, and any later commit bearing the stale fencing
+// token rejected. Commits are at-most-once per digest: idempotent for
+// byte-identical duplicates, a structured ErrStaleCommit otherwise.
 type leaseTable struct {
 	opts leaseTableOptions
 	fs   faultio.FS
 	tel  *telemetry.Sweep
 
-	mu      sync.Mutex
-	items   map[string]*workItem
-	queue   []string // pending digests, FIFO; revoked jobs requeue at the front
-	fence   uint64   // global monotone fencing-token source
+	mu    sync.Mutex
+	items map[string]*workItem
+	// Every sweep has a lane: laneOf maps a digest to the sweep that last
+	// admitted it, queues holds each lane's pending digests in FIFO order
+	// (exactly the pending items; lanes without any are absent), and
+	// served stamps each lane with the fence of its latest grant.
+	laneOf  map[string]string
+	queues  map[string][]string
+	served  map[string]uint64
+	fence   uint64 // global monotone fencing-token source
 	workers map[string]int
+	// waiting counts lease calls parked for work; wake is closed (and
+	// replaced) whenever work is queued or the table closes.
+	waiting int
+	wake    chan struct{}
 	closed  bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
 }
 
 // scanTick is the expiry scanner's cadence: a revoked lease is detected
-// at most one tick after its TTL lapses.
+// at most one tick after its TTL lapses, and a starved sweep waits at most
+// one tick for its preemption victim to be picked.
 const scanTick = 25 * time.Millisecond
+
+// leaseHold bounds how long a lease call waits for work before returning
+// empty (204 on the wire). An idle worker slot costs one call per hold,
+// and queued work is granted the moment it arrives.
+const leaseHold = 500 * time.Millisecond
 
 func newLeaseTable(o leaseTableOptions) *leaseTable {
 	if o.TTL <= 0 {
@@ -126,7 +152,11 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 		fs:      fs,
 		tel:     o.Telemetry,
 		items:   make(map[string]*workItem),
+		laneOf:  make(map[string]string),
+		queues:  make(map[string][]string),
+		served:  make(map[string]uint64),
 		workers: make(map[string]int),
+		wake:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	t.wg.Add(1)
@@ -134,34 +164,51 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 	return t
 }
 
+// admit schedules digest under sweep's lane. The service calls it for
+// every job it admits, before the job can reach execute.
+func (t *leaseTable) admit(sweep, digest string) {
+	t.mu.Lock()
+	t.laneOf[digest] = sweep
+	t.mu.Unlock()
+}
+
+// leased reports whether digest is held under a live lease — the
+// service's definition of a running job.
+func (t *leaseTable) leased(digest string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	it := t.items[digest]
+	return it != nil && it.state == workLeased
+}
+
 // execute is the runner.Options.ExecuteInterruptible seam: it parks one
 // deduped job in the lease table and blocks until a worker commits it (or
-// the job is withdrawn). The runner keeps its pool, retry, telemetry and
-// stats semantics — only the simulation itself moves off-process.
+// the job is withdrawn). The runner keeps its retry, telemetry and stats
+// semantics; the lease table decides when and where the job runs.
 func (t *leaseTable) execute(q runner.Request, interrupt <-chan struct{}) (*runner.Outcome, error) {
 	digest := q.Digest()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("service: worker dispatch stopped: %w", machine.ErrInterrupted)
+		return nil, fmt.Errorf("service: lease table closed: %w", machine.ErrInterrupted)
 	}
-	it := &workItem{digest: digest, req: q, state: workPending, done: make(chan struct{})}
+	it := &workItem{digest: digest, req: q, lane: t.laneOf[digest], done: make(chan struct{})}
 	// A checkpoint persisted by an earlier leaseholder (or before a server
 	// restart) seeds the first grant, so the job resumes instead of
 	// restarting from event zero.
 	it.ckpt = t.loadCkptLocked(digest)
 	t.items[digest] = it
-	t.queue = append(t.queue, digest)
+	t.queueLocked(it, false)
 	t.mu.Unlock()
 
 	select {
 	case <-it.done:
 	case <-interrupt:
-		// Cancelled or preempted. A pending item is withdrawn outright; a
-		// leased one winds down through its holder — told to yield on its
-		// next heartbeat, finish-or-checkpoint, then release — or through
-		// lease expiry if the holder is already dead. A commit that races
-		// the withdrawal wins: a finished result is never thrown away.
+		// Cancelled. A pending item is withdrawn outright; a leased one
+		// winds down through its holder — told to yield on its next
+		// heartbeat, finish-or-checkpoint, then release — or through lease
+		// expiry if the holder is already dead. A commit that races the
+		// withdrawal wins: a finished result is never thrown away.
 		t.withdraw(it)
 		<-it.done
 	}
@@ -171,22 +218,23 @@ func (t *leaseTable) execute(q runner.Request, interrupt <-chan struct{}) (*runn
 	return out, err
 }
 
-// withdraw takes an item back from the fleet (see execute).
+// withdraw takes an item back from the workers (see execute).
 func (t *leaseTable) withdraw(it *workItem) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch it.state {
 	case workPending:
-		t.unqueueLocked(it.digest)
-		t.finishLocked(it, nil, fmt.Errorf("service: job withdrawn: %w", machine.ErrInterrupted))
+		t.unqueueLocked(it)
+		t.finishLocked(it, nil, errWithdrawn)
 	case workLeased:
 		it.withdrawn = true
 	}
 }
 
-// lease grants the oldest pending job to worker under a TTL lease,
-// returning nil when the queue is empty (204 on the wire).
-func (t *leaseTable) lease(worker string, ttl time.Duration) (*LeaseGrant, error) {
+// lease grants the next pending job to worker under a TTL lease. With
+// nothing pending it waits up to leaseHold for work, returning early when
+// ctx ends; nil means none arrived (204 on the wire).
+func (t *leaseTable) lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
 	if worker == "" {
 		return nil, &runner.FieldError{
 			Field: "worker",
@@ -201,45 +249,91 @@ func (t *leaseTable) lease(worker string, ttl time.Duration) (*LeaseGrant, error
 	case ttl > 10*time.Minute:
 		ttl = 10 * time.Minute
 	}
+	hold := time.NewTimer(leaseHold)
+	defer hold.Stop()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrDraining
+	for {
+		if t.closed {
+			return nil, ErrDraining
+		}
+		if ctx.Err() != nil {
+			// The caller is gone: a grant now would sit unclaimed until
+			// its TTL lapsed.
+			return nil, nil
+		}
+		if g := t.grantLocked(worker, ttl); g != nil {
+			return g, nil
+		}
+		wake := t.wake
+		t.waiting++
+		t.mu.Unlock()
+		woke := false
+		select {
+		case <-wake:
+			woke = true
+		case <-ctx.Done():
+		case <-hold.C:
+		}
+		t.mu.Lock()
+		t.waiting--
+		if !woke {
+			return nil, nil
+		}
 	}
+}
+
+// grantLocked leases the next pending item to worker, or returns nil
+// (mu held). The next item comes from the least recently served lane —
+// round-robin across sweeps with pending work, so a thousand-job sweep
+// cannot starve a one-job sweep submitted after it, and a newly arrived
+// sweep goes next. Ties go to the older sweep: sweep ids sort in
+// admission order.
+func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
+	if len(t.queues) == 0 {
+		return nil
+	}
+	lane, found := "", false
+	for id := range t.queues {
+		if !found || t.served[id] < t.served[lane] || t.served[id] == t.served[lane] && id < lane {
+			lane, found = id, true
+		}
+	}
+	q := t.queues[lane]
+	it := t.items[q[0]]
+	if len(q) == 1 {
+		delete(t.queues, lane)
+	} else {
+		t.queues[lane] = q[1:]
+	}
+	t.fence++
+	t.served[lane] = t.fence
 	now := time.Now()
-	for len(t.queue) > 0 {
-		digest := t.queue[0]
-		t.queue = t.queue[1:]
-		it := t.items[digest]
-		if it == nil || it.state != workPending {
-			continue
-		}
-		t.fence++
-		it.state = workLeased
-		it.fence = t.fence
-		it.worker = worker
-		it.ttl = ttl
-		it.expires = now.Add(ttl)
-		it.attempt++
-		t.workers[worker]++
-		t.tel.SetFleetWorkers(int64(len(t.workers)))
-		t.tel.LeaseGranted()
-		t.logf("leased %s to %s (fence %d, attempt %d)", short(digest), worker, it.fence, it.attempt)
-		g := &LeaseGrant{
-			Schema:          runner.WireSchema,
-			Digest:          digest,
-			Request:         it.req,
-			Fence:           it.fence,
-			Attempt:         it.attempt,
-			ExpiresUnixNano: it.expires.UnixNano(),
-			CkptEvery:       t.opts.CkptEvery,
-		}
-		if len(it.ckpt) > 0 {
-			g.Checkpoint = append([]byte(nil), it.ckpt...)
-		}
-		return g, nil
+	it.state = workLeased
+	it.fence = t.fence
+	it.worker = worker
+	it.ttl = ttl
+	it.granted = now
+	it.expires = now.Add(ttl)
+	it.attempt++
+	t.workers[worker]++
+	t.tel.SetFleetWorkers(int64(len(t.workers)))
+	t.tel.LeaseGranted()
+	t.logf("leased %s to %s (fence %d, attempt %d)", short(it.digest), worker, it.fence, it.attempt)
+	g := &LeaseGrant{
+		Schema:          runner.WireSchema,
+		Digest:          it.digest,
+		Request:         it.req,
+		Fence:           it.fence,
+		Attempt:         it.attempt,
+		ExpiresUnixNano: it.expires.UnixNano(),
+		CkptEvery:       t.opts.CkptEvery,
 	}
-	return nil, nil
+	if len(it.ckpt) > 0 {
+		g.Checkpoint = append([]byte(nil), it.ckpt...)
+		t.tel.JobResumed()
+	}
+	return g
 }
 
 // heartbeat extends a live lease, stores (and persists) a shipped
@@ -268,25 +362,20 @@ func (t *leaseTable) heartbeat(digest, worker string, fence uint64, ckpt []byte,
 		t.tel.WorkCheckpointShipped()
 	}
 	if release {
+		if it.yield && !it.withdrawn {
+			t.tel.JobPreempted()
+		}
 		t.endLeaseLocked(it)
 		t.tel.LeaseReleased()
-		if it.withdrawn {
-			t.finishLocked(it, nil, fmt.Errorf("service: job withdrawn: %w", machine.ErrInterrupted))
-		} else {
-			// Back to the front of the queue: the next grant resumes from
-			// the shipped checkpoint before fresh work starts cold.
-			it.state = workPending
-			it.worker = ""
-			t.queue = append([]string{digest}, t.queue...)
-			t.logf("released %s (fence %d)", short(digest), fence)
-		}
+		t.logf("released %s (fence %d)", short(digest), fence)
+		t.returnLocked(it)
 		return &HeartbeatReply{Schema: runner.WireSchema, Released: true}, nil
 	}
 	it.expires = time.Now().Add(it.ttl)
 	return &HeartbeatReply{
 		Schema:          runner.WireSchema,
 		ExpiresUnixNano: it.expires.UnixNano(),
-		Yield:           it.withdrawn,
+		Yield:           it.withdrawn || it.yield,
 	}, nil
 }
 
@@ -347,7 +436,8 @@ func (t *leaseTable) commit(digest, worker string, fence uint64, entry []byte, e
 
 // expireLeases revokes every lease whose TTL lapsed: the holder is
 // presumed dead, the job requeues (front) to resume from its last shipped
-// checkpoint, and the old fence can never commit again.
+// checkpoint, and the old fence can never commit again. It then picks a
+// preemption victim when a sweep is starved.
 func (t *leaseTable) expireLeases(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -358,16 +448,53 @@ func (t *leaseTable) expireLeases(now time.Time) {
 		if it.state != workLeased || now.Before(it.expires) {
 			continue
 		}
+		t.logf("lease on %s expired (worker %s, fence %d)", short(digest), it.worker, it.fence)
 		t.endLeaseLocked(it)
 		t.tel.LeaseExpired()
-		t.logf("lease on %s expired (worker %s, fence %d)", short(digest), it.worker, it.fence)
-		if it.withdrawn {
-			t.finishLocked(it, nil, fmt.Errorf("service: job withdrawn: %w", machine.ErrInterrupted))
+		t.returnLocked(it)
+	}
+	if t.opts.Preempt {
+		t.preemptLocked(now)
+	}
+}
+
+// preemptLocked asks one lease to yield when a sweep is starved: its lane
+// has pending work but holds no lease, and no worker is waiting to take
+// it (mu held). The victim is a lease held at least PreemptSlice from the
+// lane holding the most leases, and at most one yield is pending at a
+// time, so time-slicing converges instead of thrashing. The holder
+// checkpoints and releases, and the job requeues to resume later.
+func (t *leaseTable) preemptLocked(now time.Time) {
+	if t.waiting > 0 || len(t.queues) == 0 {
+		return
+	}
+	held := make(map[string]int)
+	for _, it := range t.items {
+		if it.state != workLeased {
 			continue
 		}
-		it.state = workPending
-		it.worker = ""
-		t.queue = append([]string{digest}, t.queue...)
+		if it.yield {
+			return
+		}
+		held[it.lane]++
+	}
+	starved := false
+	for lane := range t.queues {
+		starved = starved || held[lane] == 0
+	}
+	if !starved {
+		return
+	}
+	var victim *workItem
+	for _, it := range t.items {
+		if it.state == workLeased && now.Sub(it.granted) >= t.opts.PreemptSlice &&
+			(victim == nil || held[it.lane] > held[victim.lane]) {
+			victim = it
+		}
+	}
+	if victim != nil {
+		victim.yield = true
+		t.logf("asked %s on %s to yield (fence %d)", short(victim.digest), victim.worker, victim.fence)
 	}
 }
 
@@ -386,9 +513,10 @@ func (t *leaseTable) scan() {
 	}
 }
 
-// close stops dispatch: every unfinished item — pending or leased —
+// close stops the table: every unfinished item — pending or leased —
 // finishes with machine.ErrInterrupted so blocked execute calls return,
-// and the gauges drain to zero. Late worker calls get ErrLeaseExpired.
+// held lease calls return, and the gauges drain to zero. Late worker
+// calls get ErrLeaseExpired.
 func (t *leaseTable) close() {
 	t.mu.Lock()
 	if t.closed {
@@ -398,17 +526,18 @@ func (t *leaseTable) close() {
 	}
 	t.closed = true
 	close(t.stop)
+	close(t.wake)
+	stopped := fmt.Errorf("service: lease table closed: %w", machine.ErrInterrupted)
 	for _, it := range t.items {
 		switch it.state {
 		case workLeased:
 			t.endLeaseLocked(it)
 			t.tel.LeaseRevoked()
-			t.finishLocked(it, nil, fmt.Errorf("service: dispatch stopped: %w", machine.ErrInterrupted))
+			t.finishLocked(it, nil, stopped)
 		case workPending:
-			t.finishLocked(it, nil, fmt.Errorf("service: dispatch stopped: %w", machine.ErrInterrupted))
+			t.finishLocked(it, nil, stopped)
 		}
 	}
-	t.queue = nil
 	t.workers = make(map[string]int)
 	t.tel.SetFleetWorkers(0)
 	t.mu.Unlock()
@@ -422,25 +551,59 @@ func (t *leaseTable) finishLocked(it *workItem, out *runner.Outcome, err error) 
 	close(it.done)
 }
 
-// endLeaseLocked retires a lease's worker accounting (mu held). Exactly
-// one lease-end event (expired/released/revoked/committed) follows each
-// grant, keeping the dynamo_work_leases gauge balanced.
+// endLeaseLocked retires a lease's worker accounting and any pending
+// yield (mu held). Exactly one lease-end event (expired/released/
+// revoked/committed) follows each grant, keeping the dynamo_work_leases
+// gauge balanced.
 func (t *leaseTable) endLeaseLocked(it *workItem) {
 	if n := t.workers[it.worker]; n > 1 {
 		t.workers[it.worker] = n - 1
 	} else {
 		delete(t.workers, it.worker)
 	}
+	it.yield = false
 	t.tel.SetFleetWorkers(int64(len(t.workers)))
 }
 
-// unqueueLocked drops a digest from the pending queue (mu held).
-func (t *leaseTable) unqueueLocked(digest string) {
-	for i, d := range t.queue {
-		if d == digest {
-			t.queue = append(t.queue[:i], t.queue[i+1:]...)
-			return
+// returnLocked settles the item of a released or expired lease (mu
+// held): a withdrawn item finishes interrupted; any other goes back to
+// the front of its lane, so the next grant resumes from the shipped
+// checkpoint before the sweep's fresh work starts.
+func (t *leaseTable) returnLocked(it *workItem) {
+	if it.withdrawn {
+		t.finishLocked(it, nil, errWithdrawn)
+	} else {
+		t.queueLocked(it, true)
+	}
+}
+
+// queueLocked puts an item (back) into its lane and wakes waiting lease
+// calls (mu held).
+func (t *leaseTable) queueLocked(it *workItem, front bool) {
+	it.state = workPending
+	it.worker = ""
+	if front {
+		t.queues[it.lane] = append([]string{it.digest}, t.queues[it.lane]...)
+	} else {
+		t.queues[it.lane] = append(t.queues[it.lane], it.digest)
+	}
+	close(t.wake)
+	t.wake = make(chan struct{})
+}
+
+// unqueueLocked drops a pending item from its lane (mu held).
+func (t *leaseTable) unqueueLocked(it *workItem) {
+	q := t.queues[it.lane]
+	for k, d := range q {
+		if d == it.digest {
+			q = append(q[:k], q[k+1:]...)
+			break
 		}
+	}
+	if len(q) == 0 {
+		delete(t.queues, it.lane)
+	} else {
+		t.queues[it.lane] = q
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"dynamo/internal/runner"
 )
 
-// leaseFor polls the work queue until a grant arrives (submissions park
-// asynchronously, so the first lease attempts can race the dispatcher).
+// leaseFor leases until a grant arrives (submissions park asynchronously,
+// so a held lease call can end empty before the job reaches the table).
 func leaseFor(t *testing.T, c *Client, worker string, ttl time.Duration) *LeaseGrant {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -327,26 +327,18 @@ func TestZombieLeaseExpiryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWorkValidation covers the work API's rejection edges: no lease
-// table, missing worker id, unknown digests, malformed checkpoints, and
-// malformed entries (which must NOT burn the lease).
+// TestWorkValidation covers the work API's rejection edges: missing
+// worker id, unknown digests, malformed checkpoints, and malformed
+// entries (which must NOT burn the lease).
 func TestWorkValidation(t *testing.T) {
 	ctx := context.Background()
-
-	// Without Options.Workers there is no lease table: typed 404s.
-	_, _, c := startService(t, Options{CacheDir: t.TempDir()})
-	if _, err := c.Lease(ctx, "w", 0); !errors.Is(err, ErrNoWorkers) {
-		t.Errorf("lease without workers err = %v, want ErrNoWorkers", err)
-	}
-	if _, err := c.Heartbeat(ctx, strings.Repeat("ab", 32), "w", 1, nil, false); !errors.Is(err, ErrNoWorkers) {
-		t.Errorf("heartbeat without workers err = %v, want ErrNoWorkers", err)
-	}
 
 	_, _, cw := startService(t, Options{CacheDir: t.TempDir(), Jobs: 1, Workers: true})
 	if _, err := cw.Lease(ctx, "", 0); !errors.Is(err, runner.ErrBadField) {
 		t.Errorf("anonymous lease err = %v, want ErrBadField", err)
 	}
-	// An empty queue is not an error: nil grant, nil error (204).
+	// An empty queue is not an error: after the hold, nil grant, nil
+	// error (204).
 	if g, err := cw.Lease(ctx, "w", 0); g != nil || err != nil {
 		t.Errorf("empty-queue lease = %+v, %v", g, err)
 	}

@@ -26,6 +26,10 @@ type Server struct {
 	svc  *Service
 	ln   net.Listener
 	http *http.Server
+	// closing ends when Close begins, so held lease calls return at once
+	// instead of holding up Shutdown for the rest of their hold.
+	closing context.Context
+	close   context.CancelFunc
 }
 
 // Serve binds addr (host:port; ":0" picks a free port) and serves svc
@@ -53,6 +57,7 @@ func Serve(addr string, svc *Service, middleware ...func(http.Handler) http.Hand
 	for i := len(middleware) - 1; i >= 0; i-- {
 		h = middleware[i](h)
 	}
+	srv.closing, srv.close = context.WithCancel(context.Background())
 	srv.http = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go srv.http.Serve(ln)
 	return srv, nil
@@ -72,6 +77,7 @@ func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return s.http.Shutdown(ctx)
@@ -98,8 +104,6 @@ func kindOf(err error) string {
 		return "lease-expired"
 	case errors.Is(err, ErrStaleCommit):
 		return "stale-commit"
-	case errors.Is(err, ErrNoWorkers):
-		return "no-workers"
 	default:
 		return "bad-request"
 	}
@@ -118,8 +122,6 @@ func statusOf(err error) int {
 		return http.StatusGone
 	case errors.Is(err, ErrStaleCommit):
 		return http.StatusConflict
-	case errors.Is(err, ErrNoWorkers):
-		return http.StatusNotFound
 	default:
 		return http.StatusBadRequest
 	}
@@ -245,13 +247,19 @@ func (s *Server) postLease(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	g, err := s.svc.Lease(req.Worker, time.Duration(req.TTLSeconds*float64(time.Second)))
+	// The call is held until work arrives, the worker hangs up or the
+	// server closes, for at most the lease hold.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	stop := context.AfterFunc(s.closing, cancel)
+	defer stop()
+	g, err := s.svc.Lease(ctx, req.Worker, time.Duration(req.TTLSeconds*float64(time.Second)))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	if g == nil {
-		// No work pending: 204, the worker's cue to idle-poll.
+		// No work arrived within the hold: 204, the worker asks again.
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -307,7 +315,7 @@ GET    /v1/sweeps/{id}          sweep status
 DELETE /v1/sweeps/{id}          cancel a sweep
 GET    /v1/jobs/{digest}        cached result document
 GET    /v1/jobs/{digest}/span   job trace span
-POST   /v1/work/lease                 pull a job under a TTL lease (workers mode)
+POST   /v1/work/lease                 pull a job under a TTL lease (held until work arrives)
 POST   /v1/work/{digest}/heartbeat    extend a lease / ship a checkpoint / release
 POST   /v1/work/{digest}/result       commit a job's outcome (fenced)
 GET    /metrics /progress /jobs telemetry

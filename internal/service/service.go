@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -42,7 +44,8 @@ type Options struct {
 	// from and persists sweeps under (required: a service without a cache
 	// has nothing durable to serve).
 	CacheDir string
-	// Jobs bounds concurrently executing simulations (default GOMAXPROCS).
+	// Jobs is the number of in-process worker slots executing jobs
+	// (default GOMAXPROCS). Fleet workers add their own slots on top.
 	Jobs int
 	// Retries, CkptEvery: see runner.Options.
 	Retries   int
@@ -60,11 +63,11 @@ type Options struct {
 	// rejected with ErrOverloaded before any of its jobs are admitted
 	// (all-or-nothing, like validation). Zero means unbounded.
 	MaxQueued int
-	// Preempt enables checkpoint-based time-slicing: when the pool is
-	// full and some live sweep is starved (queued work, nothing running),
-	// one running job from the best-fed sweep is asked to yield at its
-	// next checkpoint boundary, re-queues, and later resumes from its
-	// persisted checkpoint. Requires CkptEvery > 0 to preserve progress;
+	// Preempt enables checkpoint-based time-slicing: when every worker
+	// slot is busy and some sweep is starved (queued work, nothing
+	// leased), one lease from the best-fed sweep is asked to yield at its
+	// next checkpoint boundary; the job requeues and later resumes from
+	// its shipped checkpoint. Requires CkptEvery > 0 to preserve progress;
 	// without it a preempted job restarts from event zero.
 	Preempt bool
 	// PreemptSlice is the minimum time a job runs before it may be
@@ -75,33 +78,31 @@ type Options struct {
 	// FS replaces the file plane beneath the sweep documents and the
 	// runner's cache (fault injection); nil selects the real filesystem.
 	FS faultio.FS
-	// Workers switches execution from in-process to the worker fleet:
-	// jobs park in a lease table and external dynamo-worker processes
-	// pull them through the /v1/work routes under TTL leases. Scheduling,
-	// dedupe, retries, cancellation and preemption are unchanged — only
-	// the simulation itself moves off-process.
+	// Workers starts no in-process worker slots: every job waits for an
+	// external dynamo-worker process to lease it through the /v1/work
+	// routes. Scheduling, dedupe, retries, cancellation and preemption
+	// are the same either way.
 	Workers bool
 	// LeaseTTL bounds how long a worker may go without heartbeating
 	// before its lease is revoked and the job requeued (default 10s).
-	// Only meaningful with Workers.
 	LeaseTTL time.Duration
 }
 
+// localHeartbeat is the in-process slots' heartbeat cadence. Direct calls
+// cost nothing, so a yield lands and a checkpoint persists within about
+// one checkpoint interval.
+const localHeartbeat = 20 * time.Millisecond
+
 // job is one distinct request inside a sweep. Requests in a batch that
-// normalize to the same digest share one job.
+// normalize to the same digest share one job. While its state is
+// JobQueued the job is live: status reports it running while the lease
+// table holds it under a lease, queued otherwise.
 type job struct {
 	req    runner.Request
 	digest string
-	idx    int // position in sweepState.jobs, for cursor rewind
 	state  string
 	cached bool
 	errMsg string
-	// task is the in-flight runner task while state is JobRunning;
-	// preempting marks a yield request already sent; startedAt is when
-	// the job was admitted (the preemption floor measures from here).
-	task       *runner.Task
-	preempting bool
-	startedAt  time.Time
 }
 
 // sweepState is one submitted sweep: its distinct jobs in admission
@@ -110,7 +111,6 @@ type sweepState struct {
 	id        string
 	jobs      []*job
 	entries   []*job
-	next      int // admission cursor into jobs
 	cancelled bool
 	// deadline, when nonzero, is the absolute instant the sweep expires;
 	// timer fires expire() then, and expired latches the result.
@@ -119,45 +119,43 @@ type sweepState struct {
 	expired  bool
 }
 
-// jobCtl is the per-digest cancellation control for in-flight jobs:
-// every sweep currently running this digest holds an owner reference,
-// and the interrupt channel closes only when the last owner cancels (or
-// the service drains). The runner dedupes concurrent submissions of one
+// jobCtl is the per-digest cancellation control for live jobs: every
+// sweep currently owning this digest holds an owner reference, and the
+// interrupt channel closes only when the last owner cancels (or the
+// service drains). The runner dedupes concurrent submissions of one
 // digest into one task, so sharing the channel per digest matches what
 // actually executes.
 type jobCtl struct {
 	ch     chan struct{}
-	owners map[string]int
+	owners map[string]bool
 	closed bool
 }
 
-// Service is the sweep control plane over one runner. See the package
-// comment for the wire API; Serve attaches the HTTP front end.
+// Service is the sweep control plane over one runner. Every admitted job
+// goes to the runner at once; the runner answers it from its cache or
+// parks it in the lease table, whose grant order is the only schedule.
+// See the package comment for the wire API; Serve attaches the HTTP
+// front end.
 type Service struct {
 	opts   Options
 	r      *runner.Runner
 	fs     faultio.FS
 	tel    *telemetry.Sweep
 	ownTel bool
-	lt     *leaseTable // nil unless Options.Workers
+	lt     *leaseTable
+	local  *Worker // in-process slots; nil with Options.Workers
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	sweeps   map[string]*sweepState
-	order    []string // sweep ids in submission order (round-robin ring)
-	rr       int      // round-robin cursor into order
 	ctl      map[string]*jobCtl
-	inflight int
 	draining bool
 	seq      int
-	// preemptKick marks a scheduled dispatcher wake-up for a starved
-	// sweep whose victim was still inside its preemption floor.
-	preemptKick bool
-	wg          sync.WaitGroup
+	wg       sync.WaitGroup
 }
 
 // New builds a service, reloading persisted sweeps when Options.Resume is
-// set, and starts its admission dispatcher.
+// set, and starts its in-process worker slots.
 func New(o Options) (*Service, error) {
 	if o.CacheDir == "" {
 		return nil, errors.New("service: a cache directory is required")
@@ -187,35 +185,41 @@ func New(o Options) (*Service, error) {
 		ctl:    make(map[string]*jobCtl),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	ro := runner.Options{
-		Jobs:      o.Jobs,
-		CacheDir:  o.CacheDir,
-		Log:       o.Log,
-		Retries:   o.Retries,
-		CkptEvery: o.CkptEvery,
-		Resume:    o.Resume,
-		Telemetry: tel,
-		FS:        o.FS,
+	s.lt = newLeaseTable(leaseTableOptions{
+		Dir:          o.CacheDir,
+		FS:           fs,
+		Telemetry:    tel,
+		Log:          o.Log,
+		TTL:          o.LeaseTTL,
+		CkptEvery:    o.CkptEvery,
+		Preempt:      o.Preempt,
+		PreemptSlice: o.PreemptSlice,
+	})
+	s.r = runner.New(runner.Options{
+		// The runner's pool never blocks: every job parks in the lease
+		// table, whose grants alone decide execution order.
+		Jobs:                 math.MaxInt32,
+		CacheDir:             o.CacheDir,
+		Log:                  o.Log,
+		Retries:              o.Retries,
+		Telemetry:            tel,
+		FS:                   o.FS,
+		ExecuteInterruptible: s.lt.execute,
+	})
+	tel.SetWorkers(o.Jobs)
+	if !o.Workers {
+		// A zero Client backs off at Dial's defaults.
+		s.local = newWorker(WorkerOptions{
+			ID: "local", Slots: o.Jobs, Heartbeat: localHeartbeat, Log: o.Log,
+		}, localWork{s.lt}, (&Client{}).delay)
+		s.local.Start()
 	}
-	if o.Workers {
-		s.lt = newLeaseTable(leaseTableOptions{
-			Dir:       o.CacheDir,
-			FS:        fs,
-			Telemetry: tel,
-			Log:       o.Log,
-			TTL:       o.LeaseTTL,
-			CkptEvery: o.CkptEvery,
-		})
-		ro.ExecuteInterruptible = s.lt.execute
-	}
-	s.r = runner.New(ro)
 	if o.Resume {
 		if err := s.reload(); err != nil {
+			s.Close()
 			return nil, err
 		}
 	}
-	s.wg.Add(1)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -268,11 +272,13 @@ func (s *Service) persistLocked(sw *sweepState) {
 	}
 }
 
-// reload restores persisted sweeps (oldest id first). Every non-cancelled
-// job re-enters the admission queue: the runner turns already-finished
-// ones into instant disk hits and resumes interrupted ones from their
-// checkpoints, so nothing re-simulates that does not have to.
+// reload restores persisted sweeps (oldest id first). Every job of a live
+// sweep is admitted again: the runner turns already-finished ones into
+// instant disk hits and the lease table resumes interrupted ones from
+// their checkpoints, so nothing re-simulates that does not have to.
 func (s *Service) reload() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ents, err := os.ReadDir(s.sweepDir())
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -326,7 +332,9 @@ func (s *Service) reload() error {
 			}
 		}
 		s.sweeps[sw.id] = sw
-		s.order = append(s.order, sw.id)
+		if !sw.cancelled && !sw.expired {
+			s.startLocked(sw)
+		}
 		if n := idSeq(doc.ID); n > s.seq {
 			s.seq = n
 		}
@@ -367,7 +375,7 @@ func buildSweep(id string, reqs []runner.Request) *sweepState {
 		d := q.Digest()
 		j, ok := seen[d]
 		if !ok {
-			j = &job{req: q, digest: d, idx: len(sw.jobs), state: JobQueued}
+			j = &job{req: q, digest: d, state: JobQueued}
 			seen[d] = j
 			sw.jobs = append(sw.jobs, j)
 		}
@@ -424,10 +432,26 @@ func (s *Service) SubmitDeadline(reqs []runner.Request, deadline time.Duration) 
 		sw.timer = time.AfterFunc(deadline, func() { s.expire(id) })
 	}
 	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
 	s.persistLocked(sw)
-	s.cond.Broadcast()
+	s.startLocked(sw)
 	return s.statusLocked(sw), nil
+}
+
+// startLocked hands every job of a sweep to the runner under the sweep's
+// lane in the lease table (mu held).
+func (s *Service) startLocked(sw *sweepState) {
+	for _, j := range sw.jobs {
+		s.lt.admit(sw.id, j.digest)
+		ctl := s.ctl[j.digest]
+		if ctl == nil || ctl.closed {
+			ctl = &jobCtl{ch: make(chan struct{}), owners: make(map[string]bool)}
+			s.ctl[j.digest] = ctl
+		}
+		ctl.owners[sw.id] = true
+		t := s.r.SubmitInterruptible(j.req, ctl.ch)
+		s.wg.Add(1)
+		go s.await(t, j, sw.id, ctl)
+	}
 }
 
 // pendingLocked counts admitted-but-unfinished jobs across live sweeps —
@@ -439,7 +463,7 @@ func (s *Service) pendingLocked() int {
 			continue
 		}
 		for _, j := range sw.jobs {
-			if j.state == JobQueued || j.state == JobRunning {
+			if j.state == JobQueued {
 				n++
 			}
 		}
@@ -448,7 +472,7 @@ func (s *Service) pendingLocked() int {
 }
 
 // expire marks a sweep past its deadline: still-queued jobs expire in
-// place, in-flight jobs are interrupted at their next checkpoint boundary
+// place, leased jobs are interrupted at their next checkpoint boundary
 // (classified as expired when they land), and the sweep's status turns
 // terminal. Idempotent; a no-op for cancelled sweeps.
 func (s *Service) expire(id string) {
@@ -459,20 +483,27 @@ func (s *Service) expire(id string) {
 		return
 	}
 	sw.expired = true
-	n := uint64(0)
-	for _, j := range sw.jobs {
-		if j.state == JobQueued {
-			j.state = JobExpired
-			n++
-		}
-	}
-	s.tel.DeadlineExpired(n)
+	s.tel.DeadlineExpired(s.settleQueuedLocked(sw, JobExpired))
 	s.releaseOwnersLocked(id)
 	s.persistLocked(sw)
 	s.cond.Broadcast()
 }
 
-// releaseOwnersLocked drops a sweep's ownership of every in-flight job
+// settleQueuedLocked moves a sweep's live jobs that hold no lease to a
+// terminal state, returning how many moved (mu held). Leased jobs settle
+// when their holder winds down (see await).
+func (s *Service) settleQueuedLocked(sw *sweepState, state string) uint64 {
+	n := uint64(0)
+	for _, j := range sw.jobs {
+		if j.state == JobQueued && !s.lt.leased(j.digest) {
+			j.state = state
+			n++
+		}
+	}
+	return n
+}
+
+// releaseOwnersLocked drops a sweep's ownership of every live job
 // control, closing interrupt channels whose last owner it was (mu held).
 func (s *Service) releaseOwnersLocked(id string) {
 	for _, ctl := range s.ctl {
@@ -498,7 +529,7 @@ func (s *Service) Status(id string) (*SweepStatus, error) {
 	return s.statusLocked(sw), nil
 }
 
-// Cancel cancels a sweep: queued jobs never run, in-flight jobs are
+// Cancel cancels a sweep: queued jobs never run, leased jobs are
 // interrupted (capturing a final checkpoint when checkpointing is on) —
 // unless another live sweep also owns them, in which case they keep
 // running for that sweep. Cancelling an already-cancelled sweep is a
@@ -515,11 +546,7 @@ func (s *Service) Cancel(id string) (*SweepStatus, error) {
 		if sw.timer != nil {
 			sw.timer.Stop()
 		}
-		for _, j := range sw.jobs {
-			if j.state == JobQueued {
-				j.state = JobCancelled
-			}
-		}
+		s.settleQueuedLocked(sw, JobCancelled)
 		s.releaseOwnersLocked(id)
 		s.persistLocked(sw)
 		s.cond.Broadcast()
@@ -566,22 +593,17 @@ func (s *Service) SpanOf(digest string) (Span, error) {
 	return Span{}, fmt.Errorf("%w: span for job %s", ErrNotFound, digest)
 }
 
-// Lease grants the oldest pending job to a worker under a TTL lease (the
-// server default when ttl is zero, clamped otherwise), returning (nil,
-// nil) when no work is pending. ErrNoWorkers without Options.Workers.
-func (s *Service) Lease(worker string, ttl time.Duration) (*LeaseGrant, error) {
-	if s.lt == nil {
-		return nil, ErrNoWorkers
-	}
-	return s.lt.lease(worker, ttl)
+// Lease grants the next pending job to a worker under a TTL lease (the
+// server default when ttl is zero, clamped otherwise). With nothing
+// pending it waits a bounded hold for work, returning early when ctx
+// ends; (nil, nil) means none arrived.
+func (s *Service) Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
+	return s.lt.lease(ctx, worker, ttl)
 }
 
 // WorkHeartbeat extends a live lease, optionally storing a shipped
 // checkpoint, or — with release — hands the job back to the queue.
 func (s *Service) WorkHeartbeat(digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
-	if s.lt == nil {
-		return nil, ErrNoWorkers
-	}
 	return s.lt.heartbeat(digest, worker, fence, ckpt, release)
 }
 
@@ -589,9 +611,6 @@ func (s *Service) WorkHeartbeat(digest, worker string, fence uint64, ckpt []byte
 // success (persisted verbatim), an error message (plus transient kind) on
 // failure. At-most-once per digest; see leaseTable.commit.
 func (s *Service) WorkCommit(digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error) {
-	if s.lt == nil {
-		return nil, ErrNoWorkers
-	}
 	return s.lt.commit(digest, worker, fence, entry, errMsg, errKind)
 }
 
@@ -599,11 +618,15 @@ func (s *Service) WorkCommit(digest, worker string, fence uint64, entry []byte, 
 func (s *Service) statusLocked(sw *sweepState) *SweepStatus {
 	st := &SweepStatus{Schema: runner.WireSchema, ID: sw.id, Retries: s.r.Stats().Retries}
 	for _, j := range sw.entries {
+		state := j.state
+		if state == JobQueued && s.lt.leased(j.digest) {
+			state = JobRunning
+		}
 		st.Jobs = append(st.Jobs, JobStatus{
-			Digest: j.digest, Request: j.req, State: j.state,
+			Digest: j.digest, Request: j.req, State: state,
 			Cached: j.cached, Error: j.errMsg,
 		})
-		switch j.state {
+		switch state {
 		case JobQueued:
 			st.Queued++
 		case JobRunning:
@@ -649,208 +672,49 @@ func (s *Service) statusLocked(sw *sweepState) *SweepStatus {
 	return st
 }
 
-// dispatch is the admission loop: it fills the worker pool round-robin
-// across sweeps — one job from each sweep with work, in submission order
-// — so a thousand-job sweep cannot starve a one-job sweep submitted
-// after it. It exits when the service drains.
-func (s *Service) dispatch() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		if s.draining {
-			s.mu.Unlock()
-			return
-		}
-		j, sw := s.nextLocked()
-		if j == nil {
-			if s.opts.Preempt {
-				s.maybePreemptLocked()
-			}
-			s.cond.Wait()
-			continue
-		}
-		j.state = JobRunning
-		j.startedAt = time.Now()
-		s.inflight++
-		ctl := s.ctl[j.digest]
-		if ctl == nil || ctl.closed {
-			ctl = &jobCtl{ch: make(chan struct{}), owners: make(map[string]int)}
-			s.ctl[j.digest] = ctl
-		}
-		ctl.owners[sw.id]++
-		s.mu.Unlock()
-		t := s.r.SubmitInterruptible(j.req, ctl.ch)
-		s.wg.Add(1)
-		go s.await(t, j, sw.id, ctl)
-		s.mu.Lock()
-		if j.state == JobRunning {
-			j.task = t
-		}
-	}
-}
-
-// maybePreemptLocked asks one running job to yield when the pool is full
-// and some live sweep is starved — queued work, nothing of its own
-// running — while another sweep holds workers (mu held). The victim is a
-// running job from the sweep with the most in flight, and at most one
-// preemption is pending at a time, so time-slicing converges instead of
-// thrashing. A victim younger than Options.PreemptSlice is left to run;
-// a timer re-kicks the dispatcher when the floor passes.
-func (s *Service) maybePreemptLocked() {
-	if s.inflight < s.opts.Jobs {
-		return
-	}
-	starved := false
-	for _, sw := range s.sweeps {
-		if sw.cancelled || sw.expired {
-			continue
-		}
-		queued, running := 0, 0
-		for _, j := range sw.jobs {
-			switch j.state {
-			case JobQueued:
-				queued++
-			case JobRunning:
-				running++
-			}
-			if j.preempting {
-				// One yield already in flight; wait for it to land.
-				return
-			}
-		}
-		if queued > 0 && running == 0 {
-			starved = true
-		}
-	}
-	if !starved {
-		return
-	}
-	var victim *job
-	best, youngest := 0, false
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		if sw.cancelled || sw.expired {
-			continue
-		}
-		running := 0
-		for _, j := range sw.jobs {
-			if j.state == JobRunning {
-				running++
-			}
-		}
-		if running <= best {
-			continue
-		}
-		for _, j := range sw.jobs {
-			if j.state != JobRunning || j.task == nil {
-				continue
-			}
-			if time.Since(j.startedAt) < s.opts.PreemptSlice {
-				youngest = true
-				continue
-			}
-			best, victim = running, j
-			break
-		}
-	}
-	if victim == nil {
-		if youngest && !s.preemptKick {
-			// Every candidate is inside its preemption floor: check back
-			// once the floor can have passed.
-			s.preemptKick = true
-			time.AfterFunc(s.opts.PreemptSlice/2+time.Millisecond, func() {
-				s.mu.Lock()
-				s.preemptKick = false
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			})
-		}
-		return
-	}
-	victim.preempting = true
-	victim.task.Preempt()
-}
-
-// nextLocked picks the next job to admit (mu held): round-robin over
-// sweeps, skipping cancelled and exhausted ones, bounded by the pool.
-func (s *Service) nextLocked() (*job, *sweepState) {
-	if s.inflight >= s.opts.Jobs {
-		return nil, nil
-	}
-	n := len(s.order)
-	for k := 0; k < n; k++ {
-		sw := s.sweeps[s.order[(s.rr+k)%n]]
-		if sw.cancelled || sw.expired {
-			continue
-		}
-		for sw.next < len(sw.jobs) && sw.jobs[sw.next].state != JobQueued {
-			sw.next++
-		}
-		if sw.next >= len(sw.jobs) {
-			continue
-		}
-		j := sw.jobs[sw.next]
-		sw.next++
-		s.rr = (s.rr + k + 1) % n
-		return j, sw
-	}
-	return nil, nil
-}
-
-// await collects one admitted job's outcome.
+// await settles one admitted job from its runner task. A job already
+// settled in place (cancelled or expired while queued) keeps its state.
 func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
 	defer s.wg.Done()
 	out, err := t.Wait()
 	s.mu.Lock()
-	s.inflight--
+	defer s.mu.Unlock()
 	sw := s.sweeps[owner]
-	j.task = nil
-	j.preempting = false
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.cached = out.Cached
-	case errors.Is(err, runner.ErrPreempted):
+	for errors.Is(err, machine.ErrInterrupted) && j.state == JobQueued &&
+		!sw.cancelled && !sw.expired && !s.draining {
+		// The runner deduped this job onto another sweep's task that was
+		// being cancelled: nothing cancelled this sweep, so run it afresh.
+		t = s.r.SubmitInterruptible(j.req, ctl.ch)
+		s.mu.Unlock()
+		out, err = t.Wait()
+		s.mu.Lock()
+	}
+	if j.state == JobQueued {
 		switch {
-		case sw != nil && sw.cancelled:
-			j.state = JobCancelled
-		case sw != nil && sw.expired:
-			j.state = JobExpired
-			s.tel.DeadlineExpired(1)
-		default:
-			// The job yielded its slice: back to the queue, and the
-			// admission cursor rewinds so round-robin revisits it. Its
-			// persisted checkpoint resumes it on re-admission.
-			j.state = JobQueued
-			if sw != nil && j.idx < sw.next {
-				sw.next = j.idx
+		case err == nil:
+			j.state = JobDone
+			j.cached = out.Cached
+		case errors.Is(err, machine.ErrInterrupted):
+			if sw.expired {
+				j.state = JobExpired
+				s.tel.DeadlineExpired(1)
+			} else {
+				j.state = JobCancelled
 			}
+		default:
+			j.state = JobFailed
+			j.errMsg = err.Error()
 		}
-	case errors.Is(err, machine.ErrInterrupted):
-		if sw != nil && sw.expired {
-			j.state = JobExpired
-			s.tel.DeadlineExpired(1)
-		} else {
-			j.state = JobCancelled
-		}
-	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
 	}
-	if n := ctl.owners[owner]; n > 1 {
-		ctl.owners[owner] = n - 1
-	} else {
-		delete(ctl.owners, owner)
-	}
+	delete(ctl.owners, owner)
 	if len(ctl.owners) == 0 && s.ctl[j.digest] == ctl {
 		delete(s.ctl, j.digest)
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
-// Wait blocks until every admitted sweep is quiescent: nothing queued in
-// a live sweep, nothing in flight. Mostly for tests and one-shot hosts.
+// Wait blocks until every admitted job has settled: nothing queued,
+// nothing leased. Mostly for tests and one-shot hosts.
 func (s *Service) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -860,15 +724,9 @@ func (s *Service) Wait() {
 }
 
 func (s *Service) idleLocked() bool {
-	if s.inflight > 0 {
-		return false
-	}
 	for _, sw := range s.sweeps {
-		if sw.cancelled || sw.expired {
-			continue
-		}
 		for _, j := range sw.jobs {
-			if j.state == JobQueued || j.state == JobRunning {
+			if j.state == JobQueued {
 				return false
 			}
 		}
@@ -876,9 +734,10 @@ func (s *Service) idleLocked() bool {
 	return true
 }
 
-// Drain stops admission and interrupts every in-flight job so it
-// checkpoints, then waits for the pool to empty. Queued jobs stay in
-// their persisted sweep documents; a restart with Options.Resume picks
+// Drain stops admission, has the in-process slots checkpoint and release
+// their leases, interrupts every live job, and waits for all of them to
+// settle. Queued jobs stay in their persisted sweep documents and
+// shipped checkpoints stay on disk; a restart with Options.Resume picks
 // them back up. Drain is idempotent.
 func (s *Service) Drain() {
 	s.mu.Lock()
@@ -889,22 +748,23 @@ func (s *Service) Drain() {
 				sw.timer.Stop()
 			}
 		}
-		for _, ctl := range s.ctl {
-			if !ctl.closed {
-				ctl.closed = true
-				close(ctl.ch)
-			}
+	}
+	s.mu.Unlock()
+	if s.local != nil {
+		s.local.Drain()
+	}
+	s.mu.Lock()
+	for _, ctl := range s.ctl {
+		if !ctl.closed {
+			ctl.closed = true
+			close(ctl.ch)
 		}
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	if s.lt != nil {
-		// Stop fleet dispatch after the interrupt channels closed: every
-		// parked job finishes with machine.ErrInterrupted, so the await
-		// goroutines below can drain. Queued jobs stay in their persisted
-		// sweep documents; shipped checkpoints stay on disk for resume.
-		s.lt.close()
-	}
+	// Close after the interrupt channels: every parked job finishes with
+	// machine.ErrInterrupted — fleet leases included — so the await
+	// goroutines below can drain.
+	s.lt.close()
 	s.wg.Wait()
 }
 

@@ -165,9 +165,9 @@ func TestServiceEndToEnd(t *testing.T) {
 func TestExecuteHookMatchesLocal(t *testing.T) {
 	_, _, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 2})
 
-	// A local runner with the remote Execute hook: dedupe, stats and
+	// A local runner with the remote execution hook: dedupe, stats and
 	// result identity stay local, simulation happens on the server.
-	remote := runner.New(runner.Options{Jobs: 2, Execute: c.Execute})
+	remote := runner.New(runner.Options{Jobs: 2, ExecuteInterruptible: c.ExecuteInterruptible})
 	defer remote.Close()
 	local := runner.New(runner.Options{Jobs: 2})
 	defer local.Close()
@@ -355,8 +355,8 @@ func slowReq(seed int64) runner.Request {
 func TestFairSchedulingAcrossSweeps(t *testing.T) {
 	svc, _, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 1})
 
-	// Sweep A floods the (single-worker) pool; sweep B arrives while A's
-	// first job runs with the rest still queued. Round-robin admission
+	// Sweep A floods the single in-process slot; sweep B arrives while
+	// A's first job runs with the rest still queued. Round-robin grants
 	// must interleave B before A's tail rather than running A to
 	// completion first.
 	a, err := c.Submit(slowReq(21), slowReq(22), slowReq(23))
@@ -389,7 +389,7 @@ func TestFairSchedulingAcrossSweeps(t *testing.T) {
 	// Re-validate after B is admitted: a sweep's queued count only
 	// decreases, so if A still has two jobs queued now it had two at B's
 	// admission, and round-robin (which may grant A at most one more
-	// dispatch before B's turn) must run B before A's last job. On a
+	// lease before B's turn) must run B before A's last job. On a
 	// loaded host A can drain between the observation above and the
 	// submit — that is a slow test run, not starvation.
 	st, err := c.Status(a.ID)
@@ -406,8 +406,8 @@ func TestFairSchedulingAcrossSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Completion order on a one-worker pool is admission order: B's job
-	// must not be the last span recorded.
+	// Completion order on one slot is grant order: B's job must not be
+	// the last span recorded.
 	spans := svc.Telemetry().Tracer().Tail(0)
 	if len(spans) != 4 {
 		t.Fatalf("spans = %d, want 4", len(spans))

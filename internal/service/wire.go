@@ -1,6 +1,6 @@
 // Package service is the sweep control plane: a long-running HTTP/JSON
 // front end over the runner that accepts whole sweeps, schedules them
-// fairly against each other on one shared worker pool, serves results out
+// fairly against each other through one lease table, serves results out
 // of the content-addressed cache, and survives restarts.
 //
 // The wire API is deliberately thin. A request on the wire is exactly
@@ -18,12 +18,17 @@
 //	GET    /v1/jobs/{digest}      the raw cache document for a finished job
 //	GET    /v1/jobs/{digest}/span the job's trace span, while retained
 //
-// With Options.Workers, jobs execute on external worker processes instead
-// of in-process, pulled through the work-distribution routes:
+// Jobs execute on worker slots that pull them from the lease table: the
+// service's own in-process slots (Options.Jobs, none with
+// Options.Workers) call it directly, and fleet worker processes use the
+// work-distribution routes:
 //
 //	POST /v1/work/lease             pull one job under a TTL lease + fencing token
 //	POST /v1/work/{digest}/heartbeat  extend the lease, ship a checkpoint, or release
 //	POST /v1/work/{digest}/result     commit the outcome (fenced, at-most-once)
+//
+// A lease call on an empty queue is held until work arrives (for a
+// bounded hold), so an idle worker picks up new work at once.
 //
 // The telemetry endpoints (/metrics, /progress, /jobs) mount on the same
 // listener via telemetry.Mount.
@@ -101,7 +106,7 @@ type SweepStatus struct {
 	Cancelled int `json:"cancelled"`
 	Expired   int `json:"expired,omitempty"`
 	// Retries counts transient-failure re-executions across the whole
-	// service (the worker pool is shared, so retries are too).
+	// service (every sweep shares one runner, so retries are shared too).
 	Retries uint64 `json:"retries,omitempty"`
 	// ETASeconds extrapolates this sweep's remaining jobs from the
 	// service-wide per-job completion rate (zero when idle or unknown).

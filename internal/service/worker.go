@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sync"
@@ -31,11 +30,9 @@ type WorkerOptions struct {
 	// Heartbeat is the lease-renewal cadence; zero derives a third of the
 	// granted TTL, so two beats can be lost before the lease expires.
 	Heartbeat time.Duration
-	// Poll is the idle backoff between lease attempts when the queue is
-	// empty (default 250ms, jittered so a fleet does not poll in phase).
-	Poll time.Duration
 	// Retries, Backoff, MaxBackoff tune the client's jittered exponential
-	// backoff (see Client); zero keeps Dial's defaults.
+	// backoff (see Client), which also paces lease attempts after an
+	// error; zero keeps Dial's defaults.
 	Retries    int
 	Backoff    time.Duration
 	MaxBackoff time.Duration
@@ -73,20 +70,48 @@ type WorkerStats struct {
 	Released  uint64
 }
 
-// Worker is one fleet process: it pulls jobs from a sweep server under
-// TTL leases, executes them locally, heartbeats (shipping checkpoints)
-// while they run, and commits results under the lease's fencing token.
-// SIGTERM-style drain is cooperative: Drain interrupts in-flight jobs at
-// their next checkpoint boundary, ships the final checkpoint, releases
-// the leases, and returns — finish-or-checkpoint, never abandon-silently.
+// workAPI is the lease protocol a Worker speaks: *Client over HTTP for a
+// fleet process, localWork for the service's in-process slots.
+type workAPI interface {
+	Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error)
+	Heartbeat(ctx context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error)
+	Commit(ctx context.Context, digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error)
+}
+
+// localWork calls a lease table directly: the same three calls the
+// /v1/work routes make, without the wire.
+type localWork struct{ t *leaseTable }
+
+func (l localWork) Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
+	return l.t.lease(ctx, worker, ttl)
+}
+
+func (l localWork) Heartbeat(_ context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
+	return l.t.heartbeat(digest, worker, fence, ckpt, release)
+}
+
+func (l localWork) Commit(_ context.Context, digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error) {
+	return l.t.commit(digest, worker, fence, entry, errMsg, errKind)
+}
+
+// Worker pulls jobs under TTL leases, executes them locally, heartbeats
+// (shipping checkpoints) while they run, and commits results under the
+// lease's fencing token — as a fleet process over HTTP, or as the sweep
+// service's own in-process slots. SIGTERM-style drain is cooperative:
+// Drain interrupts in-flight jobs at their next checkpoint boundary,
+// ships the final checkpoint, releases the leases, and returns —
+// finish-or-checkpoint, never abandon-silently.
 type Worker struct {
 	opts WorkerOptions
-	c    *Client
-	id   string
+	api  workAPI
+	// delay paces lease attempts after an error (the client's jittered
+	// exponential backoff).
+	delay func(attempt int) time.Duration
+	id    string
 
 	stop     chan struct{} // closed by Drain: stop leasing, wind down jobs
 	stopOnce sync.Once
-	cancel   context.CancelFunc // aborts idle lease polls on Drain
+	cancel   context.CancelFunc // aborts held lease calls and backoffs on Drain
 	leaseCtx context.Context
 	wg       sync.WaitGroup
 
@@ -95,21 +120,9 @@ type Worker struct {
 	stats   WorkerStats
 }
 
-// NewWorker builds a worker (not yet running — call Start).
+// NewWorker builds a fleet worker speaking HTTP to o.Addr (not yet
+// running — call Start).
 func NewWorker(o WorkerOptions) *Worker {
-	if o.Slots <= 0 {
-		o.Slots = 1
-	}
-	if o.Poll <= 0 {
-		o.Poll = 250 * time.Millisecond
-	}
-	if o.ID == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "worker"
-		}
-		o.ID = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
 	c := Dial(o.Addr)
 	if o.Retries > 0 {
 		c.Retries = o.Retries
@@ -123,8 +136,23 @@ func NewWorker(o WorkerOptions) *Worker {
 	if o.Transport != nil {
 		c.HTTP = &http.Client{Transport: o.Transport}
 	}
+	return newWorker(o, c, c.delay)
+}
+
+// newWorker builds a worker over any lease protocol endpoint.
+func newWorker(o WorkerOptions, api workAPI, delay func(int) time.Duration) *Worker {
+	if o.Slots <= 0 {
+		o.Slots = 1
+	}
+	if o.ID == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		o.ID = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Worker{opts: o, c: c, id: o.ID, stop: make(chan struct{}), leaseCtx: ctx, cancel: cancel}
+	return &Worker{opts: o, api: api, delay: delay, id: o.ID, stop: make(chan struct{}), leaseCtx: ctx, cancel: cancel}
 }
 
 // ID returns the worker's lease identity.
@@ -162,55 +190,36 @@ func (w *Worker) Drain() {
 	w.wg.Wait()
 }
 
-// slot is one lease→execute→commit loop.
+// slot is one lease→execute→commit loop. The server holds a lease call
+// open until work arrives, so an empty reply is simply asked again.
 func (w *Worker) slot() {
 	defer w.wg.Done()
+	fails := 0
 	for {
 		select {
 		case <-w.stop:
 			return
 		default:
 		}
-		g, err := w.c.Lease(w.leaseCtx, w.id, w.opts.TTL)
+		g, err := w.api.Lease(w.leaseCtx, w.id, w.opts.TTL)
 		if err != nil {
 			if w.leaseCtx.Err() != nil {
 				return
 			}
-			// Server restarting, draining, or not in workers mode yet:
-			// keep polling — the fleet outlives server incarnations.
+			// Server restarting or draining: back off and ask again — the
+			// fleet outlives server incarnations.
 			w.logf("lease: %v", err)
-			if !w.sleep(w.idleDelay()) {
+			if !sleepCtx(w.leaseCtx, w.delay(fails)) {
 				return
 			}
+			fails++
 			continue
 		}
-		if g == nil {
-			if !w.sleep(w.idleDelay()) {
-				return
-			}
-			continue
+		fails = 0
+		if g != nil {
+			w.count(func(s *WorkerStats) { s.Leases++ })
+			w.work(g)
 		}
-		w.count(func(s *WorkerStats) { s.Leases++ })
-		w.work(g)
-	}
-}
-
-// idleDelay jitters the idle poll into [Poll/2, Poll] so a fleet of idle
-// workers does not hit the server in phase.
-func (w *Worker) idleDelay() time.Duration {
-	p := w.opts.Poll
-	return p/2 + time.Duration(rand.Int63n(int64(p/2)+1))
-}
-
-// sleep pauses for d, returning false early when the worker is draining.
-func (w *Worker) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-w.stop:
-		return false
 	}
 }
 
@@ -297,7 +306,7 @@ func (w *Worker) work(g *LeaseGrant) {
 			latest = nil
 			jmu.Unlock()
 			ctx, cancel := callCtx()
-			hb, err := w.c.Heartbeat(ctx, digest, w.id, g.Fence, ck, false)
+			hb, err := w.api.Heartbeat(ctx, digest, w.id, g.Fence, ck, false)
 			cancel()
 			if err != nil {
 				if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrStaleCommit) {
@@ -347,6 +356,13 @@ func (w *Worker) work(g *LeaseGrant) {
 	}
 	start := time.Now()
 	out, err := runSafe(exec, g.Request, x)
+	if x.Resume != nil && badCkpt(err) {
+		// The checkpoint no longer replays under this build: restart the
+		// job from event zero rather than failing it.
+		w.logf("checkpoint unusable for %s, restarting: %v", short(digest), err)
+		x.Resume = nil
+		out, err = runSafe(exec, g.Request, x)
+	}
 	elapsed := time.Since(start)
 	close(jobDone)
 	close(hbStop)
@@ -369,7 +385,7 @@ func (w *Worker) work(g *LeaseGrant) {
 		// Drain or server-requested yield: ship the final checkpoint and
 		// release, so the next leaseholder resumes instead of restarting.
 		ctx, cancel := callCtx()
-		_, rerr := w.c.Heartbeat(ctx, digest, w.id, g.Fence, ck, true)
+		_, rerr := w.api.Heartbeat(ctx, digest, w.id, g.Fence, ck, true)
 		cancel()
 		if rerr != nil {
 			w.logf("release of %s failed: %v", short(digest), rerr)
@@ -383,7 +399,7 @@ func (w *Worker) work(g *LeaseGrant) {
 		// kind) so the server's retry/quarantine policy applies.
 		w.count(func(s *WorkerStats) { s.Executed++; s.Failed++ })
 		ctx, cancel := callCtx()
-		_, cerr := w.c.Commit(ctx, digest, w.id, g.Fence, nil, err.Error(), errorKind(err))
+		_, cerr := w.api.Commit(ctx, digest, w.id, g.Fence, nil, err.Error(), errorKind(err))
 		cancel()
 		if cerr != nil {
 			w.logf("error commit for %s rejected: %v", short(digest), cerr)
@@ -402,13 +418,13 @@ func (w *Worker) commit(g *LeaseGrant, out *runner.Outcome, elapsed time.Duratio
 	entry, err := runner.EncodeEntry(g.Request, out, elapsed)
 	if err != nil {
 		ctx, cancel := callCtx()
-		w.c.Commit(ctx, digest, w.id, g.Fence, nil, err.Error(), "")
+		w.api.Commit(ctx, digest, w.id, g.Fence, nil, err.Error(), "")
 		cancel()
 		w.count(func(s *WorkerStats) { s.Failed++ })
 		return
 	}
 	ctx, cancel := callCtx()
-	cr, cerr := w.c.Commit(ctx, digest, w.id, g.Fence, entry, "", "")
+	cr, cerr := w.api.Commit(ctx, digest, w.id, g.Fence, entry, "", "")
 	cancel()
 	switch {
 	case cerr == nil:
@@ -447,6 +463,14 @@ func (w *Worker) logf(format string, args ...any) {
 // localExec is the default execution seam: plain local simulation.
 func localExec(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
 	return runner.ExecuteLocal(q, x)
+}
+
+// badCkpt reports whether an execution failed because its resume
+// checkpoint is unusable.
+func badCkpt(err error) bool {
+	return errors.Is(err, checkpoint.ErrDiverged) ||
+		errors.Is(err, checkpoint.ErrIncompatible) ||
+		errors.Is(err, checkpoint.ErrCorrupt)
 }
 
 // runSafe guards the execution seam (local or injected), mirroring the

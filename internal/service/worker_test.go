@@ -17,17 +17,14 @@ import (
 func startWorker(t *testing.T, srv *Server, o WorkerOptions) *Worker {
 	t.Helper()
 	o.Addr = srv.Addr()
-	if o.Poll <= 0 {
-		o.Poll = 10 * time.Millisecond
-	}
 	w := NewWorker(o)
 	w.Start()
 	t.Cleanup(w.Drain)
 	return w
 }
 
-// TestFleetEndToEnd: a Workers-mode service with two real worker
-// processes completes a sweep; every result is byte-identical to a local
+// TestFleetEndToEnd: a service without in-process slots and two real
+// fleet workers completes a sweep; every result is byte-identical to a local
 // run, every commit is accounted for, and the lease gauges drain to zero.
 func TestFleetEndToEnd(t *testing.T) {
 	_, srv, c := startService(t, Options{

@@ -295,10 +295,10 @@ func (s *Sweep) JobInterrupted(fromQueue bool) {
 	s.interrupted.Inc()
 }
 
-// JobPreempted counts a running job that cooperatively yielded at a
-// checkpoint boundary. Its running-gauge slot was already released by
-// JobRunDone; the re-queued job re-enters through JobQueued, so the
-// queued/running gauges stay balanced across a preempt-resume cycle.
+// JobPreempted counts a lease that yielded its slice at a checkpoint
+// boundary so a starved sweep could run; the job requeues and later
+// resumes from its shipped checkpoint. The job gauges do not move: the
+// job stays submitted to the runner throughout.
 func (s *Sweep) JobPreempted() {
 	if s == nil {
 		return

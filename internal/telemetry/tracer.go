@@ -26,9 +26,6 @@ const (
 	// OutcomeInterrupted marks a job cancelled by the sweep interrupt; its
 	// checkpoint (when one was captured) makes it resumable, not failed.
 	OutcomeInterrupted Outcome = "interrupted"
-	// OutcomePreempted marks a job that cooperatively yielded at a
-	// checkpoint boundary; a later submission resumes it.
-	OutcomePreempted Outcome = "preempted"
 )
 
 // AttemptSpan is one execution attempt inside a job span. A retried job

@@ -78,7 +78,7 @@ func WithRunnerInterrupt(ch <-chan struct{}) RunnerOption {
 // SweepTelemetry is the sweep observability surface: a lock-cheap metrics
 // registry plus a structured per-job tracer, updated by every submit,
 // cache, run, retry, quarantine and interrupt path. A nil *SweepTelemetry
-// is valid and costs nothing. See NewSweepTelemetry and WithTelemetry.
+// is valid and costs nothing. See NewSweepTelemetry and WithService.
 type SweepTelemetry = telemetry.Sweep
 
 // SweepProgress is a point-in-time sweep snapshot: jobs done/total, queue
@@ -169,7 +169,8 @@ func ServiceCacheDir(dir string) ServiceOption {
 	return func(c *serviceConfig) { c.cacheDir = dir }
 }
 
-// ServiceJobs bounds concurrently executing simulations (see WithJobs).
+// ServiceJobs sets the number of in-process worker slots executing jobs
+// (see WithJobs); on Serve, fleet workers add their own slots on top.
 func ServiceJobs(n int) ServiceOption {
 	return func(c *serviceConfig) { c.jobs = n }
 }
@@ -206,24 +207,25 @@ func ServiceMaxQueued(n int) ServiceOption {
 }
 
 // ServicePreemption enables checkpoint-based time-slicing on Serve: when
-// the pool is full and a newly arrived sweep is starved, one long-running
-// job is asked to yield at its next checkpoint boundary, re-queues, and
-// later resumes from its persisted checkpoint — so short sweeps are not
-// stuck behind long ones. Combine with ServiceCheckpoints so a preempted
-// job keeps its progress.
+// every worker slot is busy and a newly arrived sweep is starved, one
+// long-running job's lease is asked to yield at its next checkpoint
+// boundary; the job re-queues and later resumes from that checkpoint — so
+// short sweeps are not stuck behind long ones. Combine with
+// ServiceCheckpoints so a preempted job keeps its progress.
 func ServicePreemption() ServiceOption {
 	return func(c *serviceConfig) { c.preempt = true }
 }
 
-// ServiceWorkers switches Serve's execution from in-process to the
-// worker fleet: jobs park in a lease table and external dynamo-worker
-// processes pull them through the /v1/work routes under TTL leases with
-// fencing tokens. A worker that stops heartbeating is presumed dead
-// after ttl (zero selects the 10s default): its job requeues — resuming
-// from the last checkpoint the worker shipped — and any commit under the
-// stale fence is rejected (ErrLeaseExpired / ErrStaleCommit on the
-// wire). Scheduling, dedupe, retries, cancellation and preemption are
-// unchanged. Only Serve honors it — a local runner executes in-process.
+// ServiceWorkers makes Serve start no in-process worker slots: every job
+// waits in the lease table for an external dynamo-worker process to pull
+// it through the /v1/work routes under a TTL lease with a fencing token.
+// A worker that stops heartbeating is presumed dead after ttl (zero
+// selects the 10s default): its job requeues — resuming from the last
+// checkpoint the worker shipped — and any commit under the stale fence
+// is rejected (ErrLeaseExpired / ErrStaleCommit on the wire).
+// Scheduling, dedupe, retries, cancellation and preemption are the same
+// as with in-process slots. Only Serve honors it — a local runner
+// executes in-process.
 func ServiceWorkers(ttl time.Duration) ServiceOption {
 	return func(c *serviceConfig) {
 		c.workers = true
@@ -284,21 +286,6 @@ func WithService(addr string, opts ...ServiceOption) RunnerOption {
 			o.Log = c.log
 		}
 	}
-}
-
-// WithTelemetry attaches a telemetry surface to the runner.
-//
-// Deprecated: Use WithService with ServiceTelemetry; WithTelemetry
-// remains as a one-line alias.
-func WithTelemetry(t *SweepTelemetry) RunnerOption {
-	return WithService("", ServiceTelemetry(t))
-}
-
-// WithServe exposes the runner's telemetry over HTTP on addr.
-//
-// Deprecated: Use WithService; WithServe remains as a one-line alias.
-func WithServe(addr string) RunnerOption {
-	return WithService(addr)
 }
 
 // NewRunner builds a sweep runner over the default Table II system.
@@ -387,18 +374,18 @@ func (r *Runner) Wait() error { return r.r.Wait() }
 func (r *Runner) Stats() RunnerStats { return r.r.Stats() }
 
 // Telemetry returns the runner's telemetry surface (nil unless enabled
-// with WithTelemetry or WithServe).
+// with WithService).
 func (r *Runner) Telemetry() *SweepTelemetry { return r.r.Telemetry() }
 
 // TelemetryAddr returns the telemetry server's bound address, or the bind
-// error when the WithServe address could not be served. Both are empty
-// when WithServe was not used.
+// error when the WithService address could not be served. Both are empty
+// when no address was given.
 func (r *Runner) TelemetryAddr() (string, error) { return r.r.TelemetryAddr() }
 
 // Close releases the runner's observability resources: the telemetry
 // HTTP server, and any telemetry surface the runner created itself. A
-// surface supplied via WithTelemetry stays open. Close does not wait for
-// running jobs — call Wait first.
+// surface supplied via ServiceTelemetry stays open. Close does not wait
+// for running jobs — call Wait first.
 func (r *Runner) Close() error { return r.r.Close() }
 
 // Failed returns every failed run so far, in completion order. One bad

@@ -8,15 +8,17 @@ import (
 )
 
 // SweepService is a running sweep control plane (see Serve): an HTTP/JSON
-// API over a shared Runner that accepts whole sweeps, schedules
-// concurrent sweeps fairly (round-robin admission across sweeps) on one
-// worker pool, serves results out of the content-addressed cache, and
-// survives restarts through persisted sweep documents plus job
-// checkpoints.
+// API over a shared Runner that accepts whole sweeps, serves results out
+// of the content-addressed cache, and survives restarts through persisted
+// sweep documents plus job checkpoints. Every job it cannot answer from
+// the cache waits in one lease table, which grants jobs round-robin
+// across sweeps to worker slots: the service's own in-process slots
+// (ServiceJobs) and any fleet workers (FleetWorker) pulling over HTTP.
 //
 // Routes: POST /v1/sweeps, GET|DELETE /v1/sweeps/{id},
-// GET /v1/jobs/{digest}, GET /v1/jobs/{digest}/span, plus the telemetry
-// endpoints (/metrics, /progress, /jobs) on the same listener.
+// GET /v1/jobs/{digest}, GET /v1/jobs/{digest}/span, the /v1/work lease
+// routes, plus the telemetry endpoints (/metrics, /progress, /jobs) on
+// the same listener.
 type SweepService struct {
 	svc *service.Service
 	srv *service.Server
@@ -101,7 +103,7 @@ func (s *SweepService) Addr() string { return s.srv.Addr() }
 
 // Drain stops accepting sweeps and interrupts in-flight jobs so they
 // checkpoint; queued jobs stay persisted for a later ServiceResume
-// start. Drain returns once the pool is empty and is idempotent —
+// start. Drain returns once every job has settled and is idempotent —
 // dynamo-serve calls it on SIGTERM.
 func (s *SweepService) Drain() { s.svc.Drain() }
 
@@ -157,10 +159,11 @@ func WithRemote(addr string, opts ...RemoteOption) RunnerOption {
 }
 
 // FleetWorker is one process of the distributed execution tier: it pulls
-// jobs from a sweep service started with ServiceWorkers (or dynamo-serve
-// -workers), executes them locally, heartbeats — shipping checkpoints —
-// while they run, and commits results under fenced TTL leases. The
-// dynamo-worker command wraps one. See FleetWorkerOptions.
+// jobs from a sweep service (one started with ServiceWorkers, or
+// dynamo-serve -workers, has no slots of its own), executes them locally,
+// heartbeats — shipping checkpoints — while they run, and commits results
+// under fenced TTL leases. The dynamo-worker command wraps one. See
+// FleetWorkerOptions.
 type FleetWorker = service.Worker
 
 // FleetWorkerOptions configures a FleetWorker.

@@ -78,7 +78,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // collectors (Obs, Profile, Interval, Trace) are not shared.
 type Session struct {
 	cfg  Config
-	opts Options
+	opts options
 }
 
 // Option configures a Session.
