@@ -96,6 +96,11 @@ echo "ci: bench harness smoke"
 "$benchsmoke/dynamo-bench" compare "$benchsmoke/smoke.json" "$benchsmoke/smoke.json"
 rm -rf "$benchsmoke"
 
+# Microbenchmark smoke: one iteration of every kernel, cache and machine
+# benchmark, so the bodies the benchmark's per-layer rows mirror keep
+# compiling and running.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/machine
+
 # Baseline gate: workload x policy smoke set on the small 4-core system.
 # One snapshot per pair; zero tolerance — the simulator is deterministic,
 # so any drift is a real behaviour change.

@@ -8,9 +8,8 @@ import (
 	"math/bits"
 )
 
-// Set holds the ways of one set in LRU order (index 0 = most recently used).
+// way is one way of a set: a tag and its value.
 type way[V any] struct {
-	valid bool
 	tag   uint64
 	value V
 }
@@ -19,10 +18,16 @@ type way[V any] struct {
 // cache-line number) to a value of type V. Keys are split into set index
 // (low bits) and tag (high bits). Replacement is true LRU within a set.
 type SetAssoc[V any] struct {
-	sets      int
-	ways      int
-	setShift  uint
-	data      [][]way[V] // data[set] = ways in LRU order
+	sets     int
+	ways     int
+	setShift uint
+	// data holds every way in one set-major array: set s owns
+	// data[s*ways:(s+1)*ways], of which the first fill[s] are valid, in
+	// LRU order (index 0 = most recently used). Both are allocated by the
+	// first Insert: a simulated job fills a small share of a Table II
+	// machine's caches, so an array never written costs only its header.
+	data      []way[V]
+	fill      []int32
 	evictions uint64
 	hits      uint64
 	misses    uint64
@@ -37,16 +42,11 @@ func NewSetAssoc[V any](sets, ways int) *SetAssoc[V] {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets %d is not a power of two", sets))
 	}
-	c := &SetAssoc[V]{
+	return &SetAssoc[V]{
 		sets:     sets,
 		ways:     ways,
 		setShift: uint(bits.TrailingZeros(uint(sets))),
-		data:     make([][]way[V], sets),
 	}
-	for i := range c.data {
-		c.data[i] = make([]way[V], 0, ways)
-	}
-	return c
 }
 
 // Sets returns the number of sets.
@@ -67,18 +67,46 @@ func (c *SetAssoc[V]) index(key uint64) (set int, tag uint64) {
 	return int(key & uint64(c.sets-1)), key >> c.setShift
 }
 
+// valid returns the valid ways of set in LRU order, with capacity for the
+// whole set; it is empty before the first Insert.
+func (c *SetAssoc[V]) valid(set int) []way[V] {
+	if c.fill == nil {
+		return nil
+	}
+	base := set * c.ways
+	return c.data[base : base+int(c.fill[set]) : base+c.ways]
+}
+
+// find returns the position of tag among the ways s, or -1.
+func find[V any](s []way[V], tag uint64) int {
+	for i := range s {
+		if s[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves way i of s to the MRU position.
+func touch[V any](s []way[V], i int) {
+	if i == 0 {
+		return
+	}
+	w := s[i]
+	copy(s[1:i+1], s[0:i])
+	s[0] = w
+}
+
 // Lookup returns the value for key and promotes it to MRU. The returned
 // pointer stays valid until the entry is evicted or removed; callers mutate
 // entries through it.
 func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			c.hits++
-			c.touch(set, i)
-			return &c.data[set][0].value, true
-		}
+	s := c.valid(set)
+	if i := find(s, tag); i >= 0 {
+		c.hits++
+		touch(s, i)
+		return &s[0].value, true
 	}
 	c.misses++
 	return nil, false
@@ -88,11 +116,9 @@ func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
 // statistics.
 func (c *SetAssoc[V]) Peek(key uint64) (*V, bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return &s[i].value, true
-		}
+	s := c.valid(set)
+	if i := find(s, tag); i >= 0 {
+		return &s[i].value, true
 	}
 	return nil, false
 }
@@ -103,57 +129,45 @@ func (c *SetAssoc[V]) Contains(key uint64) bool {
 	return ok
 }
 
-// touch moves way i of set to MRU position.
-func (c *SetAssoc[V]) touch(set, i int) {
-	s := c.data[set]
-	if i == 0 {
-		return
-	}
-	w := s[i]
-	copy(s[1:i+1], s[0:i])
-	s[0] = w
-}
-
 // Insert adds key with value v as MRU. If the set is full, the LRU way is
 // evicted and returned with evicted=true. Inserting an existing key replaces
 // its value and promotes it.
 func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evicted bool) {
-	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].value = v
-			c.touch(set, i)
-			return 0, victim, false
-		}
+	if c.fill == nil {
+		c.data = make([]way[V], c.sets*c.ways)
+		c.fill = make([]int32, c.sets)
 	}
-	if len(s) < c.ways {
-		c.data[set] = append(s, way[V]{})
-		s = c.data[set]
-		copy(s[1:], s[0:len(s)-1])
-		s[0] = way[V]{valid: true, tag: tag, value: v}
+	set, tag := c.index(key)
+	s := c.valid(set)
+	if i := find(s, tag); i >= 0 {
+		s[i].value = v
+		touch(s, i)
 		return 0, victim, false
 	}
-	// Evict LRU (last position).
-	last := len(s) - 1
-	victimKey = s[last].tag<<c.setShift | uint64(set)
-	victim = s[last].value
-	c.evictions++
-	copy(s[1:], s[0:last])
-	s[0] = way[V]{valid: true, tag: tag, value: v}
-	return victimKey, victim, true
+	if n := len(s); n < c.ways {
+		c.fill[set]++
+		s = s[:n+1]
+	} else {
+		// Evict LRU (last position).
+		victimKey = s[n-1].tag<<c.setShift | uint64(set)
+		victim = s[n-1].value
+		evicted = true
+		c.evictions++
+	}
+	copy(s[1:], s[0:len(s)-1])
+	s[0] = way[V]{tag: tag, value: v}
+	return victimKey, victim, evicted
 }
 
 // Remove deletes key if present and returns its value.
 func (c *SetAssoc[V]) Remove(key uint64) (V, bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			v := s[i].value
-			c.data[set] = append(s[:i], s[i+1:]...)
-			return v, true
-		}
+	s := c.valid(set)
+	if i := find(s, tag); i >= 0 {
+		v := s[i].value
+		copy(s[i:], s[i+1:])
+		c.fill[set]--
+		return v, true
 	}
 	var zero V
 	return zero, false
@@ -163,24 +177,18 @@ func (c *SetAssoc[V]) Remove(key uint64) (V, bool) {
 // modifying the array.
 func (c *SetAssoc[V]) Victim(key uint64) (victimKey uint64, wouldEvict bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return 0, false
-		}
-	}
-	if len(s) < c.ways {
+	s := c.valid(set)
+	if len(s) < c.ways || find(s, tag) >= 0 {
 		return 0, false
 	}
-	last := len(s) - 1
-	return s[last].tag<<c.setShift | uint64(set), true
+	return s[len(s)-1].tag<<c.setShift | uint64(set), true
 }
 
 // Len returns the number of valid entries across all sets.
 func (c *SetAssoc[V]) Len() int {
 	n := 0
-	for _, s := range c.data {
-		n += len(s)
+	for _, f := range c.fill {
+		n += int(f)
 	}
 	return n
 }
@@ -188,8 +196,8 @@ func (c *SetAssoc[V]) Len() int {
 // Range calls fn for every (key, value) pair until fn returns false.
 // Iteration order is set-major then LRU order; it does not modify LRU state.
 func (c *SetAssoc[V]) Range(fn func(key uint64, v *V) bool) {
-	for set := range c.data {
-		s := c.data[set]
+	for set := range c.fill {
+		s := c.valid(set)
 		for i := range s {
 			key := s[i].tag<<c.setShift | uint64(set)
 			if !fn(key, &s[i].value) {

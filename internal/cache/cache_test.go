@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -193,43 +194,131 @@ func TestBoundedOccupancyProperty(t *testing.T) {
 	}
 }
 
-// Property: the cache agrees with a reference model (map + per-set LRU list)
-// on hit/miss for random access streams.
+// refEntry is one way of the reference model.
+type refEntry struct {
+	key uint64
+	val int
+}
+
+// Property: the cache agrees with a reference model (per-set MRU-first
+// lists) on every operation's result — Lookup, Insert on a miss and on a
+// hit, Remove, Peek and Victim — and, after every step, on Len and on the
+// full Range sequence (set-major, then LRU order: the order checkpoints
+// serialize).
 func TestLRUReferenceModelProperty(t *testing.T) {
 	const sets, ways = 4, 3
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewSetAssoc[int](sets, ways)
-		ref := make([][]uint64, sets) // MRU-first key lists
+		ref := make([][]refEntry, sets) // MRU-first
+		pos := func(k uint64) int {
+			for j, e := range ref[k%sets] {
+				if e.key == k {
+					return j
+				}
+			}
+			return -1
+		}
+		promote := func(set, j int) {
+			e := ref[set][j]
+			ref[set] = append(ref[set][:j], ref[set][j+1:]...)
+			ref[set] = append([]refEntry{e}, ref[set]...)
+		}
 		for i := 0; i < 3000; i++ {
 			k := uint64(rng.Intn(64))
 			set := int(k % sets)
-			// Reference lookup.
-			refHit := false
-			for j, rk := range ref[set] {
-				if rk == k {
-					refHit = true
+			j := pos(k)
+			switch rng.Intn(5) {
+			case 0: // Lookup promotes a hit.
+				v, hit := c.Lookup(k)
+				if hit != (j >= 0) || hit && *v != ref[set][j].val {
+					return false
+				}
+				if hit {
+					promote(set, j)
+				}
+			case 1: // Insert replaces a hit or evicts the LRU way of a full set.
+				vk, vv, ev := c.Insert(k, i)
+				switch {
+				case j >= 0:
+					ref[set][j].val = i
+					promote(set, j)
+					if ev {
+						return false
+					}
+				case len(ref[set]) == ways:
+					lru := ref[set][ways-1]
+					if !ev || vk != lru.key || vv != lru.val {
+						return false
+					}
+					ref[set] = append([]refEntry{{k, i}}, ref[set][:ways-1]...)
+				default:
+					if ev {
+						return false
+					}
+					ref[set] = append([]refEntry{{k, i}}, ref[set]...)
+				}
+			case 2:
+				v, ok := c.Remove(k)
+				if ok != (j >= 0) || ok && v != ref[set][j].val {
+					return false
+				}
+				if ok {
 					ref[set] = append(ref[set][:j], ref[set][j+1:]...)
-					ref[set] = append([]uint64{k}, ref[set]...)
-					break
+				}
+			case 3: // Peek never promotes.
+				v, ok := c.Peek(k)
+				if ok != (j >= 0) || ok && *v != ref[set][j].val {
+					return false
+				}
+			case 4:
+				vk, would := c.Victim(k)
+				full := j < 0 && len(ref[set]) == ways
+				if would != full || full && vk != ref[set][ways-1].key {
+					return false
 				}
 			}
-			_, hit := c.Lookup(k)
-			if hit != refHit {
+			var want, got []refEntry
+			for _, s := range ref {
+				want = append(want, s...)
+			}
+			c.Range(func(k uint64, v *int) bool {
+				got = append(got, refEntry{k, *v})
+				return true
+			})
+			if !slices.Equal(got, want) || c.Len() != len(want) {
 				return false
-			}
-			if !hit {
-				c.Insert(k, i)
-				if len(ref[set]) == ways {
-					ref[set] = ref[set][:ways-1]
-				}
-				ref[set] = append([]uint64{k}, ref[set]...)
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An array allocates nothing beyond its header until the first Insert: a
+// Table II LLC slice (2048 sets x 8 ways) that a job never fills costs
+// one small object, and reading it before then allocates nothing either.
+func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
+	type line struct{ dirty bool }
+	var c *SetAssoc[line]
+	if n := testing.AllocsPerRun(10, func() { c = NewSetAssoc[line](2048, 8) }); n != 1 {
+		t.Fatalf("NewSetAssoc(2048, 8) made %v allocations, want 1", n)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		c.Lookup(5)
+		c.Peek(5)
+		c.Victim(5)
+		c.Remove(5)
+		c.Range(func(uint64, *line) bool { return true })
+	})
+	if n != 0 || c.Len() != 0 {
+		t.Fatalf("reads of an empty array made %v allocations (Len %d), want 0", n, c.Len())
+	}
+	c.Insert(5, line{dirty: true})
+	if v, ok := c.Peek(5); !ok || !v.dirty || c.Len() != 1 {
+		t.Fatalf("after the first Insert: Peek = (%v, %v), Len %d", v, ok, c.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"dynamo/internal/cpu"
@@ -233,5 +234,33 @@ func TestMetricAgingRuns(t *testing.T) {
 	// The engine must be fully drained (no immortal aging tick).
 	if m.Sys.Engine.Pending() != 0 {
 		t.Fatalf("%d events still pending after run", m.Sys.Engine.Pending())
+	}
+}
+
+// Building the Table II machine allocates well under 1 MiB: caches
+// allocate their arrays on first insert, so a job pays only for the
+// caches it touches.
+func TestNewAllocationBudget(t *testing.T) {
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := New(DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("New(DefaultConfig()) allocated %d bytes, want < 1 MiB", per)
+	}
+}
+
+func BenchmarkNew(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -17,7 +16,9 @@ import (
 // Tick is a point in simulated time, measured in clock cycles.
 type Tick uint64
 
-// Event is a closure scheduled to run at a fixed simulated time.
+// event is a closure scheduled to run at a fixed simulated time. The queue
+// holds events by value, so scheduling allocates nothing beyond the
+// caller's closure.
 type event struct {
 	when Tick
 	seq  uint64 // insertion order; breaks ties deterministically
@@ -27,28 +28,65 @@ type event struct {
 	fn   func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before reports whether a runs before b: earlier time first, then
+// insertion order. Sequence numbers are unique, so the order is total.
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// eventQueue is a binary min-heap of events on (when, seq).
+type eventQueue []event
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// push adds ev, moving the hole up from the last slot to its place.
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	*q = h
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must be non-empty.
+// The last event fills the hole left at the root, moving down to its
+// place; the vacated slot is cleared so the queue keeps no closure alive.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -56,7 +94,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now     Tick
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	stopped bool
 	// executed counts events run so far; used by watchdogs and stats.
 	executed uint64
@@ -66,11 +104,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Tick { return e.now }
@@ -79,7 +113,7 @@ func (e *Engine) Now() Tick { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // AttachPerf points the engine at a host-performance self-profiler; every
 // subsequently executed event is then attributed to its scheduling kind.
@@ -99,9 +133,8 @@ func (e *Engine) ScheduleKind(delay Tick, kind perf.Kind, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil fn")
 	}
-	ev := &event{when: e.now + delay, seq: e.seq, kind: kind, fn: fn}
+	e.queue.push(event{when: e.now + delay, seq: e.seq, kind: kind, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
@@ -127,7 +160,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Head returns the time of the next pending event. ok is false when the
 // queue is empty.
 func (e *Engine) Head() (t Tick, ok bool) {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return 0, false
 	}
 	return e.queue[0].when, true
@@ -136,10 +169,10 @@ func (e *Engine) Head() (t Tick, ok bool) {
 // Step executes the single next event, advancing time to it. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.queue.pop()
 	e.now = ev.when
 	e.executed++
 	if e.prof == nil {
@@ -160,7 +193,7 @@ func (e *Engine) Run(limit Tick) uint64 {
 	if limit > 0 {
 		deadline = e.now + limit
 	}
-	for !e.stopped && e.queue.Len() > 0 {
+	for !e.stopped && len(e.queue) > 0 {
 		if limit > 0 && e.queue[0].when > deadline {
 			break
 		}

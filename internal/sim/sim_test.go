@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -245,4 +248,212 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run(0)
+}
+
+// engineAPI is the part of the engine contract the differential test
+// drives; *Engine and refEngine both implement it.
+type engineAPI interface {
+	Now() Tick
+	Schedule(delay Tick, fn func())
+	At(t Tick, fn func())
+	Stop()
+	Step() bool
+	Run(limit Tick) uint64
+	RunUntil(cond func() bool, maxEvents uint64) bool
+	Snapshot() Snapshot
+}
+
+// refEngine is the reference model for the differential test: the
+// engine's documented contract over an unordered slice, popping the
+// least (when, seq) by a linear scan.
+type refEngine struct {
+	now      Tick
+	seq      uint64
+	executed uint64
+	stopped  bool
+	pending  []refEvent
+}
+
+type refEvent struct {
+	when Tick
+	seq  uint64
+	fn   func()
+}
+
+func (r *refEngine) Now() Tick { return r.now }
+
+func (r *refEngine) Schedule(delay Tick, fn func()) {
+	r.pending = append(r.pending, refEvent{when: r.now + delay, seq: r.seq, fn: fn})
+	r.seq++
+}
+
+func (r *refEngine) At(t Tick, fn func()) { r.Schedule(t-r.now, fn) }
+
+func (r *refEngine) Stop() { r.stopped = true }
+
+// head returns the index of the least pending (when, seq).
+func (r *refEngine) head() int {
+	best := 0
+	for i, ev := range r.pending {
+		b := r.pending[best]
+		if ev.when < b.when || ev.when == b.when && ev.seq < b.seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refEngine) Step() bool {
+	if len(r.pending) == 0 {
+		return false
+	}
+	i := r.head()
+	ev := r.pending[i]
+	r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	r.now = ev.when
+	r.executed++
+	ev.fn()
+	return true
+}
+
+func (r *refEngine) Run(limit Tick) uint64 {
+	r.stopped = false
+	start := r.executed
+	deadline := r.now + limit
+	for !r.stopped && len(r.pending) > 0 {
+		if limit > 0 && r.pending[r.head()].when > deadline {
+			break
+		}
+		r.Step()
+	}
+	return r.executed - start
+}
+
+func (r *refEngine) RunUntil(cond func() bool, maxEvents uint64) bool {
+	r.stopped = false
+	for n := uint64(0); !cond(); n++ {
+		if r.stopped || maxEvents > 0 && n >= maxEvents || !r.Step() {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refEngine) Snapshot() Snapshot {
+	pending := make([]Tick, len(r.pending))
+	for i, ev := range r.pending {
+		pending[i] = ev.when
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
+	return Snapshot{Now: r.now, Seq: r.seq, Executed: r.executed, Pending: pending}
+}
+
+// mix is splitmix64: a stateless per-event random stream, so an event's
+// actions depend only on the seed and its id, never on which engine runs it.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// diffTrace is what one scripted run observes: every executed event's id,
+// time and the engine snapshot it saw, and every outside call's result and
+// the snapshot after it.
+type diffTrace struct {
+	ops   []string
+	snaps []Snapshot
+}
+
+// runScript drives eng through a random schedule fixed by seed. Events
+// schedule children with Schedule and At at small delays (so equal-time
+// ties are common) and occasionally Stop the run; the script interleaves
+// outside scheduling with Step, Run(limit) and RunUntil budgets.
+func runScript(seed int64, eng engineAPI) diffTrace {
+	var tr diffTrace
+	ids := uint64(0)
+	var event func(id uint64) func()
+	event = func(id uint64) func() {
+		return func() {
+			tr.ops = append(tr.ops, fmt.Sprintf("event %d at %d", id, eng.Now()))
+			tr.snaps = append(tr.snaps, eng.Snapshot())
+			r := mix(uint64(seed)<<20 ^ id)
+			if r%23 == 0 {
+				eng.Stop()
+			}
+			for kid := r % 3; kid > 0 && ids < 600; kid-- {
+				r = mix(r)
+				ids++
+				if delay := Tick(r % 8); r&8 == 0 {
+					eng.Schedule(delay, event(ids))
+				} else {
+					eng.At(eng.Now()+delay, event(ids))
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 200; i++ {
+		var op string
+		switch rng.Intn(5) {
+		case 0, 1:
+			ids++
+			delay := Tick(rng.Intn(16))
+			eng.Schedule(delay, event(ids))
+			op = fmt.Sprintf("schedule %d after %d", ids, delay)
+		case 2:
+			op = fmt.Sprintf("step %v", eng.Step())
+		case 3:
+			limit := Tick(rng.Intn(8))
+			op = fmt.Sprintf("run(%d) = %d", limit, eng.Run(limit))
+		case 4:
+			target := len(tr.ops) + rng.Intn(10)
+			budget := uint64(rng.Intn(6))
+			ok := eng.RunUntil(func() bool { return len(tr.ops) >= target }, budget)
+			op = fmt.Sprintf("run-until(%d, %d) = %v", target, budget, ok)
+		}
+		tr.ops = append(tr.ops, op)
+		tr.snaps = append(tr.snaps, eng.Snapshot())
+	}
+	tr.ops = append(tr.ops, fmt.Sprintf("drain %d", eng.Run(0)))
+	tr.snaps = append(tr.snaps, eng.Snapshot())
+	return tr
+}
+
+// Property: the engine executes exactly the events a naive reference
+// queue does, in the same order, and shows the same Snapshot at every
+// event and after every outside call.
+func TestEventQueueMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		got := runScript(seed, NewEngine())
+		want := runScript(seed, &refEngine{})
+		for i := range min(len(got.ops), len(want.ops)) {
+			if got.ops[i] != want.ops[i] || !reflect.DeepEqual(got.snaps[i], want.snaps[i]) {
+				t.Logf("seed %d step %d: engine %q %+v, reference %q %+v",
+					seed, i, got.ops[i], got.snaps[i], want.ops[i], want.snaps[i])
+				return false
+			}
+		}
+		return len(got.ops) == len(want.ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Steady-state scheduling allocates nothing beyond the caller's closure:
+// the queue holds events by value and reuses its backing array.
+func TestScheduleStepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Tick(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(64, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule+Step allocated %v times per call, want 0", allocs)
+	}
 }
