@@ -221,38 +221,42 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBus measures probe-bus overhead on the same run three ways:
-// no bus at all (the hot default path), a bus collecting histograms and
+// BenchmarkProbeBus measures probe-bus and sanitizer overhead on the same
+// run four ways: no bus at all (the hot default path), the protocol
+// sanitizer alone (WithCheck, no bus), a bus collecting histograms and
 // counters, and a bus with the contention profiler plus interval telemetry
 // attached. The disabled-vs-absent gap is the cost of the nil-receiver
 // checks sprinkled through the machine; EXPERIMENTS.md records the
 // measured ratios.
 func BenchmarkProbeBus(b *testing.B) {
-	run := func(b *testing.B, obsOn, profiled bool) {
-		b.Helper()
-		cfg := benchConfig("dynamo-reuse-pn")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// Collectors are per-run state, so each iteration gets a fresh
-			// Session around fresh collectors.
-			opts := []Option{
-				WithPolicy("dynamo-reuse-pn"), WithThreads(4), WithScale(0.12),
-			}
-			if obsOn {
-				opts = append(opts, WithObs(NewObs()))
-			}
-			if profiled {
-				opts = append(opts, WithProfile(NewProfiler(32)),
-					WithInterval(NewIntervalRecorder(10000, 0)))
-			}
-			if _, err := benchSession(b, cfg, opts...).Run("histogram"); err != nil {
-				b.Fatal(err)
-			}
-		}
+	cases := []struct {
+		name string
+		// opts builds the case's options; collectors are per-run state, so
+		// each iteration gets a fresh Session around fresh collectors.
+		opts func() []Option
+	}{
+		{"disabled", func() []Option { return nil }},
+		{"checked", func() []Option { return []Option{WithCheck()} }},
+		{"enabled", func() []Option { return []Option{WithObs(NewObs())} }},
+		{"profiled", func() []Option {
+			return []Option{WithObs(NewObs()), WithProfile(NewProfiler(32)),
+				WithInterval(NewIntervalRecorder(10000, 0))}
+		}},
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, false, false) })
-	b.Run("enabled", func(b *testing.B) { run(b, true, false) })
-	b.Run("profiled", func(b *testing.B) { run(b, true, true) })
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := benchConfig("dynamo-reuse-pn")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := append([]Option{
+					WithPolicy("dynamo-reuse-pn"), WithThreads(4), WithScale(0.12),
+				}, c.opts()...)
+				if _, err := benchSession(b, cfg, opts...).Run("histogram"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSelfProfiler measures the host-perf self-profiler's overhead

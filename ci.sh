@@ -13,40 +13,8 @@
 # dynamo-worker processes under repeated worker SIGKILLs: lease expiry
 # must reassign the dead workers' jobs (resuming from shipped
 # checkpoints) and the tables must still match byte-for-byte.
-#
-# ./ci.sh bench [N] measures the pinned host-performance matrix into
-# BENCH_N.json (N defaults to one past the highest committed file) and
-# gates it against the previous trajectory point with dynamo-bench
-# compare. Commit the new file to extend the perf trajectory.
 set -eu
 cd "$(dirname "$0")"
-
-if [ "${1:-}" = "bench" ]; then
-	pr="${2:-}"
-	if [ -z "$pr" ]; then
-		last=$(ls BENCH_*.json 2>/dev/null | sed 's/BENCH_\([0-9]*\)\.json/\1/' | sort -n | tail -1)
-		if [ -n "$last" ]; then
-			pr=$((last + 1))
-		else
-			pr=6
-		fi
-	fi
-	bench=$(mktemp -d)
-	trap 'rm -rf "$bench"' EXIT
-	go build -o "$bench/dynamo-bench" ./cmd/dynamo-bench
-	echo "ci: measuring host-performance matrix -> BENCH_$pr.json"
-	"$bench/dynamo-bench" run -pr "$pr" -o "BENCH_$pr.json"
-	prev=$(ls BENCH_*.json 2>/dev/null | sed 's/BENCH_\([0-9]*\)\.json/\1/' | sort -n \
-		| awk -v pr="$pr" '$1 < pr' | tail -1)
-	if [ -n "$prev" ]; then
-		echo "ci: gating BENCH_$pr.json against BENCH_$prev.json"
-		"$bench/dynamo-bench" compare "BENCH_$prev.json" "BENCH_$pr.json" -tolerance 0.25
-	else
-		echo "ci: no earlier BENCH file; trajectory starts at BENCH_$pr.json"
-	fi
-	echo "ci: bench OK"
-	exit 0
-fi
 
 update=0
 if [ "${1:-}" = "-update-baselines" ]; then
@@ -69,6 +37,9 @@ go test ./...
 # it: vet it here, so an API change that breaks the benchmark fails now
 # rather than at benchmark time.
 (cd perfbench && GOWORK=off GOPROXY=off go vet ./...)
+# Its unit tests and one smoke run of every workload, untraced and
+# traced, so the benchmark cannot rot between the changes that run it.
+(cd perfbench && GOWORK=off GOPROXY=off go test ./...)
 
 # Sweep-runner smoke under the race detector: serial, parallel and
 # warm-cache runs must render byte-identical tables, and a warm cache
@@ -85,21 +56,12 @@ for wl in histogram tc spmv; do
 done
 go test -run Fuzz ./internal/chaos
 
-# Bench-harness smoke: one quick trial per cell must produce a
-# well-formed, schema-versioned file that self-compares clean, so the
-# perf harness cannot rot between the PRs that actually run it.
-benchsmoke=$(mktemp -d)
-go build -o "$benchsmoke/dynamo-bench" ./cmd/dynamo-bench
-echo "ci: bench harness smoke"
-"$benchsmoke/dynamo-bench" run -quick -trials 1 -warmup 0 \
-	-o "$benchsmoke/smoke.json" 2>/dev/null
-"$benchsmoke/dynamo-bench" compare "$benchsmoke/smoke.json" "$benchsmoke/smoke.json"
-rm -rf "$benchsmoke"
-
 # Microbenchmark smoke: one iteration of every kernel, cache and machine
 # benchmark, so the bodies the benchmark's per-layer rows mirror keep
-# compiling and running.
+# compiling and running, and of the probe-bus (sanitizer included) and
+# self-profiler overhead benchmarks EXPERIMENTS.md reports.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/machine
+go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.
 # One snapshot per pair; zero tolerance — the simulator is deterministic,

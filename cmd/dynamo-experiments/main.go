@@ -328,8 +328,8 @@ func progressLine(p telemetry.Progress) string {
 }
 
 // writeStatsJSON renders the sweep's runner counters plus derived host
-// throughput as a machine-readable file, for perf-trajectory tooling that
-// wants sweep-level numbers rather than the single-run BENCH matrix.
+// throughput as a machine-readable file, for tooling that wants one
+// sweep's numbers without scraping the stderr stats line.
 func writeStatsJSON(path string, st dynamo.RunnerStats, jobs int, wall time.Duration) error {
 	out := struct {
 		dynamo.RunnerStats

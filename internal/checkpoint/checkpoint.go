@@ -53,6 +53,15 @@ var (
 	ErrDiverged = errors.New("checkpoint: replay diverged from stored state")
 )
 
+// Unusable reports whether err means a resume checkpoint cannot be used
+// (incompatible, corrupt or diverged), so the run should restart from
+// event zero rather than fail.
+func Unusable(err error) bool {
+	return errors.Is(err, ErrDiverged) ||
+		errors.Is(err, ErrIncompatible) ||
+		errors.Is(err, ErrCorrupt)
+}
+
 // State is the complete serializable machine image. Every slice is in a
 // canonical order (see the component Snapshot methods), so its JSON
 // encoding — and therefore its digest — is deterministic.

@@ -113,8 +113,9 @@ func readHeap() heapStat {
 // A Profiler is single-run and not goroutine-safe: the engine invokes it
 // from the single simulation thread. Heap deltas read process-global
 // counters, so runs profiled concurrently (a parallel sweep) attribute
-// each other's allocations; the bench harness runs profiled cells
-// serially for this reason.
+// each other's allocations; the benchmark's host-perf probe
+// (perfbench/layers.go) runs its profiled sessions one at a time for
+// this reason.
 type Profiler struct {
 	stride uint64
 

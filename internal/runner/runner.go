@@ -366,14 +366,6 @@ func transient(err error) bool {
 	return errors.Is(err, ErrJobPanicked) || errors.Is(err, machine.ErrStalled)
 }
 
-// badCkpt reports whether a failure means the persisted checkpoint is
-// unusable (the current build or configuration no longer reproduces it).
-func badCkpt(err error) bool {
-	return errors.Is(err, checkpoint.ErrDiverged) ||
-		errors.Is(err, checkpoint.ErrIncompatible) ||
-		errors.Is(err, checkpoint.ErrCorrupt)
-}
-
 // backoff returns the deterministic delay before retry number attempt
 // (1-based): RetryBackoff doubled per retry, no jitter.
 func (r *Runner) backoff(attempt int) time.Duration {
@@ -527,7 +519,7 @@ func (r *Runner) run(t *Task) {
 		if runErr == nil {
 			break
 		}
-		if x.resume != nil && badCkpt(runErr) {
+		if x.resume != nil && checkpoint.Unusable(runErr) {
 			// The checkpoint no longer replays under this build: discard it
 			// and restart the job from event zero. Not counted as a retry —
 			// the job itself has not failed yet.

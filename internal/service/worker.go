@@ -30,12 +30,6 @@ type WorkerOptions struct {
 	// Heartbeat is the lease-renewal cadence; zero derives a third of the
 	// granted TTL, so two beats can be lost before the lease expires.
 	Heartbeat time.Duration
-	// Retries, Backoff, MaxBackoff tune the client's jittered exponential
-	// backoff (see Client), which also paces lease attempts after an
-	// error; zero keeps Dial's defaults.
-	Retries    int
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Execute replaces local simulation — the test seam for slow, failing
 	// or zombie jobs. The default runs runner.ExecuteLocal with panics
 	// recovered into ErrJobPanicked.
@@ -124,15 +118,6 @@ type Worker struct {
 // running — call Start).
 func NewWorker(o WorkerOptions) *Worker {
 	c := Dial(o.Addr)
-	if o.Retries > 0 {
-		c.Retries = o.Retries
-	}
-	if o.Backoff > 0 {
-		c.Backoff = o.Backoff
-	}
-	if o.MaxBackoff > 0 {
-		c.MaxBackoff = o.MaxBackoff
-	}
 	if o.Transport != nil {
 		c.HTTP = &http.Client{Transport: o.Transport}
 	}
@@ -356,7 +341,7 @@ func (w *Worker) work(g *LeaseGrant) {
 	}
 	start := time.Now()
 	out, err := runSafe(exec, g.Request, x)
-	if x.Resume != nil && badCkpt(err) {
+	if x.Resume != nil && checkpoint.Unusable(err) {
 		// The checkpoint no longer replays under this build: restart the
 		// job from event zero rather than failing it.
 		w.logf("checkpoint unusable for %s, restarting: %v", short(digest), err)
@@ -463,14 +448,6 @@ func (w *Worker) logf(format string, args ...any) {
 // localExec is the default execution seam: plain local simulation.
 func localExec(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
 	return runner.ExecuteLocal(q, x)
-}
-
-// badCkpt reports whether an execution failed because its resume
-// checkpoint is unusable.
-func badCkpt(err error) bool {
-	return errors.Is(err, checkpoint.ErrDiverged) ||
-		errors.Is(err, checkpoint.ErrIncompatible) ||
-		errors.Is(err, checkpoint.ErrCorrupt)
 }
 
 // runSafe guards the execution seam (local or injected), mirroring the

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,6 +149,81 @@ func TestWorkerDrainHandsJobBack(t *testing.T) {
 	}
 }
 
+// TestWorkerRestartsWhenGrantedCheckpointDiverges: the job's first grant
+// carries the checkpoint persisted in the cache directory, but this build
+// no longer reproduces it (a tampered state, re-digested so it still reads
+// as valid). The worker resumes from it, the replay diverges, and the job
+// restarts from event zero in the same lease: it ends done with a result
+// byte-identical to a local run, and nothing is quarantined.
+func TestWorkerRestartsWhenGrantedCheckpointDiverges(t *testing.T) {
+	req := slowReq(441)
+	raw, localOut := captureCkpt(t, req, 5000)
+	wantJSON, err := json.Marshal(localOut.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpoint.Checkpoint
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck.State.Engine.Now += 17
+	if ck.StateDigest, err = checkpoint.DigestState(&ck.State); err != nil {
+		t.Fatal(err)
+	}
+	tampered, err := json.Marshal(&ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := t.TempDir()
+	digest := req.Digest()
+	if err := os.WriteFile(filepath.Join(cache, digest+".ckpt.json"), tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv, c := startService(t, Options{
+		CacheDir: cache, Jobs: 1, Workers: true, LeaseTTL: 2 * time.Second,
+	})
+	var fromCkpt, fromZero atomic.Int32
+	w := startWorker(t, srv, WorkerOptions{
+		ID: "w",
+		Execute: func(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
+			if x.Resume != nil {
+				fromCkpt.Add(1)
+			} else {
+				fromZero.Add(1)
+			}
+			return localExec(q, x)
+		},
+	})
+	st, err := c.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != SweepDone || st.Done != 1 {
+		t.Fatalf("sweep = %+v", st)
+	}
+	waitFor(t, "worker commit accounting", func() bool { return w.Stats().Committed == 1 })
+	if s := w.Stats(); s.Leases != 1 || s.Resumed != 1 || s.Failed != 0 {
+		t.Errorf("worker stats = %+v, want 1 lease, 1 resumed, 0 failed", s)
+	}
+	if r, z := fromCkpt.Load(), fromZero.Load(); r != 1 || z != 1 {
+		t.Errorf("executions: %d from the checkpoint, %d from event zero; want 1 and 1", r, z)
+	}
+	remote, err := c.ResultBytes(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resultJSON(t, remote), wantJSON) {
+		t.Error("restarted result differs from an uninterrupted local run")
+	}
+	if _, err := os.Stat(filepath.Join(cache, digest+".failed.json")); !os.IsNotExist(err) {
+		t.Errorf("quarantine marker present after restart (stat err %v)", err)
+	}
+}
+
 // TestWorkerRidesOutTransportFaults: with the deterministic fault
 // injector dropping and duplicating the worker's HTTP calls, the sweep
 // still completes exactly — retries plus idempotent commits absorb the
@@ -154,12 +233,13 @@ func TestWorkerRidesOutTransportFaults(t *testing.T) {
 	_, srv, c := startService(t, Options{
 		CacheDir: t.TempDir(), Jobs: 2, Workers: true, LeaseTTL: 2 * time.Second,
 	})
-	inj := faultio.New(faultio.Level(7, 3, -1))
-	w := startWorker(t, srv, WorkerOptions{
-		ID: "flaky", Slots: 2,
-		Transport: inj.WrapTransport(nil),
-		Retries:   10, Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-	})
+	// A client tuned to retry fast and often, over the faulty transport.
+	fc := Dial(srv.Addr())
+	fc.HTTP = &http.Client{Transport: faultio.New(faultio.Level(7, 3, -1)).WrapTransport(nil)}
+	fc.Retries, fc.Backoff, fc.MaxBackoff = 10, 2*time.Millisecond, 20*time.Millisecond
+	w := newWorker(WorkerOptions{ID: "flaky", Slots: 2}, fc, fc.delay)
+	w.Start()
+	t.Cleanup(w.Drain)
 
 	st, err := c.Submit(counterReq(421), counterReq(422), counterReq(423))
 	if err != nil {
