@@ -46,6 +46,11 @@ go test ./...
 # must simulate nothing.
 go test -race -run TestParallelSerialDeterminism ./internal/experiments
 
+# Program coroutines under the race detector: the handoff between each
+# program and its core, Abort, pause/resume on another goroutine and a
+# program's panic unwinding the run.
+go test -race ./internal/cpu ./internal/machine
+
 # Robustness gate: invariant-checked runs through the CLI (sanitizer on,
 # deterministic chaos on) must finish clean, and the committed chaos
 # fuzz corpus must hold the metamorphic property.
@@ -56,11 +61,11 @@ for wl in histogram tc spmv; do
 done
 go test -run Fuzz ./internal/chaos
 
-# Microbenchmark smoke: one iteration of every kernel, cache and machine
-# benchmark, so the bodies the benchmark's per-layer rows mirror keep
-# compiling and running, and of the probe-bus (sanitizer included) and
-# self-profiler overhead benchmarks EXPERIMENTS.md reports.
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/machine
+# Microbenchmark smoke: one iteration of every kernel, core, cache and
+# machine benchmark, so the bodies the benchmark's per-layer rows mirror
+# keep compiling and running, and of the probe-bus (sanitizer included)
+# and self-profiler overhead benchmarks EXPERIMENTS.md reports.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache ./internal/machine
 go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.

@@ -341,7 +341,9 @@ func runInstance(cfg Config, inst *workload.Instance, opts options) (*Result, er
 // Thread is the API custom programs use to issue simulated operations:
 // Load, Store, AMO, CAS, AMOStore, Compute, Fence and the release
 // variants. Value-returning operations block the simulated core;
-// stores and AtomicStores are posted.
+// stores and AtomicStores are posted. Call Thread methods only from the
+// goroutine the Program was invoked on: each call switches the program's
+// coroutine back to the simulation, which no other goroutine may do.
 type Thread = cpu.Thread
 
 // Program is custom workload code: one function per simulated thread.

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package cpu provides the core timing model that drives the coherent
 // memory system, and the Thread API that workload programs run against.
 //
@@ -8,14 +10,19 @@
 // and commit early. Everything else about the core is abstracted to an
 // IPC-1 compute model — the studied effects live in the memory system.
 //
-// Programs execute on their own goroutines and interact with the simulated
-// core through blocking Thread methods. The handoff between the simulation
-// thread and program goroutines is strictly sequential (an unbuffered
-// channel rendezvous), so simulations remain fully deterministic.
+// Each program runs as a coroutine (iter.Pull) and interacts with the
+// simulated core through blocking Thread methods: a method yields its
+// operation to the core and resumes when the core hands back the result.
+// The handoff is a direct coroutine switch between the engine's goroutine
+// and the program's that bypasses the scheduler, so only one side runs at
+// a time and simulations remain fully deterministic. (The go1.23
+// constraint admits iter.Pull while the module's go directive stays 1.22.)
 package cpu
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 
 	"dynamo/internal/chi"
@@ -50,28 +57,29 @@ type op struct {
 	compare uint64
 }
 
-// abortSignal terminates program goroutines when a run is abandoned.
+// abortSignal unwinds a program's coroutine when its run is abandoned.
 type abortSignal struct{}
 
 // Thread is the interface a Program uses to execute simulated operations.
-// All methods block (in program-goroutine time) until the simulated core
-// accepts or completes the operation.
+// Every operation suspends the program's coroutine until the simulated
+// core accepts or completes it, so Thread methods may only be called from
+// the goroutine the Program was invoked on.
 type Thread struct {
-	id  int
-	ops chan op
-	res chan uint64
+	id     int
+	yield  func(op) bool
+	result uint64
 }
 
 // ID returns the thread's index, which equals its core index.
 func (t *Thread) ID() int { return t.id }
 
+// exchange hands o to the core and returns the result the core stores
+// before resuming the coroutine. A false yield means the run was aborted.
 func (t *Thread) exchange(o op) uint64 {
-	t.ops <- o
-	v, ok := <-t.res
-	if !ok {
+	if !t.yield(o) {
 		panic(abortSignal{})
 	}
-	return v
+	return t.result
 }
 
 // Compute advances simulated time by n cycles of local work, committing n
@@ -200,6 +208,10 @@ type Core struct {
 	engine *sim.Engine
 	rn     *chi.RN
 	thread *Thread
+	// next resumes the program's coroutine until its next operation; stop
+	// unwinds a suspended coroutine (see Abort).
+	next func() (op, bool)
+	stop func()
 
 	started        bool
 	finished       bool
@@ -242,23 +254,21 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		rn:           rn,
 		onFinish:     onFinish,
 		pendingWords: make(map[memory.Addr]int),
-		thread: &Thread{
-			id:  rn.ID(),
-			ops: make(chan op),
-			res: make(chan uint64),
-		},
+		thread:       &Thread{id: rn.ID()},
 	}
-	go func() {
+	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
+		c.thread.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(abortSignal); !ok {
-					panic(r)
+					// next re-raises this on the engine's goroutine, whose
+					// stack does not show the program: carry its own.
+					panic(fmt.Errorf("cpu: program on core %d panicked: %v\n\n%s", c.thread.id, r, debug.Stack()))
 				}
 			}
-			close(c.thread.ops)
 		}()
 		prog(c.thread)
-	}()
+	})
 	return c, nil
 }
 
@@ -270,33 +280,27 @@ func (c *Core) Start(delay sim.Tick) {
 // Finished reports whether the program has returned.
 func (c *Core) Finished() bool { return c.finished }
 
-// Abort terminates the program goroutine of an abandoned run. The core
-// must not be advanced afterwards.
+// Abort unwinds the program coroutine of an abandoned run; it returns
+// once the coroutine has exited. The core must not be advanced afterwards.
 func (c *Core) Abort() {
 	if c.finished || c.aborted {
 		return
 	}
 	c.aborted = true
-	close(c.thread.res)
-	// Drain remaining operations so a goroutine blocked on an op send can
-	// reach its failing result receive and unwind.
-	for range c.thread.ops {
-	}
+	c.stop()
 	c.finished = true
 }
 
 // advance hands result to the program and executes its next operation.
-// It runs on the simulation thread.
+// It runs on the simulation thread. A program's panic re-raises here,
+// wrapped with the program's stack.
 func (c *Core) advance(result uint64) {
 	if c.aborted {
 		return
 	}
-	if c.started {
-		c.thread.res <- result
-	} else {
-		c.started = true
-	}
-	o, ok := <-c.thread.ops
+	c.started = true
+	c.thread.result = result
+	o, ok := c.next()
 	if !ok {
 		c.finished = true
 		c.FinishedAt = c.engine.Now()

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"dynamo/internal/chi"
@@ -315,8 +316,20 @@ func TestThreadID(t *testing.T) {
 	}
 }
 
+// assertNoPrograms fails t if more goroutines run than the base count
+// taken before the core was built: Abort returns only once the program's
+// coroutine has exited, so no wait is needed. (A finished test's goroutine
+// may still be exiting, so the count can fall below base.)
+func assertNoPrograms(t *testing.T, base int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Abort, %d before the core", n, base)
+	}
+}
+
 func TestAbortUnblocksProgram(t *testing.T) {
 	s := testSystem(t)
+	base := runtime.NumGoroutine()
 	c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 		for {
 			th.Load(0x700) // spins forever
@@ -332,12 +345,14 @@ func TestAbortUnblocksProgram(t *testing.T) {
 	if !c.Finished() {
 		t.Fatal("aborted core not finished")
 	}
+	assertNoPrograms(t, base)
 	// Double abort is safe.
 	c.Abort()
 }
 
 func TestAbortNeverStarted(t *testing.T) {
 	s := testSystem(t)
+	base := runtime.NumGoroutine()
 	c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 		th.Load(0x700)
 	}, nil)
@@ -347,5 +362,42 @@ func TestAbortNeverStarted(t *testing.T) {
 	c.Abort()
 	if !c.Finished() {
 		t.Fatal("aborted core not finished")
+	}
+	assertNoPrograms(t, base)
+}
+
+// BenchmarkThreadOp measures one program operation on one core: the
+// handoff between the program and the core plus the events the operation
+// schedules. compute is a Compute(1) loop; load-l1-hit loads one word the
+// program warmed first, so every timed load hits in L1.
+func BenchmarkThreadOp(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		op   func(th *Thread)
+	}{
+		{"compute", func(th *Thread) { th.Compute(1) }},
+		{"load-l1-hit", func(th *Thread) { th.Load(0x100) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := testSystem(b)
+			warm, done := false, false
+			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
+				th.Load(0x100)
+				warm = true
+				for i := 0; i < b.N; i++ {
+					bc.op(th)
+				}
+			}, func() { done = true })
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Start(0)
+			s.Engine.RunUntil(func() bool { return warm }, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if !s.Engine.RunUntil(func() bool { return done }, 0) {
+				b.Fatal("program did not finish")
+			}
+		})
 	}
 }

@@ -504,7 +504,7 @@ func (m *Machine) instrTotal() uint64 {
 	return n
 }
 
-// abortCores terminates every program goroutine of an abandoned run.
+// abortCores unwinds every program coroutine of an abandoned run.
 func (m *Machine) abortCores() {
 	for _, c := range m.rs.cores {
 		if c != nil {
@@ -521,6 +521,16 @@ func (m *Machine) abortCores() {
 func (m *Machine) drive() (*Result, error) {
 	rs := m.rs
 	eng := m.Sys.Engine
+	// A program's panic re-raises here, from the core that resumed it.
+	// Unwind the other programs' coroutines before it propagates, so a
+	// caller that recovers it (the sweep runner) leaks none of them.
+	defer func() {
+		if r := recover(); r != nil {
+			rs.ended = true
+			m.abortCores()
+			panic(r)
+		}
+	}()
 
 	// The run condition doubles as the forward-progress watchdog, the
 	// periodic-audit driver, the auto-checkpoint trigger and the interrupt

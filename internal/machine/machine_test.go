@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dynamo/internal/cpu"
@@ -134,6 +136,122 @@ func TestRunTimeout(t *testing.T) {
 	}})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+}
+
+// spin is a program that never finishes on its own.
+func spin(th *cpu.Thread) {
+	for {
+		th.Load(0x40)
+		th.Compute(1)
+	}
+}
+
+// A program's panic fails its run on the caller's goroutine, where the
+// sweep runner recovers it, instead of killing the process. The value
+// names the panic and the program's own frame, and every program's
+// coroutine, the still-running ones included, is gone.
+func TestProgramPanicUnwindsRun(t *testing.T) {
+	m, err := New(smallConfig("all-near"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	var rec any
+	func() {
+		defer func() { rec = recover() }()
+		_, err = m.Run([]cpu.Program{
+			spin,
+			func(th *cpu.Thread) {
+				th.Load(0x1000)
+				panic("boom")
+			},
+			spin,
+		})
+	}()
+	if rec == nil {
+		t.Fatalf("Run returned (err %v) instead of panicking", err)
+	}
+	msg := fmt.Sprint(rec)
+	if !strings.Contains(msg, "boom") || !strings.Contains(msg, "TestProgramPanicUnwindsRun") {
+		t.Fatalf("panic value does not name the panic and the program frame:\n%s", msg)
+	}
+	// An earlier test's goroutine may still be exiting, so the count can
+	// fall below base; a coroutine left behind would push it above.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the panic, %d before the run", n, base)
+	}
+}
+
+// An interrupted run returns ErrInterrupted with every program's
+// coroutine unwound.
+func TestInterruptUnwindsPrograms(t *testing.T) {
+	cfg := smallConfig("all-near")
+	stop := make(chan struct{})
+	close(stop)
+	cfg.Interrupt = stop
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	if _, err := m.Run([]cpu.Program{spin, spin, spin, spin}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the interrupt, %d before the run", n, base)
+	}
+}
+
+// A run paused with RunTo and resumed on another goroutine, as a sweep
+// worker may do, ends exactly like an uninterrupted run: the program
+// coroutines follow whichever goroutine drives the engine.
+func TestResumeOnAnotherGoroutine(t *testing.T) {
+	progs := func() []cpu.Program {
+		ps := make([]cpu.Program, 4)
+		for i := range ps {
+			ps[i] = func(th *cpu.Thread) {
+				for j := 0; j < 30; j++ {
+					v := th.AMO(memory.AMOAdd, 0x9000, 1)
+					th.Store(memory.Addr(0xa000+th.ID()*64), v)
+					th.Compute(2)
+				}
+				th.Fence()
+			}
+		}
+		return ps
+	}
+	whole, err := New(smallConfig("dynamo-reuse-pn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := whole.Run(progs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(smallConfig("dynamo-reuse-pn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.RunTo(progs(), 500); res != nil || err != nil || !m.Paused() {
+		t.Fatalf("RunTo = %v, %v; want a paused run", res, err)
+	}
+	var got *Result
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got, err = m.Resume()
+	}()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Instructions != want.Instructions || got.NoC.Flits != want.NoC.Flits {
+		t.Fatalf("resumed run: %d cycles, %d instructions, %d flits; uninterrupted: %d, %d, %d",
+			got.Cycles, got.Instructions, got.NoC.Flits, want.Cycles, want.Instructions, want.NoC.Flits)
+	}
+	if a, b := m.Sys.Data.Load(0x9000), whole.Sys.Data.Load(0x9000); a != 120 || a != b {
+		t.Fatalf("counter = %d resumed, %d uninterrupted; want 120", a, b)
 	}
 }
 
