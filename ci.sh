@@ -61,11 +61,13 @@ for wl in histogram tc spmv; do
 done
 go test -run Fuzz ./internal/chaos
 
-# Microbenchmark smoke: one iteration of every kernel, core, cache and
-# machine benchmark, so the bodies the benchmark's per-layer rows mirror
-# keep compiling and running, and of the probe-bus (sanitizer included)
-# and self-profiler overhead benchmarks EXPERIMENTS.md reports.
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache ./internal/machine
+# Microbenchmark smoke: one iteration of every kernel, core, cache,
+# mesh, memory, predictor, telemetry and machine benchmark, so the bodies
+# the benchmark's per-layer rows mirror keep compiling and running, and of
+# the probe-bus (sanitizer included) and self-profiler overhead benchmarks
+# EXPERIMENTS.md reports.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache \
+	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine
 go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.

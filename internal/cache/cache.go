@@ -21,16 +21,25 @@ type SetAssoc[V any] struct {
 	sets     int
 	ways     int
 	setShift uint
-	// data holds every way in one set-major array: set s owns
-	// data[s*ways:(s+1)*ways], of which the first fill[s] are valid, in
-	// LRU order (index 0 = most recently used). Both are allocated by the
-	// first Insert: a simulated job fills a small share of a Table II
-	// machine's caches, so an array never written costs only its header.
+	// data holds the ways of every set that has been inserted into, one
+	// block of ways per set in first-touch order; hdr locates each set's
+	// block and counts its valid ways, which lead the block in LRU order
+	// (index 0 = most recently used). hdr is allocated by the first Insert
+	// and a set's block by its own first Insert: a simulated job fills a
+	// small share of a Table II machine's caches, so an array never written
+	// costs only its header and a written one only the sets it reached.
 	data      []way[V]
-	fill      []int32
+	hdr       []setHdr
 	evictions uint64
 	hits      uint64
 	misses    uint64
+}
+
+// setHdr locates one set's ways: block is one more than the set's block
+// number in data (0 until the set's first Insert), fill its valid ways.
+type setHdr struct {
+	block int32
+	fill  int32
 }
 
 // NewSetAssoc builds an array with the given number of sets (a power of two)
@@ -68,13 +77,17 @@ func (c *SetAssoc[V]) index(key uint64) (set int, tag uint64) {
 }
 
 // valid returns the valid ways of set in LRU order, with capacity for the
-// whole set; it is empty before the first Insert.
+// whole set; it is empty before the set's first Insert.
 func (c *SetAssoc[V]) valid(set int) []way[V] {
-	if c.fill == nil {
+	if c.hdr == nil {
 		return nil
 	}
-	base := set * c.ways
-	return c.data[base : base+int(c.fill[set]) : base+c.ways]
+	h := c.hdr[set]
+	if h.block == 0 {
+		return nil
+	}
+	base := int(h.block-1) * c.ways
+	return c.data[base : base+int(h.fill) : base+c.ways]
 }
 
 // find returns the position of tag among the ways s, or -1.
@@ -97,9 +110,10 @@ func touch[V any](s []way[V], i int) {
 	s[0] = w
 }
 
-// Lookup returns the value for key and promotes it to MRU. The returned
-// pointer stays valid until the entry is evicted or removed; callers mutate
-// entries through it.
+// Lookup returns the value for key and promotes it to MRU. Callers mutate
+// entries through the returned pointer, which is valid only until the next
+// call on the array: a later Lookup or Insert shifts the set's ways, and an
+// Insert that gives a set its ways may move every set's.
 func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
 	set, tag := c.index(key)
 	s := c.valid(set)
@@ -113,7 +127,8 @@ func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
 }
 
 // Peek returns the value for key without updating LRU order or hit/miss
-// statistics.
+// statistics. The pointer is valid until the next call on the array, as
+// for Lookup.
 func (c *SetAssoc[V]) Peek(key uint64) (*V, bool) {
 	set, tag := c.index(key)
 	s := c.valid(set)
@@ -133,11 +148,14 @@ func (c *SetAssoc[V]) Contains(key uint64) bool {
 // evicted and returned with evicted=true. Inserting an existing key replaces
 // its value and promotes it.
 func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evicted bool) {
-	if c.fill == nil {
-		c.data = make([]way[V], c.sets*c.ways)
-		c.fill = make([]int32, c.sets)
-	}
 	set, tag := c.index(key)
+	if c.hdr == nil {
+		c.hdr = make([]setHdr, c.sets)
+	}
+	if c.hdr[set].block == 0 {
+		c.data = append(c.data, make([]way[V], c.ways)...)
+		c.hdr[set].block = int32(len(c.data) / c.ways)
+	}
 	s := c.valid(set)
 	if i := find(s, tag); i >= 0 {
 		s[i].value = v
@@ -145,7 +163,7 @@ func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evict
 		return 0, victim, false
 	}
 	if n := len(s); n < c.ways {
-		c.fill[set]++
+		c.hdr[set].fill++
 		s = s[:n+1]
 	} else {
 		// Evict LRU (last position).
@@ -166,7 +184,7 @@ func (c *SetAssoc[V]) Remove(key uint64) (V, bool) {
 	if i := find(s, tag); i >= 0 {
 		v := s[i].value
 		copy(s[i:], s[i+1:])
-		c.fill[set]--
+		c.hdr[set].fill--
 		return v, true
 	}
 	var zero V
@@ -187,8 +205,8 @@ func (c *SetAssoc[V]) Victim(key uint64) (victimKey uint64, wouldEvict bool) {
 // Len returns the number of valid entries across all sets.
 func (c *SetAssoc[V]) Len() int {
 	n := 0
-	for _, f := range c.fill {
-		n += int(f)
+	for _, h := range c.hdr {
+		n += int(h.fill)
 	}
 	return n
 }
@@ -196,7 +214,7 @@ func (c *SetAssoc[V]) Len() int {
 // Range calls fn for every (key, value) pair until fn returns false.
 // Iteration order is set-major then LRU order; it does not modify LRU state.
 func (c *SetAssoc[V]) Range(fn func(key uint64, v *V) bool) {
-	for set := range c.fill {
+	for set := range c.hdr {
 		s := c.valid(set)
 		for i := range s {
 			key := s[i].tag<<c.setShift | uint64(set)

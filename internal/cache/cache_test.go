@@ -206,13 +206,45 @@ type refEntry struct {
 // full Range sequence (set-major, then LRU order: the order checkpoints
 // serialize).
 func TestLRUReferenceModelProperty(t *testing.T) {
-	const sets, ways = 4, 3
+	checkLRUReference(t, 4, 3, func(rng *rand.Rand) uint64 { return uint64(rng.Intn(64)) })
+}
+
+// The same property over many sets reached by a strided, sparse key
+// pattern: 16 of 256 sets, scattered, so the order in which sets first
+// get their ways differs from set order and Range must not follow it.
+func TestLRUReferenceModelSparseSetsProperty(t *testing.T) {
+	const sets = 256
+	key := func(rng *rand.Rand) uint64 {
+		set := uint64(rng.Intn(16)) * 97 % sets
+		return uint64(rng.Intn(5))*sets | set
+	}
+	c := NewSetAssoc[int](sets, 3)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		c.Insert(key(rng), i)
+	}
+	var blocks []int32
+	for _, h := range c.hdr {
+		if h.block != 0 {
+			blocks = append(blocks, h.block)
+		}
+	}
+	if slices.IsSorted(blocks) {
+		t.Fatalf("sets got their ways in set order (blocks %v); the pattern does not test first-touch order", blocks)
+	}
+	checkLRUReference(t, sets, 3, key)
+}
+
+// checkLRUReference checks the reference-model property on a sets x ways
+// array over random operation streams whose keys key draws.
+func checkLRUReference(t *testing.T, sets, ways int, key func(*rand.Rand) uint64) {
+	t.Helper()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewSetAssoc[int](sets, ways)
 		ref := make([][]refEntry, sets) // MRU-first
 		pos := func(k uint64) int {
-			for j, e := range ref[k%sets] {
+			for j, e := range ref[k%uint64(sets)] {
 				if e.key == k {
 					return j
 				}
@@ -225,8 +257,8 @@ func TestLRUReferenceModelProperty(t *testing.T) {
 			ref[set] = append([]refEntry{e}, ref[set]...)
 		}
 		for i := 0; i < 3000; i++ {
-			k := uint64(rng.Intn(64))
-			set := int(k % sets)
+			k := key(rng)
+			set := int(k % uint64(sets))
 			j := pos(k)
 			switch rng.Intn(5) {
 			case 0: // Lookup promotes a hit.
@@ -300,6 +332,8 @@ func TestLRUReferenceModelProperty(t *testing.T) {
 // An array allocates nothing beyond its header until the first Insert: a
 // Table II LLC slice (2048 sets x 8 ways) that a job never fills costs
 // one small object, and reading it before then allocates nothing either.
+// After that it holds ways only for the sets it was given: slice 5 of 32
+// owns the lines whose low 5 bits are 5, which reach 64 of its sets.
 func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
 	type line struct{ dirty bool }
 	var c *SetAssoc[line]
@@ -319,6 +353,18 @@ func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
 	c.Insert(5, line{dirty: true})
 	if v, ok := c.Peek(5); !ok || !v.dirty || c.Len() != 1 {
 		t.Fatalf("after the first Insert: Peek = (%v, %v), Len %d", v, ok, c.Len())
+	}
+	const slice, hnSlices, sets, ways = 5, 32, 2048, 8
+	for k := uint64(slice); k < ways*sets; k += hnSlices {
+		c.Insert(k, line{})
+	}
+	if want := sets / hnSlices * ways; len(c.data) != want || c.Len() != want {
+		t.Fatalf("after filling slice %d's sets: %d ways stored, Len %d; want %d", slice, len(c.data), c.Len(), want)
+	}
+	for set, h := range c.hdr {
+		if (h.block != 0) != (set%hnSlices == slice) {
+			t.Fatalf("set %d has block %d", set, h.block)
+		}
 	}
 }
 

@@ -282,6 +282,31 @@ func TestFarAtomicStoreCompletesBeforeALU(t *testing.T) {
 	}
 }
 
+// An issuer may reuse a request record once its Done has run. A far
+// AtomicStore is acknowledged before its ALU runs (here, long before: the
+// line comes from memory), so the home node must execute the operation it
+// was sent, not whatever the record holds by then.
+func TestRequestReusableAfterDone(t *testing.T) {
+	s := newTestSystem(t, fixedPolicy{Far})
+	const addr, other = 0xe000, 0xf000
+	s.Data.StoreWord(addr, 10)
+	req := &Request{Kind: AMO, Addr: addr, Op: memory.AMOAdd, Operand: 5, NoReturn: true}
+	req.Done = func(uint64) {
+		if got := s.Data.Load(addr); got != 10 {
+			t.Errorf("at the acknowledgement the word holds %d, want 10: the ALU ran first", got)
+		}
+		// Recycle the record, as a core does for its next posted operation.
+		req.Addr, req.Op, req.Operand = other, memory.AMOSwap, 99
+	}
+	run(t, s, 0, req)
+	if got := s.Data.Load(addr); got != 15 {
+		t.Fatalf("original address holds %d, want 15", got)
+	}
+	if got := s.Data.Load(other); got != 0 {
+		t.Fatalf("rewritten address holds %d, want 0", got)
+	}
+}
+
 func TestFarAMOSnoopsRequestorUniqueCopy(t *testing.T) {
 	s := newTestSystem(t, fixedPolicy{Far})
 	// Policy Far is only consulted for non-unique states, so force the

@@ -44,8 +44,21 @@ type txn struct {
 	requestor int
 	hadCopy   bool // requestor holds a valid copy (upgrade)
 	hadDirty  bool // requestor's copy/writeback data is dirty
-	amoReq    *Request
-	obsID     obs.TxnID
+	// amoReq is a far atomic's request, completed through the requestor;
+	// amo is its payload, copied at issue because an AtomicStore's record
+	// is acknowledged, and so free for reuse, before the ALU runs.
+	amoReq *Request
+	amo    farAMO
+	obsID  obs.TxnID
+}
+
+// farAMO is the operation a far atomic asks the home node's ALU to run.
+type farAMO struct {
+	op       memory.AMOOp
+	addr     memory.Addr
+	operand  uint64
+	compare  uint64
+	noReturn bool
 }
 
 // HNStats counts home-node activity.
@@ -403,7 +416,7 @@ func (hn *HN) writeBack(t *txn) {
 // early acknowledgment (AtomicStore).
 func (hn *HN) atomic(t *txn) {
 	req := t.amoReq
-	if req.NoReturn {
+	if t.amo.noReturn {
 		hn.Stats.AtomicStores++
 	} else {
 		hn.Stats.AtomicLoads++
@@ -419,7 +432,7 @@ func (hn *HN) atomic(t *txn) {
 		// no-return atomic (the ack below leaves immediately), so only
 		// value-returning atomics attribute it as a phase.
 		dataID := t.obsID
-		if req.NoReturn {
+		if t.amo.noReturn {
 			dataID = 0
 		}
 		var ready sim.Tick
@@ -433,7 +446,7 @@ func (hn *HN) atomic(t *txn) {
 		// resolved, before the ALU executes (Section III-B1). The observed
 		// transaction ends at the acknowledgment, so the residual ALU work
 		// shows up only in the "far-amo" occupancy span, not as a phase.
-		if req.NoReturn {
+		if t.amo.noReturn {
 			hn.sys.Obs.Phase(t.obsID, hn.sys.Engine.Now(), obs.PhaseNoCResp)
 			hn.sys.send(hn.node, rn.node, noc.ControlFlits, func() {
 				rn.complete(req, 0)
@@ -446,16 +459,16 @@ func (hn *HN) atomic(t *txn) {
 		hn.aluFree = start + hn.sys.Cfg.FarAMOOccupancy
 		// ALU queue wait plus occupancy: how long this far AMO held the HN.
 		hn.sys.Obs.ProfileHNOccupancy(t.line.Base(), hn.aluFree-ready)
-		if !req.NoReturn {
+		if !t.amo.noReturn {
 			hn.sys.Obs.Phase(t.obsID, start, obs.PhaseALU)
 		}
 		hn.sys.Obs.Span(obs.Track{Group: obs.TrackHN, ID: hn.idx}, "far-amo", start, hn.sys.Cfg.FarAMOOccupancy)
 		execAt := start + hn.sys.Cfg.ALULatency
 		hn.sys.Engine.AtKind(execAt, perf.KindHN, func() {
-			old := hn.sys.Data.AMO(req.Op, req.Addr, req.Operand, req.Compare)
+			old := hn.sys.Data.AMO(t.amo.op, t.amo.addr, t.amo.operand, t.amo.compare)
 			hn.amoBuf.Insert(uint64(t.line), struct{}{})
 			hn.llcInsert(t.line, true)
-			if !req.NoReturn {
+			if !t.amo.noReturn {
 				hn.sys.Obs.Phase(t.obsID, hn.sys.Engine.Now(), obs.PhaseNoCResp)
 				hn.sys.send(hn.node, rn.node, noc.ControlFlits, func() {
 					rn.complete(req, old)

@@ -40,6 +40,11 @@ func (k ReqKind) String() string {
 // Request is one memory operation submitted to a request node. Done, if
 // non-nil, runs at completion time with the value produced (the loaded word
 // for Load, the prior memory value for AMO, 0 for Store).
+//
+// No node reads a request once its Done has run, so the issuer may reuse
+// the record from then on, even from inside Done: it rewrites the fields
+// and submits the record again. A core keeps a fixed set of records this
+// way and allocates none per operation.
 type Request struct {
 	Kind    ReqKind
 	Addr    memory.Addr
@@ -55,7 +60,18 @@ type Request struct {
 	// obs tracks the request on the probe bus (0 when observability is off
 	// or the request was generated internally, e.g. by the prefetcher).
 	obs obs.TxnID
+	// rn is the node the request was last submitted to; l1Stage and
+	// l2Stage run its lookup stages, bound on the record's first Access so
+	// that scheduling a stage allocates nothing.
+	rn               *RN
+	l1Stage, l2Stage func()
 }
+
+// lookupL1 is the stage after the L1 tag/data access.
+func (req *Request) lookupL1() { req.rn.lookup(req, true) }
+
+// probeL2 is the stage after the L2 access.
+func (req *Request) probeL2() { req.rn.afterL2(req, memory.LineOf(req.Addr)) }
 
 // RNStats counts request-node activity.
 type RNStats struct {
@@ -143,6 +159,10 @@ func (rn *RN) forEachLine(fn func(memory.Line, memory.State)) {
 // Access submits a memory request. It must be called from a simulation
 // event; completion is reported through req.Done.
 func (rn *RN) Access(req *Request) {
+	if req.l1Stage == nil {
+		req.l1Stage, req.l2Stage = req.lookupL1, req.probeL2
+	}
+	req.rn = rn
 	req.issued = rn.sys.Engine.Now()
 	switch req.Kind {
 	case Load:
@@ -168,7 +188,7 @@ func (rn *RN) Access(req *Request) {
 		}
 		req.obs = rn.sys.Obs.BeginTxn(req.issued, class, req.Addr, rn.id)
 	}
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, func() { rn.lookup(req, true) })
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, req.l1Stage)
 }
 
 // lookup runs after the L1 tag/data access. chargeL2 is false for replayed
@@ -191,7 +211,7 @@ func (rn *RN) lookup(req *Request, chargeL2 bool) {
 		rn.afterL2(req, line)
 		return
 	}
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L2Latency, perf.KindRN, func() { rn.afterL2(req, line) })
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L2Latency, perf.KindRN, req.l2Stage)
 }
 
 // afterL2 runs once the L2 has been probed.
@@ -386,6 +406,7 @@ func (rn *RN) issueFarAMO(req *Request, line memory.Line) {
 		line:      line,
 		requestor: rn.id,
 		amoReq:    req,
+		amo:       farAMO{op: req.Op, addr: req.Addr, operand: req.Operand, compare: req.Compare, noReturn: req.NoReturn},
 		obsID:     req.obs,
 	}
 	rn.sys.send(rn.node, hn.node, noc.ControlFlits, func() { hn.receive(msg) })

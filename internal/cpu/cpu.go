@@ -212,6 +212,9 @@ type Core struct {
 	// unwinds a suspended coroutine (see Abort).
 	next func() (op, bool)
 	stop func()
+	// resume is advance(0), bound once for every operation that hands the
+	// program no value.
+	resume func()
 
 	started        bool
 	finished       bool
@@ -222,13 +225,19 @@ type Core struct {
 	// preserve program order: a load (or value-returning AMO) to a word
 	// with a pending posted write must not complete with a stale value.
 	pendingWords map[memory.Addr]int
-	// resume/ready hold the single blocked continuation (the program
-	// thread can only wait on one condition at a time).
-	resume   func()
-	ready    func() bool
+	// blocking is the request record of the blocking Load, AMO or CAS in
+	// flight (the program waits on it, so there is at most one). free holds
+	// the posted records whose Done has run, ready for reuse; a record is
+	// made only when none is free, so there are at most StoreBuffer.
+	blocking chi.Request
+	free     []*postedReq
+	// waiting is the single blocked operation (the program can only wait
+	// on one condition at a time); blocked says whether one is pending.
+	waiting  op
+	blocked  bool
 	onFinish func()
-	// stallName/stallStart describe the pending blocked continuation for
-	// the observability bus; stallName is empty when no stall is recorded.
+	// stallName/stallStart describe the pending blocked operation for the
+	// observability bus; stallName is empty when no stall is recorded.
 	stallName  string
 	stallStart sim.Tick
 
@@ -237,6 +246,14 @@ type Core struct {
 	Instructions uint64
 	// FinishedAt is the cycle the program completed.
 	FinishedAt sim.Tick
+}
+
+// postedReq is the request record of one posted Store or AtomicStore.
+type postedReq struct {
+	req  chi.Request
+	core *Core
+	word memory.Addr
+	amo  bool
 }
 
 // New creates a core running prog against rn. Call Start to schedule its
@@ -254,8 +271,11 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		rn:           rn,
 		onFinish:     onFinish,
 		pendingWords: make(map[memory.Addr]int),
+		free:         make([]*postedReq, 0, cfg.StoreBuffer),
 		thread:       &Thread{id: rn.ID()},
 	}
+	c.resume = func() { c.advance(0) }
+	c.blocking.Done = c.advance
 	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
 		c.thread.yield = yield
 		defer func() {
@@ -274,7 +294,7 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 
 // Start schedules the core's first instruction after delay cycles.
 func (c *Core) Start(delay sim.Tick) {
-	c.engine.ScheduleKind(delay, perf.KindCPU, func() { c.advance(0) })
+	c.engine.ScheduleKind(delay, perf.KindCPU, c.resume)
 }
 
 // Finished reports whether the program has returned.
@@ -330,79 +350,133 @@ func (c *Core) execute(o op) {
 	switch o.kind {
 	case opCompute:
 		c.Instructions += uint64(o.cycles)
-		c.engine.ScheduleKind(o.cycles, perf.KindCPU, func() { c.advance(0) })
+		c.engine.ScheduleKind(o.cycles, perf.KindCPU, c.resume)
+		return
 	case opPause:
-		c.engine.ScheduleKind(o.cycles, perf.KindCPU, func() { c.advance(0) })
-	case opFence:
-		c.Instructions++
-		c.when("stall:fence", func() bool { return c.outstanding == 0 }, func() {
-			c.engine.ScheduleKind(0, perf.KindCPU, func() { c.advance(0) })
-		})
-	case opLoad:
-		c.Instructions++
-		c.when("stall:load-order", c.wordClear(o.addr), func() {
-			c.rn.Access(&chi.Request{
-				Kind: chi.Load,
-				Addr: o.addr,
-				Done: func(v uint64) { c.advance(v) },
-			})
-		})
-	case opAMO:
-		c.Instructions++
-		c.when("stall:atomic-order", c.wordClear(o.addr), func() {
-			c.rn.Access(&chi.Request{
-				Kind:    chi.AMO,
-				Addr:    o.addr,
-				Op:      o.amo,
-				Operand: o.operand,
-				Compare: o.compare,
-				Done:    func(v uint64) { c.advance(v) },
-			})
-		})
-	case opStore, opAMOStore:
-		c.Instructions++
-		isAMO := o.kind == opAMOStore
-		issue := func() {
-			c.outstanding++
-			if isAMO {
-				c.outstandingAMO++
-			}
-			w := wordOf(o.addr)
-			c.pendingWords[w]++
-			req := &chi.Request{
-				Addr:    o.addr,
-				Operand: o.operand,
-				Done: func(uint64) {
-					if c.pendingWords[w]--; c.pendingWords[w] == 0 {
-						delete(c.pendingWords, w)
-					}
-					if isAMO {
-						c.outstandingAMO--
-					}
-					c.posted()
-				},
-			}
-			if o.kind == opStore {
-				req.Kind = chi.Store
-			} else {
-				req.Kind = chi.AMO
-				req.Op = o.amo
-				req.NoReturn = true
-			}
-			c.rn.Access(req)
-			c.engine.ScheduleKind(c.cfg.IssueCost, perf.KindCPU, func() { c.advance(0) })
-		}
-		stall := "stall:store-buffer"
-		if isAMO && c.outstanding < c.cfg.StoreBuffer {
-			stall = "stall:atomic-queue"
-		}
-		c.when(stall, func() bool {
-			if c.outstanding >= c.cfg.StoreBuffer {
-				return false
-			}
-			return !isAMO || c.outstandingAMO < c.cfg.MaxAtomics
-		}, issue)
+		c.engine.ScheduleKind(o.cycles, perf.KindCPU, c.resume)
+		return
 	}
+	c.Instructions++
+	if c.ready(o) {
+		c.issue(o)
+		return
+	}
+	if c.blocked {
+		panic("cpu: second blocked continuation")
+	}
+	if c.cfg.Obs != nil {
+		c.stallName, c.stallStart = c.stall(o), c.engine.Now()
+	}
+	c.waiting, c.blocked = o, true
+}
+
+// ready reports whether o may issue: a fence waits for every posted
+// operation, a value-returning access for the posted writes to its word
+// (the model has no store-to-load forwarding, so it conservatively stalls
+// instead of observing a pre-write value), and a posted operation for a
+// store-buffer entry and, if atomic, an atomic-queue slot.
+func (c *Core) ready(o op) bool {
+	switch o.kind {
+	case opFence:
+		return c.outstanding == 0
+	case opLoad, opAMO:
+		return c.pendingWords[wordOf(o.addr)] == 0
+	case opAMOStore:
+		if c.outstandingAMO >= c.cfg.MaxAtomics {
+			return false
+		}
+	}
+	return c.outstanding < c.cfg.StoreBuffer
+}
+
+// stall names the hazard blocking o for the observability bus.
+func (c *Core) stall(o op) string {
+	switch o.kind {
+	case opFence:
+		return "stall:fence"
+	case opLoad:
+		return "stall:load-order"
+	case opAMO:
+		return "stall:atomic-order"
+	case opAMOStore:
+		if c.outstanding < c.cfg.StoreBuffer {
+			return "stall:atomic-queue"
+		}
+	}
+	return "stall:store-buffer"
+}
+
+// issue performs o once ready(o) holds: a blocking access resumes the
+// program from its Done, a fence or posted operation by scheduling resume.
+func (c *Core) issue(o op) {
+	switch o.kind {
+	case opFence:
+		c.engine.ScheduleKind(0, perf.KindCPU, c.resume)
+	case opLoad, opAMO:
+		r := &c.blocking
+		r.Kind = chi.Load
+		if o.kind == opAMO {
+			r.Kind = chi.AMO
+		}
+		r.Addr, r.Op, r.Operand, r.Compare = o.addr, o.amo, o.operand, o.compare
+		c.rn.Access(r)
+	case opStore, opAMOStore:
+		c.outstanding++
+		p := c.record()
+		p.word, p.amo = wordOf(o.addr), o.kind == opAMOStore
+		if p.amo {
+			c.outstandingAMO++
+		}
+		c.pendingWords[p.word]++
+		r := &p.req
+		r.Kind = chi.Store
+		if p.amo {
+			r.Kind = chi.AMO
+		}
+		r.Addr, r.Op, r.Operand, r.NoReturn = o.addr, o.amo, o.operand, p.amo
+		c.rn.Access(r)
+		c.engine.ScheduleKind(c.cfg.IssueCost, perf.KindCPU, c.resume)
+	}
+}
+
+// record returns a free posted record, making one if none is free.
+func (c *Core) record() *postedReq {
+	if n := len(c.free); n > 0 {
+		p := c.free[n-1]
+		c.free = c.free[:n-1]
+		return p
+	}
+	p := &postedReq{core: c}
+	p.req.Done = p.done
+	return p
+}
+
+// done retires a posted operation and frees its record, then issues the
+// blocked operation (a stalled issue, a draining fence, or an
+// ordering-stalled access) if it is now ready.
+func (p *postedReq) done(uint64) {
+	c := p.core
+	if c.pendingWords[p.word]--; c.pendingWords[p.word] == 0 {
+		delete(c.pendingWords, p.word)
+	}
+	if p.amo {
+		c.outstandingAMO--
+	}
+	c.outstanding--
+	c.free = append(c.free, p)
+	if !c.blocked || !c.ready(c.waiting) {
+		return
+	}
+	c.blocked = false
+	if c.stallName != "" {
+		now := c.engine.Now()
+		c.cfg.Obs.Span(obs.Track{Group: obs.TrackCore, ID: c.rn.ID()}, c.stallName, c.stallStart, now-c.stallStart)
+		// Cumulative stall cycles across cores: interval telemetry
+		// differences this to show where a phase loses throughput.
+		c.cfg.Obs.Count("cpu.stall-cycles", uint64(now-c.stallStart))
+		c.stallName = ""
+	}
+	c.issue(c.waiting)
 }
 
 // PendingWord is one (word, in-flight posted writes) pair of a snapshot.
@@ -412,9 +486,9 @@ type PendingWord struct {
 }
 
 // Snapshot is a serializable image of the core's externally visible state.
-// The blocked continuation itself cannot be serialized; Blocked records
-// only whether one is pending — checkpoint verification replays the
-// deterministic event stream, which reconstructs the continuation.
+// Blocked records only whether an operation is blocked, not which one —
+// checkpoint verification replays the deterministic event stream, which
+// reconstructs it.
 type Snapshot struct {
 	Started        bool
 	Finished       bool
@@ -436,7 +510,7 @@ func (c *Core) Snapshot() Snapshot {
 	return Snapshot{
 		Started:        c.started,
 		Finished:       c.finished,
-		Blocked:        c.resume != nil,
+		Blocked:        c.blocked,
 		Outstanding:    c.outstanding,
 		OutstandingAMO: c.outstandingAMO,
 		Instructions:   c.Instructions,
@@ -446,50 +520,3 @@ func (c *Core) Snapshot() Snapshot {
 }
 
 func wordOf(a memory.Addr) memory.Addr { return a &^ 7 }
-
-// wordClear is the program-order condition for value-returning accesses: no
-// posted write to the same word may still be in flight, otherwise the
-// access could observe a pre-write value (the model has no store-to-load
-// forwarding, so it conservatively stalls instead).
-func (c *Core) wordClear(a memory.Addr) func() bool {
-	w := wordOf(a)
-	return func() bool { return c.pendingWords[w] == 0 }
-}
-
-// when runs fn once cond holds, blocking the program until then. At most
-// one continuation can be pending because the program thread is blocked
-// while it waits. stall names the hazard for the observability bus.
-func (c *Core) when(stall string, cond func() bool, fn func()) {
-	if cond() {
-		fn()
-		return
-	}
-	if c.resume != nil {
-		panic("cpu: second blocked continuation")
-	}
-	if c.cfg.Obs != nil {
-		c.stallName, c.stallStart = stall, c.engine.Now()
-	}
-	c.ready = cond
-	c.resume = fn
-}
-
-// posted retires one posted operation, unblocking the waiting continuation
-// (a stalled issue, a draining fence, or an ordering-stalled access) if
-// its condition now holds.
-func (c *Core) posted() {
-	c.outstanding--
-	if c.resume != nil && c.ready() {
-		f := c.resume
-		c.resume, c.ready = nil, nil
-		if c.stallName != "" {
-			now := c.engine.Now()
-			c.cfg.Obs.Span(obs.Track{Group: obs.TrackCore, ID: c.rn.ID()}, c.stallName, c.stallStart, now-c.stallStart)
-			// Cumulative stall cycles across cores: interval telemetry
-			// differences this to show where a phase loses throughput.
-			c.cfg.Obs.Count("cpu.stall-cycles", uint64(now-c.stallStart))
-			c.stallName = ""
-		}
-		f()
-	}
-}

@@ -21,7 +21,15 @@ func (nearPolicy) OnHit(int, memory.Line)                              {}
 func (nearPolicy) OnEvict(int, memory.Line)                            {}
 func (nearPolicy) OnInvalidate(int, memory.Line)                       {}
 
-func testSystem(t testing.TB) *chi.System {
+// farPolicy ships every AMO on a line the core does not hold unique to
+// the line's home node.
+type farPolicy struct{ nearPolicy }
+
+func (farPolicy) Decide(int, memory.Line, memory.State) chi.Placement { return chi.Far }
+
+func testSystem(t testing.TB) *chi.System { return testSystemWith(t, nearPolicy{}) }
+
+func testSystemWith(t testing.TB, p chi.Policy) *chi.System {
 	t.Helper()
 	cfg := chi.Config{
 		Cores: 4, HNSlices: 4,
@@ -32,7 +40,7 @@ func testSystem(t testing.TB) *chi.System {
 		Mesh: noc.Config{Width: 4, Height: 4, RouteLatency: 1, LinkLatency: 1},
 		Mem:  hbm.Config{Channels: 8, Latency: 100, LineOccupancy: 2},
 	}
-	s, err := chi.NewSystem(cfg, nearPolicy{})
+	s, err := chi.NewSystem(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +374,58 @@ func TestAbortNeverStarted(t *testing.T) {
 	assertNoPrograms(t, base)
 }
 
+// The steady-state operation path allocates nothing: the core reuses its
+// request records and bound continuations, and the request node its bound
+// lookup stages. Each case runs batches of 1,000 operations on a line the
+// core holds UniqueDirty.
+func TestOpPathAllocatesNothing(t *testing.T) {
+	const batch = 1000
+	for _, tc := range []struct {
+		name string
+		op   func(th *Thread)
+	}{
+		{"compute", func(th *Thread) { th.Compute(1) }},
+		{"load-l1-hit", func(th *Thread) { th.Load(0x100) }},
+		{"store-unique", func(th *Thread) { th.Store(0x100, 1) }},
+		{"near-amo-unique", func(th *Thread) { th.AMO(memory.AMOAdd, 0x100, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testSystem(t)
+			ops := 0
+			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
+				th.Store(0x100, 1)
+				th.Fence()
+				for {
+					tc.op(th)
+					ops++
+				}
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Abort()
+			c.Start(0)
+			target := 0
+			reached := func() bool { return ops >= target }
+			perBatch := testing.AllocsPerRun(5, func() {
+				target += batch
+				if !s.Engine.RunUntil(reached, 0) {
+					t.Fatal("program stopped")
+				}
+			})
+			if perBatch != 0 {
+				t.Fatalf("%v allocations per op, want 0", perBatch/batch)
+			}
+		})
+	}
+}
+
 // BenchmarkThreadOp measures one program operation on one core: the
 // handoff between the program and the core plus the events the operation
 // schedules. compute is a Compute(1) loop; load-l1-hit loads one word the
-// program warmed first, so every timed load hits in L1.
+// program warmed first, so every timed load hits in L1, and store-l1-hit
+// stores to it through a posted record. amostore-far posts AtomicStores to
+// a line the core never holds, so each runs at the home node's ALU.
 func BenchmarkThreadOp(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -377,9 +433,11 @@ func BenchmarkThreadOp(b *testing.B) {
 	}{
 		{"compute", func(th *Thread) { th.Compute(1) }},
 		{"load-l1-hit", func(th *Thread) { th.Load(0x100) }},
+		{"store-l1-hit", func(th *Thread) { th.Store(0x100, 1) }},
+		{"amostore-far", func(th *Thread) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := testSystem(b)
+			s := testSystemWith(b, farPolicy{})
 			warm, done := false, false
 			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 				th.Load(0x100)
