@@ -4,6 +4,8 @@
 # against the committed baselines in testdata/baselines/ and any metric
 # drift fails the build. Regenerate baselines after an intentional
 # behaviour change with: ./ci.sh -update-baselines
+# A dynamosim smoke resumes a run from its -ckpt file and compares the
+# output with a plain run's.
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
 # -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
 # soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
@@ -98,6 +100,17 @@ for run in \
 	fi
 done
 
+# Checkpoint smoke: dynamosim's -ckpt writer and -resume reader. A run
+# resumed from the last periodic checkpoint must print the same JSON as a
+# plain run.
+go build -o "$stats/dynamosim" ./cmd/dynamosim
+sim() { "$stats/dynamosim" -workload histogram -threads 4 -scale 0.1 -json "$@"; }
+sim >"$stats/sim-plain.json"
+sim -ckpt "$stats/sim.ckpt" -ckpt-every 20000 >/dev/null
+sim -resume "$stats/sim.ckpt" >"$stats/sim-resumed.json"
+cmp "$stats/sim-plain.json" "$stats/sim-resumed.json"
+echo "ci: dynamosim resumed from its checkpoint to byte-identical output"
+
 # Crash-recovery gate: a sweep SIGKILLed mid-run must complete under
 # -resume with tables byte-identical to an uninterrupted sweep. If the
 # sweep wins the race and finishes before the kill, the rerun is a pure
@@ -181,9 +194,10 @@ echo "ci: served sweep scraped clean with byte-identical tables ($done_jobs jobs
 # the client rides out the refused connections), complete the same work
 # after a -resume restart on the same cache, and answer a rerun entirely
 # from that cache. The scheduler and wire layers are concurrent;
-# re-check the package under the race detector (the fault injector too —
-# it sits on the hot path of both planes).
-go test -race ./internal/service ./internal/faultio
+# re-check the package under the race detector (the runner too — its
+# checkpoint sink runs on the lease table's heartbeat path — and the fault
+# injector, which sits on the hot path of both planes).
+go test -race ./internal/service ./internal/runner ./internal/faultio
 echo "ci: sweep service gate"
 go build -o "$stats/dynamo-serve" ./cmd/dynamo-serve
 scache="$stats/service-cache"

@@ -32,30 +32,18 @@ import (
 
 	"dynamo"
 	"dynamo/internal/cliflags"
+	"dynamo/internal/faultio"
 )
 
-// writeCheckpoint atomically replaces path with ck (temp file + rename),
-// so an interrupt mid-write never leaves a truncated checkpoint.
+// writeCheckpoint durably replaces path with ck through the cache's
+// atomic writer (temp file, fsync, rename, directory fsync), so an
+// interrupt or crash mid-write never leaves a truncated checkpoint.
 func writeCheckpoint(path string, ck *dynamo.Checkpoint) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(ck); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return faultio.OS{}.WriteFileAtomic(filepath.Dir(path), path, append(data, '\n'))
 }
 
 // exitRunError reports a failed or interrupted run and exits non-zero.

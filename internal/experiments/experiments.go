@@ -118,13 +118,10 @@ func NewSuite(o Options) *Suite {
 	if o.Remote != "" {
 		client := service.Dial(o.Remote)
 		client.Deadline = o.RemoteDeadline
-		ro.ExecuteInterruptible = client.ExecuteInterruptible
+		ro.Execute = client.Execute
 	}
 	return &Suite{opts: o, r: runner.New(ro)}
 }
-
-// Opts returns the effective options.
-func (s *Suite) Opts() Options { return s.opts }
 
 // Runner exposes the suite's sweep engine (for progress and cache stats).
 func (s *Suite) Runner() *runner.Runner { return s.r }

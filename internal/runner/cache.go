@@ -52,9 +52,8 @@ func DecodeEntry(data []byte) (*Outcome, time.Duration, error) {
 
 // EncodeEntry renders the canonical persisted-cache document for a
 // finished job — the same bytes save writes and DecodeEntry reads. A fleet
-// worker commits its result as these bytes so the server can persist them
-// verbatim: one encoding, producer-side, keeps remote and local results
-// byte-identical.
+// worker commits its result as these bytes, so the server fences
+// duplicate commits on exactly what the worker computed.
 func EncodeEntry(q Request, out *Outcome, elapsed time.Duration) ([]byte, error) {
 	return encodeEntry(q.normalize(), out, elapsed)
 }
@@ -96,7 +95,9 @@ func (s *store) ckptPath(digest string) string {
 var errEvicted = errors.New("runner: cache entry evicted")
 
 // load returns the cached outcome for a request, os.ErrNotExist on a
-// clean miss, or errEvicted after removing an unusable entry.
+// clean miss, or errEvicted after removing an unusable entry. It decodes
+// inline: every cache hit runs it on a fresh goroutine, whose stack a
+// deeper call chain would make grow once more per job.
 func (s *store) load(q Request) (*Outcome, time.Duration, error) {
 	if s == nil {
 		return nil, 0, os.ErrNotExist
@@ -115,6 +116,24 @@ func (s *store) load(q Request) (*Outcome, time.Duration, error) {
 	}
 	return &Outcome{Result: e.Result, Hot: e.Hot, Cached: true},
 		time.Duration(e.ElapsedNS), nil
+}
+
+// read returns the raw cache document for digest once it decodes,
+// os.ErrNotExist on a clean miss, or errEvicted after removing an
+// unusable file.
+func (s *store) read(digest string) ([]byte, error) {
+	if s == nil {
+		return nil, os.ErrNotExist
+	}
+	path := s.path(digest)
+	data, err := s.fs.ReadFile(path)
+	if err != nil {
+		return nil, os.ErrNotExist
+	}
+	if _, _, err := DecodeEntry(data); err != nil {
+		return nil, s.evict(path)
+	}
+	return data, nil
 }
 
 func (s *store) evict(path string) error {

@@ -16,7 +16,7 @@ import (
 func TestStoreEvictsTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	q := quick().normalize()
-	out, err := execute(q, execCtx{})
+	out, err := ExecuteLocal(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStoreEvictsTornWrite(t *testing.T) {
 func TestRunnerSurvivesENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	q := quick().normalize()
-	out, err := execute(q, execCtx{})
+	out, err := ExecuteLocal(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunnerSurvivesENOSPC(t *testing.T) {
 func TestStoreEvictsCorruptRead(t *testing.T) {
 	dir := t.TempDir()
 	q := quick().normalize()
-	out, err := execute(q, execCtx{})
+	out, err := ExecuteLocal(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,25 +10,17 @@ import (
 	"dynamo/internal/machine"
 )
 
-// swapExecute replaces the job executor for one test and restores it.
-func swapExecute(t *testing.T, fn func(Request) (*Outcome, error)) {
-	t.Helper()
-	orig := executeFn
-	executeFn = func(q Request, _ execCtx) (*Outcome, error) { return fn(q) }
-	t.Cleanup(func() { executeFn = orig })
-}
-
 func TestPanickingJobDoesNotSinkTheSweep(t *testing.T) {
 	dir := t.TempDir()
 	bad := Request{Workload: "tc", Policy: "all-far", Threads: 2, Scale: 0.05}
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(q Request, _ ExecOptions) (*Outcome, error) {
 		if q.Policy == "all-far" {
 			panic("corrupt simulator state")
 		}
-		return execute(q, execCtx{})
-	})
+		return ExecuteLocal(q, ExecOptions{})
+	}
 
-	r := New(Options{Jobs: 2, CacheDir: dir})
+	r := New(Options{Jobs: 2, CacheDir: dir, Execute: exec})
 	good1 := r.Submit(quick())
 	failed := r.Submit(bad)
 	good2 := r.Submit(Request{Workload: "histogram", Policy: "all-near", Threads: 2, Scale: 0.05})
@@ -54,6 +46,9 @@ func TestPanickingJobDoesNotSinkTheSweep(t *testing.T) {
 	if !strings.Contains(err.Error(), "corrupt simulator state") {
 		t.Fatalf("panic value lost: %v", err)
 	}
+	if !strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("panic stack lost: %v", err)
+	}
 
 	st := r.Stats()
 	if st.Errors != 1 || st.Panics != 1 || st.Misses != 2 {
@@ -78,10 +73,9 @@ func TestPanickingJobDoesNotSinkTheSweep(t *testing.T) {
 }
 
 func TestJobErrorExposesCause(t *testing.T) {
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	r := New(Options{Jobs: 1, Execute: func(Request, ExecOptions) (*Outcome, error) {
 		return nil, machine.ErrTimeout
-	})
-	r := New(Options{Jobs: 1})
+	}})
 	_, err := r.Run(quick())
 	if !errors.Is(err, machine.ErrTimeout) {
 		t.Fatalf("errors.Is(ErrTimeout) = false: %v", err)
@@ -98,8 +92,8 @@ func TestJobErrorExposesCause(t *testing.T) {
 func TestQuarantineMarkerClearedOnSuccess(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("transient simulator bug")
-	swapExecute(t, func(q Request) (*Outcome, error) { return nil, boom })
-	if _, err := New(Options{Jobs: 1, CacheDir: dir}).Run(quick()); !errors.Is(err, boom) {
+	broken := func(Request, ExecOptions) (*Outcome, error) { return nil, boom }
+	if _, err := New(Options{Jobs: 1, CacheDir: dir, Execute: broken}).Run(quick()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	marker := filepath.Join(dir, quick().Digest()+".failed.json")
@@ -109,7 +103,6 @@ func TestQuarantineMarkerClearedOnSuccess(t *testing.T) {
 
 	// After the bug is fixed, a successful run replaces the marker with a
 	// real cache entry.
-	executeFn = execute
 	out, err := New(Options{Jobs: 1, CacheDir: dir}).Run(quick())
 	if err != nil || out.Cached {
 		t.Fatalf("re-run: out=%+v err=%v", out, err)

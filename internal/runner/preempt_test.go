@@ -31,7 +31,7 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 	q := long().normalize()
 	digest := q.Digest()
 
-	fresh, err := execute(q, execCtx{})
+	fresh, err := ExecuteLocal(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +41,18 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 	// deterministically after the first persisted checkpoint.
 	yield := make(chan struct{})
 	var once sync.Once
-	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
-		if sink := x.sink; sink != nil {
-			x.sink = func(ck *checkpoint.Checkpoint) {
+	exec := func(q Request, x ExecOptions) (*Outcome, error) {
+		if sink := x.Sink; sink != nil {
+			x.Sink = func(ck *checkpoint.Checkpoint) {
 				sink(ck)
 				once.Do(func() { close(yield) })
 			}
 		}
-		return execute(q, x)
-	})
+		return ExecuteLocal(q, x)
+	}
 
 	tel := telemetry.NewSweep(telemetry.SweepOptions{})
-	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Resume: true, Telemetry: tel})
+	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Resume: true, Telemetry: tel, Execute: exec})
 	task := r.SubmitInterruptible(q, yield)
 	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
 		t.Fatalf("yielded task err = %v, want ErrInterrupted", err)

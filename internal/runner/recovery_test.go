@@ -20,25 +20,17 @@ import (
 // fastRetry keeps retry tests quick without weakening the schedule.
 const fastRetry = time.Millisecond
 
-// swapExecuteCtx is swapExecute for stubs that inspect the execCtx.
-func swapExecuteCtx(t *testing.T, fn func(Request, execCtx) (*Outcome, error)) {
-	t.Helper()
-	orig := executeFn
-	executeFn = fn
-	t.Cleanup(func() { executeFn = orig })
-}
-
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(q Request, _ ExecOptions) (*Outcome, error) {
 		if calls.Add(1) <= 2 {
 			panic("transient corruption")
 		}
-		return execute(q, execCtx{})
-	})
+		return ExecuteLocal(q, ExecOptions{})
+	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Retries: 3, RetryBackoff: fastRetry})
+	r := New(Options{Jobs: 1, CacheDir: dir, Retries: 3, RetryBackoff: fastRetry, Execute: exec})
 	out, err := r.Run(quick())
 	if err != nil || out == nil || out.Result == nil {
 		t.Fatalf("retried job failed: %v", err)
@@ -55,11 +47,11 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 
 func TestRetryExhaustionQuarantinesWithAttempts(t *testing.T) {
 	dir := t.TempDir()
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(Request, ExecOptions) (*Outcome, error) {
 		panic("persistent corruption")
-	})
+	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Retries: 2, RetryBackoff: fastRetry})
+	r := New(Options{Jobs: 1, CacheDir: dir, Retries: 2, RetryBackoff: fastRetry, Execute: exec})
 	if _, err := r.Run(quick()); !errors.Is(err, ErrJobPanicked) {
 		t.Fatalf("err = %v, want ErrJobPanicked", err)
 	}
@@ -82,11 +74,11 @@ func TestRetryExhaustionQuarantinesWithAttempts(t *testing.T) {
 
 func TestDeterministicFailureNotRetried(t *testing.T) {
 	var calls atomic.Int64
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(Request, ExecOptions) (*Outcome, error) {
 		calls.Add(1)
 		return nil, machine.ErrTimeout
-	})
-	r := New(Options{Jobs: 1, Retries: 5, RetryBackoff: fastRetry})
+	}
+	r := New(Options{Jobs: 1, Retries: 5, RetryBackoff: fastRetry, Execute: exec})
 	if _, err := r.Run(quick()); !errors.Is(err, machine.ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -150,7 +142,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	q := quick().normalize()
 	digest := q.Digest()
 
-	fresh, err := execute(q, execCtx{})
+	fresh, err := ExecuteLocal(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,15 +242,15 @@ func TestResumeFallsBackWhenReplayDiverges(t *testing.T) {
 	}
 
 	var fresh atomic.Int64
-	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
-		if x.resume != nil {
+	exec := func(q Request, x ExecOptions) (*Outcome, error) {
+		if x.Resume != nil {
 			return nil, fmt.Errorf("replay: %w", checkpoint.ErrDiverged)
 		}
 		fresh.Add(1)
-		return execute(q, execCtx{})
-	})
+		return ExecuteLocal(q, ExecOptions{})
+	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Resume: true})
+	r := New(Options{Jobs: 1, CacheDir: dir, Resume: true, Execute: exec})
 	out, err := r.Run(q)
 	if err != nil || out == nil {
 		t.Fatalf("fallback run failed: %v", err)
@@ -283,13 +275,13 @@ func TestInterruptCancelsSweep(t *testing.T) {
 	interrupt := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	swapExecuteCtx(t, func(q Request, x execCtx) (*Outcome, error) {
+	exec := func(_ Request, x ExecOptions) (*Outcome, error) {
 		once.Do(func() { close(started) })
-		<-x.interrupt
+		<-x.Interrupt
 		return nil, machine.ErrInterrupted
-	})
+	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Interrupt: interrupt})
+	r := New(Options{Jobs: 1, CacheDir: dir, Interrupt: interrupt, Execute: exec})
 	reqs := []Request{
 		quick(),
 		{Workload: "histogram", Policy: "all-near", Threads: 2, Scale: 0.05},

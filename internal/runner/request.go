@@ -253,24 +253,10 @@ func dsePolicy(decisions string) (*core.Static, error) {
 	return nil, fmt.Errorf("runner: unknown design-space policy %q", decisions)
 }
 
-// execCtx carries per-job robustness wiring into execute: checkpoint
-// capture, checkpoint restore, and sweep cancellation. The zero value
-// runs the job plainly.
-type execCtx struct {
-	// ckptEvery / identity / sink configure periodic checkpoint capture.
-	ckptEvery uint64
-	identity  string
-	sink      func(*checkpoint.Checkpoint)
-	// resume, when non-nil, restores the run from this checkpoint via the
-	// machine's verified deterministic replay.
-	resume *checkpoint.Checkpoint
-	// interrupt cancels the run mid-flight (machine.ErrInterrupted).
-	interrupt <-chan struct{}
-}
-
-// ExecOptions carries the robustness wiring for ExecuteLocal: periodic
-// checkpoint capture, resume from a shipped checkpoint, and cooperative
-// interruption. The zero value runs the request plainly.
+// ExecOptions carries a job's robustness wiring into an executor:
+// periodic checkpoint capture, resume from a checkpoint, and cooperative
+// interruption. The runner fills it for every job it executes; the zero
+// value runs the request plainly.
 type ExecOptions struct {
 	// CkptEvery, when nonzero, captures a checkpoint into Sink roughly
 	// every CkptEvery simulation events.
@@ -287,27 +273,14 @@ type ExecOptions struct {
 	Interrupt <-chan struct{}
 }
 
-// ExecuteLocal simulates one request in this process with the given
-// robustness wiring — the same per-job execution path the runner's worker
-// pool uses, exported as the seam a fleet worker executes leased jobs
-// through. Checkpoints are stamped with the request's canonical digest as
-// their identity, so a checkpoint captured on one host resumes the same
-// request on any other.
-func ExecuteLocal(q Request, o ExecOptions) (*Outcome, error) {
-	q = q.normalize()
-	return execute(q, execCtx{
-		ckptEvery: o.CkptEvery,
-		identity:  q.Digest(),
-		sink:      o.Sink,
-		resume:    o.Resume,
-		interrupt: o.Interrupt,
-	})
-}
-
-// execute simulates one normalized request from scratch: its own machine,
+// ExecuteLocal simulates one request in this process: its own machine,
 // its own workload instance, fully deterministic regardless of what other
-// jobs run concurrently.
-func execute(q Request, x execCtx) (*Outcome, error) {
+// jobs run concurrently. It is the runner's default executor and the one
+// a fleet worker runs leased jobs through. Checkpoints are stamped with
+// the request's canonical digest as their identity, so a checkpoint
+// captured on one host resumes the same request on any other.
+func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
+	q = q.normalize()
 	cfg := machine.DefaultConfig()
 	if err := ApplyVariant(q.Variant, &cfg); err != nil {
 		return nil, err
@@ -315,10 +288,10 @@ func execute(q Request, x execCtx) (*Outcome, error) {
 	if q.Check {
 		cfg.Check = &check.Config{}
 	}
-	cfg.CkptEvery = x.ckptEvery
-	cfg.CkptIdentity = x.identity
-	cfg.CkptSink = x.sink
-	cfg.Interrupt = x.interrupt
+	cfg.CkptEvery = x.CkptEvery
+	cfg.CkptIdentity = q.Digest()
+	cfg.CkptSink = x.Sink
+	cfg.Interrupt = x.Interrupt
 	var bus *obs.Bus
 	var prof *profile.Profiler
 	if q.Observe || q.ProfileTopK > 0 {
@@ -383,8 +356,8 @@ func execute(q Request, x execCtx) (*Outcome, error) {
 		inst.Setup(m.Sys.Data)
 	}
 	var res *machine.Result
-	if x.resume != nil {
-		res, err = m.RunFrom(inst.Programs, x.resume)
+	if x.Resume != nil {
+		res, err = m.RunFrom(inst.Programs, x.Resume)
 	} else {
 		res, err = m.Run(inst.Programs)
 	}

@@ -57,16 +57,16 @@ type Options struct {
 	// the runner's lifetime; a journal-less Telemetry surface is created
 	// automatically when none was supplied. See Runner.TelemetryAddr.
 	ServeAddr string
-	// ExecuteInterruptible, when non-nil, replaces local simulation: a
+	// Execute, when non-nil, replaces local simulation (ExecuteLocal): a
 	// cache-missing job calls it instead of building a machine in this
 	// process, while the runner keeps its pool, dedupe, retry, telemetry
-	// and stats semantics. Checkpoint capture and resume are skipped —
-	// whoever executes owns them. The channel closes when the job is
-	// cancelled, so the executor can stop waiting (and withdraw or cancel
-	// the remote work) instead of running to the job's natural end; return
-	// an error wrapping machine.ErrInterrupted to report the interruption.
-	// The sweep service's lease table and the remote client plug in here.
-	ExecuteInterruptible func(Request, <-chan struct{}) (*Outcome, error)
+	// and stats semantics and stays the only code that reads or writes
+	// the job's files — it loads the resume checkpoint, hands cadence,
+	// sink, resume and interrupt to the executor, and saves the result.
+	// Return an error wrapping machine.ErrInterrupted once x.Interrupt
+	// closes. The sweep service's lease table and the remote client plug
+	// in here.
+	Execute func(Request, ExecOptions) (*Outcome, error)
 	// FS, when non-nil, replaces the file plane beneath the persistent
 	// cache (results, checkpoints, quarantine markers) — the seam the
 	// deterministic faultio injector wraps. Nil selects the real,
@@ -139,28 +139,34 @@ func (e *JobError) Error() string { return fmt.Sprintf("runner: %s: %v", e.Reque
 // Unwrap exposes the cause for errors.Is and errors.As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// executeFn is swapped by tests to inject failing or panicking jobs.
-var executeFn = execute
-
-// safeExecute runs one job, converting a panic anywhere in the simulator
-// into an ErrJobPanicked with the recovered value and stack: one corrupt
-// job must not take down a thousand-job sweep.
-func (r *Runner) safeExecute(q Request, x execCtx) (out *Outcome, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			out = nil
-			err = fmt.Errorf("%w: %v\n%s", ErrJobPanicked, rec, debug.Stack())
-		}
-	}()
-	if r.opts.ExecuteInterruptible != nil {
-		return r.opts.ExecuteInterruptible(q, x.interrupt)
+// Execute runs one job through exec (ExecuteLocal when nil) with the two
+// guards every executor gets, in the runner's pool and in a fleet worker
+// alike. A panic anywhere in the job becomes an ErrJobPanicked carrying
+// the recovered value and stack: one corrupt job must not take down a
+// thousand-job sweep or a worker slot. And when x.Resume no longer
+// replays under this build (corrupt, incompatible or diverged), the job
+// restarts from event zero instead of failing.
+func Execute(exec func(Request, ExecOptions) (*Outcome, error), q Request, x ExecOptions) (*Outcome, error) {
+	if exec == nil {
+		exec = ExecuteLocal
 	}
-	return executeFn(q, x)
+	out, err := guard(exec, q, x)
+	if x.Resume != nil && checkpoint.Unusable(err) {
+		x.Resume = nil
+		out, err = guard(exec, q, x)
+	}
+	return out, err
 }
 
-// remoteExec reports whether job execution is delegated to an external
-// executor, which then owns checkpoint capture and resume.
-func (r *Runner) remoteExec() bool { return r.opts.ExecuteInterruptible != nil }
+// guard calls exec, converting a panic into an ErrJobPanicked.
+func guard(exec func(Request, ExecOptions) (*Outcome, error), q Request, x ExecOptions) (out *Outcome, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			out, err = nil, fmt.Errorf("%w: %v\n%s", ErrJobPanicked, rec, debug.Stack())
+		}
+	}()
+	return exec(q, x)
+}
 
 // Task is a submitted job's handle.
 type Task struct {
@@ -180,6 +186,16 @@ type Task struct {
 func (t *Task) Wait() (*Outcome, error) {
 	<-t.done
 	return t.out, t.err
+}
+
+// finished reports, without blocking, whether the job completed.
+func (t *Task) finished() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Runner is the sweep engine. Submissions with equal request digests
@@ -312,12 +328,7 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 // sweep service depends on this — cancelling one sweep must not poison
 // the same request for every future sweep.
 func replayable(t *Task) bool {
-	select {
-	case <-t.done:
-		return errors.Is(t.err, machine.ErrInterrupted)
-	default:
-		return false
-	}
+	return t.finished() && errors.Is(t.err, machine.ErrInterrupted)
 }
 
 // Run submits a request and waits for its outcome.
@@ -449,22 +460,18 @@ func (r *Runner) run(t *Task) {
 		r.logf(t, "cached %s (saved %s)", t.req, elapsed.Round(time.Millisecond))
 		return
 	case errors.Is(err, errEvicted):
-		r.mu.Lock()
-		r.stats.Evictions++
-		r.mu.Unlock()
-		r.tel.Eviction()
+		r.evicted()
 	}
 
 	digest := t.req.Digest()
-	// The machine watches one channel: the merge of the sweep-wide and
+	// The executor watches one channel: the merge of the sweep-wide and
 	// per-task cancellation sources.
 	intr := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
-	x := execCtx{interrupt: intr}
-	if r.store != nil && !r.remoteExec() {
-		x.identity = digest
+	x := ExecOptions{Interrupt: intr}
+	if r.store != nil {
 		if r.opts.CkptEvery > 0 {
-			x.ckptEvery = r.opts.CkptEvery
-			x.sink = func(ck *checkpoint.Checkpoint) {
+			x.CkptEvery = r.opts.CkptEvery
+			x.Sink = func(ck *checkpoint.Checkpoint) {
 				if err := r.store.saveCkpt(digest, ck); err != nil {
 					r.logf(t, "checkpoint write failed: %v", err)
 				}
@@ -473,7 +480,7 @@ func (r *Runner) run(t *Task) {
 		if r.opts.Resume {
 			switch ck, err := r.store.loadCkpt(t.req); {
 			case err == nil:
-				x.resume = ck
+				x.Resume = ck
 				r.mu.Lock()
 				r.stats.Resumed++
 				r.mu.Unlock()
@@ -481,10 +488,7 @@ func (r *Runner) run(t *Task) {
 				t.jt.MarkResumed()
 				r.logf(t, "resuming %s from event %d", t.req, ck.Event)
 			case !errors.Is(err, os.ErrNotExist):
-				r.mu.Lock()
-				r.stats.Evictions++
-				r.mu.Unlock()
-				r.tel.Eviction()
+				r.evicted()
 				r.logf(t, "checkpoint evicted: %v", err)
 			}
 		}
@@ -514,24 +518,9 @@ func (r *Runner) run(t *Task) {
 	for {
 		attempts++
 		t.jt.AttemptStart()
-		out, runErr = r.safeExecute(t.req, x)
+		out, runErr = Execute(r.opts.Execute, t.req, x)
 		t.jt.AttemptEnd(runErr)
-		if runErr == nil {
-			break
-		}
-		if x.resume != nil && checkpoint.Unusable(runErr) {
-			// The checkpoint no longer replays under this build: discard it
-			// and restart the job from event zero. Not counted as a retry —
-			// the job itself has not failed yet.
-			r.store.removeCkpt(digest)
-			x.resume = nil
-			r.logf(t, "checkpoint unusable for %s, restarting from scratch: %v", t.req, runErr)
-			continue
-		}
-		if errors.Is(runErr, machine.ErrInterrupted) {
-			break
-		}
-		if !transient(runErr) || attempts > r.opts.Retries {
+		if runErr == nil || !transient(runErr) || attempts > r.opts.Retries {
 			break
 		}
 		delay := r.backoff(attempts)
@@ -593,6 +582,14 @@ func (r *Runner) run(t *Task) {
 	r.logf(t, "ran %s: %d cycles (%s)", t.req, out.Result.Cycles, elapsed.Round(time.Millisecond))
 }
 
+// evicted counts a persisted file dropped as unusable.
+func (r *Runner) evicted() {
+	r.mu.Lock()
+	r.stats.Evictions++
+	r.mu.Unlock()
+	r.tel.Eviction()
+}
+
 // finishInterrupted records a cancelled job: it reports
 // machine.ErrInterrupted through its task but is neither quarantined nor
 // counted as an error — its checkpoint (when one was captured) makes it
@@ -616,25 +613,23 @@ func (r *Runner) cancelledNow(t *Task) bool {
 	return interruptedNow(r.opts.Interrupt) || interruptedNow(t.interrupt)
 }
 
-// EntryBytes returns the canonical persisted-cache document for a job
-// this runner completed successfully — the same bytes save wrote. When
-// the on-disk copy was lost or corrupted (a crash, a full disk, an
-// injected fault), the document is re-materialized from the in-memory
-// outcome and best-effort re-persisted, healing the cache. Returns
-// os.ErrNotExist when the digest names no finished successful job.
+// EntryBytes returns the canonical persisted-cache document for digest:
+// the store's file, read through the file plane and validated, or — when
+// that copy was lost or corrupted (a crash, a full disk, an injected
+// fault) and evicted — the document re-materialized from the in-memory
+// outcome of a job this runner completed, best-effort re-persisted to
+// heal the cache. Returns os.ErrNotExist when neither exists.
 func (r *Runner) EntryBytes(digest string) ([]byte, error) {
+	switch data, err := r.store.read(digest); {
+	case err == nil:
+		return data, nil
+	case errors.Is(err, errEvicted):
+		r.evicted()
+	}
 	r.mu.Lock()
 	t := r.tasks[digest]
 	r.mu.Unlock()
-	if t == nil {
-		return nil, os.ErrNotExist
-	}
-	select {
-	case <-t.done:
-	default:
-		return nil, os.ErrNotExist
-	}
-	if t.err != nil || t.out == nil {
+	if t == nil || !t.finished() || t.out == nil {
 		return nil, os.ErrNotExist
 	}
 	data, err := encodeEntry(t.req, t.out, t.elapsed)

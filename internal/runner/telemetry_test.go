@@ -26,17 +26,17 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 	}
 
 	calls := 0
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(q Request, _ ExecOptions) (*Outcome, error) {
 		if q.Policy == "all-far" {
 			calls++
 			panic("injected")
 		}
-		return execute(q, execCtx{})
-	})
+		return ExecuteLocal(q, ExecOptions{})
+	}
 
 	var journal bytes.Buffer
 	tel := telemetry.NewSweep(telemetry.SweepOptions{Journal: nopCloser{&journal}})
-	r := New(Options{Jobs: 2, CacheDir: dir, Retries: 1, RetryBackoff: time.Millisecond, Telemetry: tel})
+	r := New(Options{Jobs: 2, CacheDir: dir, Retries: 1, RetryBackoff: time.Millisecond, Telemetry: tel, Execute: exec})
 
 	r.Submit(quick()) // disk hit
 	r.Submit(quick()) // memory hit
@@ -172,12 +172,12 @@ func TestRunnerServeBindError(t *testing.T) {
 func TestInterruptTelemetryDrainsQueue(t *testing.T) {
 	block := make(chan struct{})
 	interrupt := make(chan struct{})
-	swapExecute(t, func(q Request) (*Outcome, error) {
+	exec := func(Request, ExecOptions) (*Outcome, error) {
 		<-block
 		return nil, errors.New("unreachable")
-	})
+	}
 	tel := telemetry.NewSweep(telemetry.SweepOptions{})
-	r := New(Options{Jobs: 1, Interrupt: interrupt, Telemetry: tel})
+	r := New(Options{Jobs: 1, Interrupt: interrupt, Telemetry: tel, Execute: exec})
 	r.Submit(quick())                                                                     // occupies the single worker
 	r.Submit(Request{Workload: "histogram", Policy: "all-near", Threads: 2, Scale: 0.05}) // queued
 

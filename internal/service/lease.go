@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"dynamo/internal/checkpoint"
-	"dynamo/internal/faultio"
 	"dynamo/internal/machine"
 	"dynamo/internal/runner"
 	"dynamo/internal/telemetry"
@@ -69,9 +68,14 @@ type workItem struct {
 	// finishes interrupted, a yielded one requeues.
 	withdrawn bool
 	yield     bool
-	// ckpt is the latest shipped checkpoint document; it seeds the next
-	// grant so a revoked job resumes instead of restarting.
-	ckpt []byte
+	// ckpt is the latest checkpoint document — the runner's resume
+	// checkpoint, then each shipped one; it seeds the next grant so a
+	// revoked job resumes instead of restarting. ckptEvery is the cadence
+	// grants advertise; sink is the runner's, which persists each shipped
+	// checkpoint.
+	ckpt      []byte
+	ckptEvery uint64
+	sink      func(*checkpoint.Checkpoint)
 	// committed + entryHash identify the accepted result's exact bytes,
 	// the basis of idempotent duplicate detection.
 	committed bool
@@ -84,29 +88,28 @@ type workItem struct {
 
 // leaseTableOptions configures a leaseTable.
 type leaseTableOptions struct {
-	Dir       string // the service's cache directory (entries, checkpoints)
-	FS        faultio.FS
 	Telemetry *telemetry.Sweep
 	Log       io.Writer
 	TTL       time.Duration // default lease TTL
-	CkptEvery uint64        // checkpoint cadence advertised to workers
 	// Preempt and PreemptSlice: see Options.
 	Preempt      bool
 	PreemptSlice time.Duration
 }
 
-// leaseTable is the service's only scheduler: every job the runner does
-// not answer from its cache parks here, and workers — in-process slots
-// and fleet processes alike — pull jobs under TTL leases. Grant order is
-// round-robin across sweeps; preemption asks one lease to yield at its
-// next checkpoint; the expiry scanner treats a missed heartbeat as worker
-// death — the lease is revoked, the job requeued to resume from its last
-// shipped checkpoint, and any later commit bearing the stale fencing
-// token rejected. Commits are at-most-once per digest: idempotent for
-// byte-identical duplicates, a structured ErrStaleCommit otherwise.
+// leaseTable is the service's only scheduler, and an in-memory one: every
+// job the runner does not answer from its cache parks here, and workers —
+// in-process slots and fleet processes alike — pull jobs under TTL
+// leases. The runner owns the job's files; the table relays the runner's
+// resume checkpoint to grants and shipped checkpoints to the runner's
+// sink. Grant order is round-robin across sweeps; preemption asks one
+// lease to yield at its next checkpoint; the expiry scanner treats a
+// missed heartbeat as worker death — the lease is revoked, the job
+// requeued to resume from its last shipped checkpoint, and any later
+// commit bearing the stale fencing token rejected. Commits are
+// at-most-once per digest: idempotent for byte-identical duplicates, a
+// structured ErrStaleCommit otherwise.
 type leaseTable struct {
 	opts leaseTableOptions
-	fs   faultio.FS
 	tel  *telemetry.Sweep
 
 	mu    sync.Mutex
@@ -143,13 +146,8 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 	if o.TTL <= 0 {
 		o.TTL = 10 * time.Second
 	}
-	fs := o.FS
-	if fs == nil {
-		fs = faultio.OS{}
-	}
 	t := &leaseTable{
 		opts:    o,
-		fs:      fs,
 		tel:     o.Telemetry,
 		items:   make(map[string]*workItem),
 		laneOf:  make(map[string]string),
@@ -181,29 +179,33 @@ func (t *leaseTable) leased(digest string) bool {
 	return it != nil && it.state == workLeased
 }
 
-// execute is the runner.Options.ExecuteInterruptible seam: it parks one
-// deduped job in the lease table and blocks until a worker commits it (or
-// the job is withdrawn). The runner keeps its retry, telemetry and stats
-// semantics; the lease table decides when and where the job runs.
-func (t *leaseTable) execute(q runner.Request, interrupt <-chan struct{}) (*runner.Outcome, error) {
+// execute is the runner.Options.Execute seam: it parks one deduped job in
+// the lease table and blocks until a worker commits it (or the job is
+// withdrawn). The runner keeps its retry, telemetry and stats semantics
+// and its files; the lease table decides when and where the job runs.
+func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
 	digest := q.Digest()
+	it := &workItem{digest: digest, req: q, ckptEvery: x.CkptEvery, sink: x.Sink, done: make(chan struct{})}
+	if x.Resume != nil {
+		// The runner's resume checkpoint (shipped before a server restart,
+		// or captured by an earlier leaseholder) seeds the first grant, so
+		// the job resumes instead of restarting from event zero; one that
+		// fails to encode only costs that replay.
+		it.ckpt, _ = json.Marshal(x.Resume)
+	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("service: lease table closed: %w", machine.ErrInterrupted)
 	}
-	it := &workItem{digest: digest, req: q, lane: t.laneOf[digest], done: make(chan struct{})}
-	// A checkpoint persisted by an earlier leaseholder (or before a server
-	// restart) seeds the first grant, so the job resumes instead of
-	// restarting from event zero.
-	it.ckpt = t.loadCkptLocked(digest)
+	it.lane = t.laneOf[digest]
 	t.items[digest] = it
 	t.queueLocked(it, false)
 	t.mu.Unlock()
 
 	select {
 	case <-it.done:
-	case <-interrupt:
+	case <-x.Interrupt:
 		// Cancelled. A pending item is withdrawn outright; a leased one
 		// winds down through its holder — told to yield on its next
 		// heartbeat, finish-or-checkpoint, then release — or through lease
@@ -231,10 +233,10 @@ func (t *leaseTable) withdraw(it *workItem) {
 	}
 }
 
-// lease grants the next pending job to worker under a TTL lease. With
+// Lease grants the next pending job to worker under a TTL lease. With
 // nothing pending it waits up to leaseHold for work, returning early when
 // ctx ends; nil means none arrived (204 on the wire).
-func (t *leaseTable) lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
+func (t *leaseTable) Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
 	if worker == "" {
 		return nil, &runner.FieldError{
 			Field: "worker",
@@ -327,18 +329,23 @@ func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
 		Fence:           it.fence,
 		Attempt:         it.attempt,
 		ExpiresUnixNano: it.expires.UnixNano(),
-		CkptEvery:       t.opts.CkptEvery,
+		CkptEvery:       it.ckptEvery,
 	}
 	if len(it.ckpt) > 0 {
 		g.Checkpoint = append([]byte(nil), it.ckpt...)
-		t.tel.JobResumed()
+		// The runner counted the resume checkpoint it handed over; only a
+		// re-grant resumes anew.
+		if it.attempt > 1 {
+			t.tel.JobResumed()
+		}
 	}
 	return g
 }
 
-// heartbeat extends a live lease, stores (and persists) a shipped
-// checkpoint, and — with release — hands the job back to the queue.
-func (t *leaseTable) heartbeat(digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
+// Heartbeat extends a live lease, keeps a shipped checkpoint for the next
+// grant and hands it to the runner's sink, and — with release — hands the
+// job back to the queue.
+func (t *leaseTable) Heartbeat(_ context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	it := t.items[digest]
@@ -358,7 +365,11 @@ func (t *leaseTable) heartbeat(digest, worker string, fence uint64, ckpt []byte,
 			}
 		}
 		it.ckpt = append([]byte(nil), ckpt...)
-		t.persistCkptLocked(digest, it.ckpt)
+		// The runner persists it. Called under mu, so no shipped checkpoint
+		// lands after the commit that makes it stale.
+		if it.sink != nil {
+			it.sink(ck)
+		}
 		t.tel.WorkCheckpointShipped()
 	}
 	if release {
@@ -379,11 +390,11 @@ func (t *leaseTable) heartbeat(digest, worker string, fence uint64, ckpt []byte,
 	}, nil
 }
 
-// commit settles one job under its fencing token — at-most-once per
+// Commit settles one job under its fencing token — at-most-once per
 // digest. A byte-identical duplicate of the committed entry is
 // acknowledged idempotently; any other stale commit is fenced with
 // ErrStaleCommit and counted.
-func (t *leaseTable) commit(digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error) {
+func (t *leaseTable) Commit(_ context.Context, digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	it := t.items[digest]
@@ -419,10 +430,8 @@ func (t *leaseTable) commit(digest, worker string, fence uint64, entry []byte, e
 			Err:   fmt.Errorf("%w: %v", runner.ErrBadField, derr),
 		}
 	}
-	// The entry persists verbatim — the same bytes a local sweep would
-	// have written — so remote and local caches stay interchangeable.
+	// The runner persists the outcome, exactly as for a local run.
 	out.Cached = false
-	t.persistEntryLocked(digest, entry)
 	it.committed = true
 	it.entryHash = sha256.Sum256(entry)
 	it.ckpt = nil
@@ -630,51 +639,6 @@ func errorKind(err error) string {
 		return "stalled"
 	}
 	return ""
-}
-
-// ckptPath is the same path convention the runner's local checkpointing
-// uses, so fleet-shipped and locally captured checkpoints are
-// interchangeable across restarts and mode switches.
-func (t *leaseTable) ckptPath(digest string) string {
-	return filepath.Join(t.opts.Dir, digest+".ckpt.json")
-}
-
-// persistCkptLocked best-effort persists a shipped checkpoint (mu held):
-// a write failure degrades resume granularity, never the job.
-func (t *leaseTable) persistCkptLocked(digest string, data []byte) {
-	if err := t.fs.WriteFileAtomic(t.opts.Dir, t.ckptPath(digest), data); err != nil {
-		t.logf("checkpoint for %s not persisted: %v", short(digest), err)
-	}
-}
-
-// loadCkptLocked returns a persisted checkpoint's raw document when it
-// verifies for this digest; unusable files are evicted (mu held).
-func (t *leaseTable) loadCkptLocked(digest string) []byte {
-	data, err := t.fs.ReadFile(t.ckptPath(digest))
-	if err != nil {
-		return nil
-	}
-	ck, err := checkpoint.Read(bytes.NewReader(data))
-	if err == nil {
-		err = ck.Compatible(digest)
-	}
-	if err != nil {
-		t.fs.Remove(t.ckptPath(digest))
-		return nil
-	}
-	return data
-}
-
-// persistEntryLocked writes a committed entry verbatim and clears the
-// job's checkpoint and any quarantine marker (mu held). A write failure
-// degrades the cache, not the commit: the in-memory outcome still
-// completes the job, and the runner's own save heals the file.
-func (t *leaseTable) persistEntryLocked(digest string, entry []byte) {
-	if err := t.fs.WriteFileAtomic(t.opts.Dir, filepath.Join(t.opts.Dir, digest+".json"), entry); err != nil {
-		t.logf("result for %s not persisted: %v", short(digest), err)
-	}
-	t.fs.Remove(t.ckptPath(digest))
-	t.fs.Remove(filepath.Join(t.opts.Dir, digest+".failed.json"))
 }
 
 func (t *leaseTable) logf(format string, args ...any) {

@@ -327,6 +327,50 @@ func TestZombieLeaseExpiryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestShippedCheckpointSurvivesRestart: a checkpoint shipped over a
+// heartbeat reaches the cache through Options.FS, and a service restarted
+// on that cache grants it. The resume counts once — from the runner that
+// loaded the checkpoint, not again from the first grant.
+func TestShippedCheckpointSurvivesRestart(t *testing.T) {
+	req := slowReq(351)
+	ck, _ := captureCkpt(t, req, 5000)
+	shipped, err := checkpoint.Read(bytes.NewReader(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := t.TempDir()
+	fs := newCountingFS()
+	o := Options{CacheDir: cache, Jobs: 1, Workers: true, LeaseTTL: time.Minute, CkptEvery: 5000, FS: fs}
+	svc, srv, c := startService(t, o)
+	if _, err := c.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	g := leaseFor(t, c, "w", 0)
+	if _, err := c.Heartbeat(context.Background(), g.Digest, "w", g.Fence, ck, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, writes := fs.counts(g.Digest + ".ckpt.json"); writes != 1 {
+		t.Errorf("%d writes of the shipped checkpoint through Options.FS, want 1", writes)
+	}
+	srv.Close()
+	svc.Close()
+
+	o.Resume = true
+	_, srv2, c2 := startService(t, o)
+	g2 := leaseFor(t, c2, "w", 0)
+	resume, err := checkpoint.Read(bytes.NewReader(g2.Checkpoint))
+	if err != nil {
+		t.Fatalf("grant after restart carries no usable checkpoint: %v", err)
+	}
+	if g2.Digest != g.Digest || resume.Event != shipped.Event {
+		t.Errorf("grant after restart = %s at event %d, want %s at event %d",
+			short(g2.Digest), resume.Event, short(g.Digest), shipped.Event)
+	}
+	if n := scrapeMetric(t, srv2.Addr(), "dynamo_sweep_resumed_total", ""); n != "1" {
+		t.Errorf("dynamo_sweep_resumed_total = %q, want \"1\"", n)
+	}
+}
+
 // TestWorkValidation covers the work API's rejection edges: missing
 // worker id, unknown digests, malformed checkpoints, and malformed
 // entries (which must NOT burn the lease).

@@ -109,7 +109,7 @@ func TestHeldLeaseReturnsOnDrainAndClose(t *testing.T) {
 		t.Errorf("Server.Close took %v with a held lease, want under %v", d, prompt)
 	}
 
-	direct := held(func() error { _, err := svc.Lease(context.Background(), "w", 0); return err })
+	direct := held(func() error { _, err := svc.lt.Lease(context.Background(), "w", 0); return err })
 	svc.Close()
 	select {
 	case err := <-direct:
@@ -161,7 +161,7 @@ func TestLeaseGrantsRoundRobinAcrossSweeps(t *testing.T) {
 			mu.Unlock()
 			return runner.ExecuteLocal(q, x)
 		},
-	}, localWork{svc.lt}, (&Client{}).delay)
+	}, svc.lt, (&Client{}).delay)
 	w.Start()
 	t.Cleanup(w.Drain)
 	for _, id := range []string{a.ID, b.ID} {

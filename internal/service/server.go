@@ -152,11 +152,8 @@ func (s *Server) postSweeps(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("service: decoding sweep body: %w", err))
 		return
 	}
-	if req.Schema != 0 && req.Schema != runner.WireSchema {
-		writeError(w, &runner.FieldError{
-			Field: "schema", Value: fmt.Sprint(req.Schema),
-			Err: fmt.Errorf("%w: this build speaks schema %d", runner.ErrWireSchema, runner.WireSchema),
-		})
+	if err := checkSchema(req.Schema); err != nil {
+		writeError(w, err)
 		return
 	}
 	if d := req.DeadlineSeconds; d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
@@ -219,8 +216,8 @@ func (s *Server) getJobSpan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, span)
 }
 
-// checkWorkSchema rejects a work-API body from a different wire schema.
-func checkWorkSchema(schema int) error {
+// checkSchema rejects a request body from a different wire schema.
+func checkSchema(schema int) error {
 	if schema != 0 && schema != runner.WireSchema {
 		return &runner.FieldError{
 			Field: "schema", Value: fmt.Sprint(schema),
@@ -236,7 +233,7 @@ func (s *Server) postLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("service: decoding lease body: %w", err))
 		return
 	}
-	if err := checkWorkSchema(req.Schema); err != nil {
+	if err := checkSchema(req.Schema); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -253,7 +250,7 @@ func (s *Server) postLease(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	stop := context.AfterFunc(s.closing, cancel)
 	defer stop()
-	g, err := s.svc.Lease(ctx, req.Worker, time.Duration(req.TTLSeconds*float64(time.Second)))
+	g, err := s.svc.lt.Lease(ctx, req.Worker, time.Duration(req.TTLSeconds*float64(time.Second)))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -272,11 +269,11 @@ func (s *Server) postHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("service: decoding heartbeat body: %w", err))
 		return
 	}
-	if err := checkWorkSchema(req.Schema); err != nil {
+	if err := checkSchema(req.Schema); err != nil {
 		writeError(w, err)
 		return
 	}
-	hb, err := s.svc.WorkHeartbeat(r.PathValue("digest"), req.Worker, req.Fence, req.Checkpoint, req.Release)
+	hb, err := s.svc.lt.Heartbeat(r.Context(), r.PathValue("digest"), req.Worker, req.Fence, req.Checkpoint, req.Release)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -290,11 +287,11 @@ func (s *Server) postCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("service: decoding commit body: %w", err))
 		return
 	}
-	if err := checkWorkSchema(req.Schema); err != nil {
+	if err := checkSchema(req.Schema); err != nil {
 		writeError(w, err)
 		return
 	}
-	cr, err := s.svc.WorkCommit(r.PathValue("digest"), req.Worker, req.Fence, req.Entry, req.Error, req.ErrorKind)
+	cr, err := s.svc.lt.Commit(r.Context(), r.PathValue("digest"), req.Worker, req.Fence, req.Entry, req.Error, req.ErrorKind)
 	if err != nil {
 		writeError(w, err)
 		return

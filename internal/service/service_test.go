@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dynamo/internal/core"
+	"dynamo/internal/faultio"
 	"dynamo/internal/machine"
 	"dynamo/internal/runner"
 	"dynamo/internal/workload"
@@ -162,12 +164,71 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
+// countingFS is the real file plane, counting reads and writes by file
+// name.
+type countingFS struct {
+	faultio.OS
+	mu            sync.Mutex
+	reads, writes map[string]int
+}
+
+func newCountingFS() *countingFS {
+	return &countingFS{reads: map[string]int{}, writes: map[string]int{}}
+}
+
+func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	c.mu.Lock()
+	c.reads[filepath.Base(path)]++
+	c.mu.Unlock()
+	return c.OS.ReadFile(path)
+}
+
+func (c *countingFS) WriteFileAtomic(dir, path string, data []byte) error {
+	c.mu.Lock()
+	c.writes[filepath.Base(path)]++
+	c.mu.Unlock()
+	return c.OS.WriteFileAtomic(dir, path, data)
+}
+
+// counts returns how often name was read and written so far.
+func (c *countingFS) counts(name string) (reads, writes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads[name], c.writes[name]
+}
+
+// TestRunnerOwnsResultFile: the runner is a job's only writer and reader
+// of its result file. One committed job writes <digest>.json once, and
+// GET /v1/jobs/{digest} reads it through Options.FS.
+func TestRunnerOwnsResultFile(t *testing.T) {
+	fs := newCountingFS()
+	_, _, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 1, FS: fs})
+	st, err := c.Submit(counterReq(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID); err != nil || st.State != SweepDone {
+		t.Fatalf("sweep = %+v, %v", st, err)
+	}
+	name := st.Jobs[0].Digest + ".json"
+	before, writes := fs.counts(name)
+	if writes != 1 {
+		t.Errorf("%d writes of the committed job's result, want 1", writes)
+	}
+	if _, err := c.ResultBytes(st.Jobs[0].Digest); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := fs.counts(name); after-before != 1 {
+		t.Errorf("GET /v1/jobs read the result %d times through Options.FS, want 1", after-before)
+	}
+}
+
 func TestExecuteHookMatchesLocal(t *testing.T) {
 	_, _, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 2})
 
 	// A local runner with the remote execution hook: dedupe, stats and
 	// result identity stay local, simulation happens on the server.
-	remote := runner.New(runner.Options{Jobs: 2, ExecuteInterruptible: c.ExecuteInterruptible})
+	remote := runner.New(runner.Options{Jobs: 2, Execute: c.Execute})
 	defer remote.Close()
 	local := runner.New(runner.Options{Jobs: 2})
 	defer local.Close()

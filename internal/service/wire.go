@@ -1,7 +1,9 @@
 // Package service is the sweep control plane: a long-running HTTP/JSON
 // front end over the runner that accepts whole sweeps, schedules them
-// fairly against each other through one lease table, serves results out
-// of the content-addressed cache, and survives restarts.
+// fairly against each other through one in-memory lease table, serves
+// results out of the content-addressed cache, and survives restarts. The
+// runner is the only code that reads or writes a job's files — results,
+// checkpoints, quarantine markers; the service persists only its sweeps.
 //
 // The wire API is deliberately thin. A request on the wire is exactly
 // runner.Request — the same struct, the same stable lowercase JSON field
@@ -138,8 +140,8 @@ type LeaseRequest struct {
 }
 
 // LeaseGrant is the POST /v1/work/lease response when work is available
-// (204 No Content otherwise): one job, its fencing token, and — when a
-// prior leaseholder shipped one — the checkpoint to resume from.
+// (204 No Content otherwise): one job, its fencing token, and — when one
+// exists — the checkpoint to resume from.
 type LeaseGrant struct {
 	Schema  int            `json:"schema"`
 	Digest  string         `json:"digest"`
@@ -154,8 +156,9 @@ type LeaseGrant struct {
 	// CkptEvery is the server's checkpoint cadence (simulation events
 	// between captures); zero asks the worker not to checkpoint.
 	CkptEvery uint64 `json:"ckpt_every,omitempty"`
-	// Checkpoint, when present, is the job's latest shipped checkpoint
-	// document; the worker resumes from it instead of event zero.
+	// Checkpoint, when present, is the job's latest checkpoint document —
+	// shipped by a prior leaseholder, or persisted before a server
+	// restart; the worker resumes from it instead of event zero.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 }
 
@@ -167,7 +170,8 @@ type HeartbeatRequest struct {
 	Worker string `json:"worker"`
 	Fence  uint64 `json:"fence"`
 	// Checkpoint, when present, is the job's latest checkpoint document;
-	// the server keeps the newest shipped copy for re-grants.
+	// the server keeps the newest shipped copy for re-grants and persists
+	// it beside the result cache.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// Release hands the job back to the queue without committing: the
 	// lease ends, the shipped checkpoint (if any) seeds the next grant.
@@ -189,8 +193,9 @@ type HeartbeatReply struct {
 // CommitRequest is the POST /v1/work/{digest}/result body: the job's
 // outcome under the lease's fencing token. Exactly one of Entry or Error
 // is set. Entry is the canonical cache document (runner.EncodeEntry
-// bytes), persisted verbatim so a remotely executed result is
-// byte-identical to a local one.
+// bytes): the server decodes it, its runner persists the outcome exactly
+// as a local run's, and its hash tells a byte-identical duplicate commit
+// from a divergent one.
 type CommitRequest struct {
 	Schema int             `json:"schema,omitempty"`
 	Worker string          `json:"worker"`

@@ -30,9 +30,9 @@ type WorkerOptions struct {
 	// Heartbeat is the lease-renewal cadence; zero derives a third of the
 	// granted TTL, so two beats can be lost before the lease expires.
 	Heartbeat time.Duration
-	// Execute replaces local simulation — the test seam for slow, failing
-	// or zombie jobs. The default runs runner.ExecuteLocal with panics
-	// recovered into ErrJobPanicked.
+	// Execute replaces local simulation (runner.ExecuteLocal) — the test
+	// seam for slow, failing or zombie jobs. Either runs under
+	// runner.Execute's panic guard and unusable-checkpoint restart.
 	Execute func(runner.Request, runner.ExecOptions) (*runner.Outcome, error)
 	// Transport, when non-nil, replaces the HTTP transport — the seam
 	// faultio.WrapTransport plugs into so lease/heartbeat/commit loss is
@@ -65,27 +65,12 @@ type WorkerStats struct {
 }
 
 // workAPI is the lease protocol a Worker speaks: *Client over HTTP for a
-// fleet process, localWork for the service's in-process slots.
+// fleet process, the lease table itself for the service's in-process
+// slots.
 type workAPI interface {
 	Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error)
 	Heartbeat(ctx context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error)
 	Commit(ctx context.Context, digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error)
-}
-
-// localWork calls a lease table directly: the same three calls the
-// /v1/work routes make, without the wire.
-type localWork struct{ t *leaseTable }
-
-func (l localWork) Lease(ctx context.Context, worker string, ttl time.Duration) (*LeaseGrant, error) {
-	return l.t.lease(ctx, worker, ttl)
-}
-
-func (l localWork) Heartbeat(_ context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
-	return l.t.heartbeat(digest, worker, fence, ckpt, release)
-}
-
-func (l localWork) Commit(_ context.Context, digest, worker string, fence uint64, entry []byte, errMsg, errKind string) (*CommitReply, error) {
-	return l.t.commit(digest, worker, fence, entry, errMsg, errKind)
 }
 
 // Worker pulls jobs under TTL leases, executes them locally, heartbeats
@@ -220,7 +205,8 @@ func (w *Worker) work(g *LeaseGrant) {
 	w.logf("leased %s (fence %d, attempt %d)", short(digest), g.Fence, g.Attempt)
 
 	// The grant's checkpoint resumes the job where the last leaseholder
-	// left it; an unusable document just restarts from event zero.
+	// left it. An unreadable or misattributed document starts the job from
+	// event zero; runner.Execute restarts one that no longer replays.
 	var resume *checkpoint.Checkpoint
 	if len(g.Checkpoint) > 0 {
 		if ck, err := checkpoint.Read(bytes.NewReader(g.Checkpoint)); err == nil && ck.Compatible(digest) == nil {
@@ -335,19 +321,8 @@ func (w *Worker) work(g *LeaseGrant) {
 			jmu.Unlock()
 		}
 	}
-	exec := w.opts.Execute
-	if exec == nil {
-		exec = localExec
-	}
 	start := time.Now()
-	out, err := runSafe(exec, g.Request, x)
-	if x.Resume != nil && checkpoint.Unusable(err) {
-		// The checkpoint no longer replays under this build: restart the
-		// job from event zero rather than failing it.
-		w.logf("checkpoint unusable for %s, restarting: %v", short(digest), err)
-		x.Resume = nil
-		out, err = runSafe(exec, g.Request, x)
-	}
+	out, err := runner.Execute(w.opts.Execute, g.Request, x)
 	elapsed := time.Since(start)
 	close(jobDone)
 	close(hbStop)
@@ -443,22 +418,4 @@ func (w *Worker) logf(format string, args ...any) {
 		return
 	}
 	fmt.Fprintf(w.opts.Log, "  [%s] "+format+"\n", append([]any{w.id}, args...)...)
-}
-
-// localExec is the default execution seam: plain local simulation.
-func localExec(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
-	return runner.ExecuteLocal(q, x)
-}
-
-// runSafe guards the execution seam (local or injected), mirroring the
-// runner's safeExecute: a panic anywhere in the job commits as a
-// transient ErrJobPanicked failure — the server retries or quarantines —
-// instead of killing the worker slot.
-func runSafe(exec func(runner.Request, runner.ExecOptions) (*runner.Outcome, error), q runner.Request, x runner.ExecOptions) (out *runner.Outcome, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			out, err = nil, fmt.Errorf("%w: %v", runner.ErrJobPanicked, rec)
-		}
-	}()
-	return exec(q, x)
 }

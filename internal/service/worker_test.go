@@ -192,7 +192,7 @@ func TestWorkerRestartsWhenGrantedCheckpointDiverges(t *testing.T) {
 			} else {
 				fromZero.Add(1)
 			}
-			return localExec(q, x)
+			return runner.ExecuteLocal(q, x)
 		},
 	})
 	st, err := c.Submit(req)
@@ -288,7 +288,7 @@ func TestWorkerPanicReportsTransient(t *testing.T) {
 			if calls == 1 {
 				panic("simulated corruption")
 			}
-			return localExec(q, x)
+			return runner.ExecuteLocal(q, x)
 		},
 	})
 

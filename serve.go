@@ -155,7 +155,7 @@ func WithRemote(addr string, opts ...RemoteOption) RunnerOption {
 	// The interrupt-aware seam: cancelling or preempting a local job
 	// aborts its remote wait promptly and best-effort cancels the sweep
 	// server-side, instead of polling to the job's natural end.
-	return func(o *runner.Options) { o.ExecuteInterruptible = client.ExecuteInterruptible }
+	return func(o *runner.Options) { o.Execute = client.Execute }
 }
 
 // FleetWorker is one process of the distributed execution tier: it pulls
