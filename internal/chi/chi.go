@@ -163,7 +163,32 @@ type System struct {
 	// snoopJitter, when non-nil, adds chaos delay to each snoop response
 	// (see SetSnoopJitter).
 	snoopJitter func(core int, line memory.Line) sim.Tick
+
+	// Records no message or line uses any more, kept for reuse so that the
+	// coherence path allocates nothing in steady state. They belong to this
+	// System alone.
+	freeTxns   freeList[txn]
+	freeSnoops freeList[snoop]
+	freeMSHRs  freeList[mshr]
+	freeDirs   freeList[dirEntry]
 }
+
+// freeList is a stack of records kept for reuse.
+type freeList[T any] []*T
+
+// pop takes a record off the list, or returns nil if it is empty.
+func (l *freeList[T]) pop() *T {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	r := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return r
+}
+
+// push puts a record on the list.
+func (l *freeList[T]) push(r *T) { *l = append(*l, r) }
 
 // NewSystem wires cores, home nodes, interconnect and memory. RNs occupy
 // mesh nodes where (x+y) is even in row-major order; HN slices occupy odd

@@ -307,6 +307,50 @@ func TestRequestReusableAfterDone(t *testing.T) {
 	}
 }
 
+// A snoop fan-out allocates nothing once the records it needs exist. Each
+// round stores to a line three other RNs share, whose upgrade invalidates
+// them with three snoops, then has each of those RNs load the line back,
+// snooping the dirty owner to downgrade it.
+func TestSnoopFanOutAllocatesNothing(t *testing.T) {
+	s := newTestSystem(t, fixedPolicy{Near})
+	const addr = 0x4000
+	hn := s.HomeOf(memory.LineOf(addr))
+	done, target := 0, 0
+	finish := func(uint64) { done++ }
+	reached := func() bool { return done >= target }
+	store := &Request{Kind: Store, Addr: addr, Operand: 1, Done: finish}
+	issue := []func(){func() { s.RNs[0].Access(store) }}
+	for _, rn := range s.RNs[1:] {
+		load := &Request{Kind: Load, Addr: addr, Done: finish}
+		issue = append(issue, func() { rn.Access(load) })
+	}
+	round := func() {
+		for _, fn := range issue {
+			target++
+			s.Engine.Schedule(0, fn)
+			if !s.Engine.RunUntil(reached, 1_000_000) {
+				t.Fatal("request did not complete")
+			}
+		}
+		s.Engine.Run(0)
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	const runs = 50
+	sent := hn.Stats.SnoopsSent
+	if n := testing.AllocsPerRun(runs, round); n != 0 {
+		t.Fatalf("%v allocations per round, want 0", n)
+	}
+	// AllocsPerRun makes one more, unmeasured, call.
+	if got, want := hn.Stats.SnoopsSent-sent, uint64(6*(runs+1)); got != want {
+		t.Fatalf("%d snoops sent, want %d: three invalidations and three downgrades a round", got, want)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFarAMOSnoopsRequestorUniqueCopy(t *testing.T) {
 	s := newTestSystem(t, fixedPolicy{Far})
 	// Policy Far is only consulted for non-unique states, so force the

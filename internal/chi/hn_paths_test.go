@@ -115,3 +115,34 @@ func TestUpgradeAfterCopyEvaporates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A snoop record is reused once its response is folded in, so a snoop that
+// finds no copy must not report the copy its record found last time. Here
+// the record first answers a dirty forward, then snoops an owner whose copy
+// is gone (as when its WriteBack is still in flight): the ReadShared must
+// fall back to the home node and grant UniqueClean.
+func TestReusedSnoopFindsNoCopy(t *testing.T) {
+	s := newTestSystem(t, fixedPolicy{Near})
+	const a, b = 0x10000, 0x20000
+	run(t, s, 2, &Request{Kind: Store, Addr: a, Operand: 1})
+	run(t, s, 3, &Request{Kind: Load, Addr: a}) // snoops core 2's dirty copy
+	run(t, s, 0, &Request{Kind: Store, Addr: b, Operand: 2})
+	line := memory.LineOf(b)
+	s.RNs[0].l1.Remove(uint64(line)) // the directory still names core 0 owner
+	if v, _ := run(t, s, 1, &Request{Kind: Load, Addr: b}); v != 2 {
+		t.Fatalf("load read %d, want 2", v)
+	}
+	if st := s.RNs[1].State(line); st != memory.UniqueClean {
+		t.Fatalf("reader holds %v, want UC: the snoop reported a copy", st)
+	}
+	if owner, sharers := s.HomeOf(line).Directory(line); owner != 1 || sharers != 1<<1 {
+		t.Fatalf("directory owner %d sharers %#x, want owner 1 alone", owner, sharers)
+	}
+	var forwards uint64
+	for _, hn := range s.HNs {
+		forwards += hn.Stats.DirtyForwards
+	}
+	if forwards != 1 {
+		t.Fatalf("%d dirty forwards, want 1", forwards)
+	}
+}

@@ -61,10 +61,13 @@ type Request struct {
 	// or the request was generated internally, e.g. by the prefetcher).
 	obs obs.TxnID
 	// rn is the node the request was last submitted to; l1Stage and
-	// l2Stage run its lookup stages, bound on the record's first Access so
-	// that scheduling a stage allocates nothing.
-	rn               *RN
-	l1Stage, l2Stage func()
+	// l2Stage run its lookup stages and replyStage the arrival of a far
+	// atomic's acknowledgment or data reply, which carries value. They are
+	// bound on the record's first Access, so that scheduling a stage
+	// allocates nothing.
+	rn                           *RN
+	value                        uint64
+	l1Stage, l2Stage, replyStage func()
 }
 
 // lookupL1 is the stage after the L1 tag/data access.
@@ -72,6 +75,9 @@ func (req *Request) lookupL1() { req.rn.lookup(req, true) }
 
 // probeL2 is the stage after the L2 access.
 func (req *Request) probeL2() { req.rn.afterL2(req, memory.LineOf(req.Addr)) }
+
+// reply is the stage at which a far atomic's reply reaches the requestor.
+func (req *Request) reply() { req.rn.complete(req, req.value) }
 
 // RNStats counts request-node activity.
 type RNStats struct {
@@ -94,6 +100,9 @@ type l2Entry struct {
 	state memory.State
 }
 
+// mshr is one outstanding fill and the requests waiting on it. A retired
+// MSHR goes back on the System's free list with its reqs emptied, keeping
+// their capacity.
 type mshr struct {
 	byAMO bool
 	reqs  []*Request
@@ -160,7 +169,7 @@ func (rn *RN) forEachLine(fn func(memory.Line, memory.State)) {
 // event; completion is reported through req.Done.
 func (rn *RN) Access(req *Request) {
 	if req.l1Stage == nil {
-		req.l1Stage, req.l2Stage = req.lookupL1, req.probeL2
+		req.l1Stage, req.l2Stage, req.replyStage = req.lookupL1, req.probeL2, req.reply
 	}
 	req.rn = rn
 	req.issued = rn.sys.Engine.Now()
@@ -344,19 +353,18 @@ func (rn *RN) requestUnique(req *Request, line memory.Line, st memory.State, byA
 // startFill allocates an MSHR and sends a fill transaction to the home
 // node. heldState is the current private copy's state (Invalid on a miss).
 func (rn *RN) startFill(req *Request, line memory.Line, byAMO bool, kind txnKind, heldState memory.State) {
-	rn.mshrs[line] = &mshr{byAMO: byAMO, reqs: []*Request{req}}
-	rn.sys.Fail(rn.sys.Check.ObserveMSHRs(rn.sys.Engine.Now(), rn.id, len(rn.mshrs)))
-	hn := rn.sys.HomeOf(line)
-	rn.sys.Obs.Phase(req.obs, rn.sys.Engine.Now(), obs.PhaseNoCReq)
-	msg := &txn{
-		kind:      kind,
-		line:      line,
-		requestor: rn.id,
-		hadCopy:   heldState.Present(),
-		hadDirty:  heldState.Dirty(),
-		obsID:     req.obs,
+	m := rn.sys.freeMSHRs.pop()
+	if m == nil {
+		m = new(mshr)
 	}
-	rn.sys.send(rn.node, hn.node, noc.ControlFlits, func() { hn.receive(msg) })
+	m.byAMO = byAMO
+	m.reqs = append(m.reqs, req)
+	rn.mshrs[line] = m
+	rn.sys.Fail(rn.sys.Check.ObserveMSHRs(rn.sys.Engine.Now(), rn.id, len(rn.mshrs)))
+	rn.sys.Obs.Phase(req.obs, rn.sys.Engine.Now(), obs.PhaseNoCReq)
+	t := rn.newTxn(kind, line, req.obs)
+	t.hadCopy, t.hadDirty = heldState.Present(), heldState.Dirty()
+	rn.sys.send(rn.node, t.hn.node, noc.ControlFlits, t.arrive)
 }
 
 // maybePrefetch implements the stride-1 L1D prefetcher: two sequential
@@ -397,19 +405,13 @@ func (rn *RN) maybePrefetch(line memory.Line) {
 // in the MSHRs: they do not fill the line, and CHI lets them pipeline.
 func (rn *RN) issueFarAMO(req *Request, line memory.Line) {
 	rn.Stats.AMOFar++
-	hn := rn.sys.HomeOf(line)
 	rn.sys.Obs.Reclass(req.obs, obs.ClassFarAMO)
 	rn.sys.Obs.ProfileAMO(line.Base(), true)
 	rn.sys.Obs.Phase(req.obs, rn.sys.Engine.Now(), obs.PhaseNoCReq)
-	msg := &txn{
-		kind:      txnAtomic,
-		line:      line,
-		requestor: rn.id,
-		amoReq:    req,
-		amo:       farAMO{op: req.Op, addr: req.Addr, operand: req.Operand, compare: req.Compare, noReturn: req.NoReturn},
-		obsID:     req.obs,
-	}
-	rn.sys.send(rn.node, hn.node, noc.ControlFlits, func() { hn.receive(msg) })
+	t := rn.newTxn(txnAtomic, line, req.obs)
+	t.amoReq = req
+	t.amo = farAMO{op: req.Op, addr: req.Addr, operand: req.Operand, compare: req.Compare, noReturn: req.NoReturn}
+	rn.sys.send(rn.node, t.hn.node, noc.ControlFlits, t.arrive)
 }
 
 // fillArrived installs a granted line and replays the requests that were
@@ -421,7 +423,9 @@ func (rn *RN) fillArrived(line memory.Line, granted memory.State) {
 			"fill granting %v arrived with no outstanding MSHR", granted).AtLine(line).AtCore(rn.id))
 		return
 	}
-	rn.sys.tracef("core %d fill line %#x granted %v (%d waiters)", rn.id, line, granted, len(m.reqs))
+	if rn.sys.Trail != nil {
+		rn.sys.tracef("core %d fill line %#x granted %v (%d waiters)", rn.id, line, granted, len(m.reqs))
+	}
 	delete(rn.mshrs, line)
 	if e, ok := rn.l1.Peek(uint64(line)); ok {
 		// Upgrade of a still-present copy.
@@ -444,6 +448,11 @@ func (rn *RN) fillArrived(line memory.Line, granted memory.State) {
 			rn.lookup(r, false)
 		}
 	}
+	// Only now may the MSHR be reused: a replay above can start a new
+	// fill for this very line.
+	clear(m.reqs)
+	m.reqs = m.reqs[:0]
+	rn.sys.freeMSHRs.push(m)
 }
 
 // installL1 inserts a line into the L1, demoting the victim to L2 and
@@ -471,8 +480,9 @@ func (rn *RN) installL2(line memory.Line, st memory.State) {
 // WriteBackFull / WriteEvictFull). The RN does not wait for completion.
 func (rn *RN) writeBack(line memory.Line, st memory.State) {
 	rn.Stats.WriteBacks++
-	rn.sys.tracef("core %d writeback line %#x %v", rn.id, line, st)
-	hn := rn.sys.HomeOf(line)
+	if rn.sys.Trail != nil {
+		rn.sys.tracef("core %d writeback line %#x %v", rn.id, line, st)
+	}
 	flits := noc.ControlFlits
 	if st.Dirty() {
 		flits = noc.DataFlits
@@ -483,14 +493,9 @@ func (rn *RN) writeBack(line memory.Line, st memory.State) {
 		id = rn.sys.Obs.BeginTxn(now, obs.ClassWriteBack, line.Base(), rn.id)
 		rn.sys.Obs.Phase(id, now, obs.PhaseNoCReq)
 	}
-	msg := &txn{
-		kind:      txnWriteBack,
-		line:      line,
-		requestor: rn.id,
-		hadDirty:  st.Dirty(),
-		obsID:     id,
-	}
-	rn.sys.send(rn.node, hn.node, flits, func() { hn.receive(msg) })
+	t := rn.newTxn(txnWriteBack, line, id)
+	t.hadDirty = st.Dirty()
+	rn.sys.send(rn.node, t.hn.node, flits, t.arrive)
 }
 
 // setL1State rewrites the state of a line known to be in L1.
@@ -503,47 +508,65 @@ func (rn *RN) setL1State(line memory.Line, st memory.State) {
 		"state rewrite to %v on a line absent from the L1", st).AtLine(line).AtCore(rn.id))
 }
 
-// handleSnoop processes a snoop from the home node after an L1 tag lookup
-// delay, then responds. invalidate selects SnpUnique semantics; otherwise
-// the snoop is a SnpShared downgrade.
-func (rn *RN) handleSnoop(line memory.Line, invalidate bool, respond func(hadCopy, dirty bool)) {
+// handleSnoop is a snoop's arrival at this RN: the RN applies it after an
+// L1 tag lookup delay (lookupSnoop).
+func (rn *RN) handleSnoop(sn *snoop) {
 	rn.Stats.SnoopsReceived++
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, func() {
-		hadCopy := false
-		dirty := false
-		apply := func(st memory.State) memory.State {
-			hadCopy = true
-			dirty = st.Dirty()
-			if invalidate {
-				rn.Stats.Invalidations++
-				rn.sys.Policy.OnInvalidate(rn.id, line)
-				return memory.Invalid
-			}
-			rn.Stats.Downgrades++
-			switch st {
-			case memory.UniqueDirty:
-				return memory.SharedDirty
-			case memory.UniqueClean:
-				return memory.SharedClean
-			default:
-				return st
-			}
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, sn.lookup)
+}
+
+// lookupSnoop applies a snoop to this RN's copy of the line, if any, and
+// sends the response to the home node: with data when the copy was dirty.
+func (rn *RN) lookupSnoop(sn *snoop) {
+	line := sn.t.line
+	if e, ok := rn.l1.Peek(uint64(line)); ok {
+		if next := rn.applySnoop(sn, e.state); next == memory.Invalid {
+			rn.l1.Remove(uint64(line))
+		} else {
+			e.state = next
 		}
-		if e, ok := rn.l1.Peek(uint64(line)); ok {
-			if next := apply(e.state); next == memory.Invalid {
-				rn.l1.Remove(uint64(line))
-			} else {
-				e.state = next
-			}
-		} else if e, ok := rn.l2.Peek(uint64(line)); ok {
-			if next := apply(e.state); next == memory.Invalid {
-				rn.l2.Remove(uint64(line))
-			} else {
-				e.state = next
-			}
+	} else if e, ok := rn.l2.Peek(uint64(line)); ok {
+		if next := rn.applySnoop(sn, e.state); next == memory.Invalid {
+			rn.l2.Remove(uint64(line))
+		} else {
+			e.state = next
 		}
-		respond(hadCopy, dirty)
-	})
+	}
+	hn := sn.t.hn
+	flits := noc.ControlFlits
+	if sn.dirty {
+		flits = noc.DataFlits
+		hn.Stats.DirtyForwards++
+		rn.sys.Obs.ProfileSnoopForward(line.Base())
+	}
+	var jitter sim.Tick
+	if rn.sys.snoopJitter != nil {
+		jitter = rn.sys.snoopJitter(rn.id, line)
+	}
+	rn.sys.sendDelayed(rn.node, hn.node, flits, jitter, sn.back)
+}
+
+// applySnoop returns the state a copy in state st moves to under the snoop
+// and records in sn that the copy was there and whether it was dirty. An
+// invalidating snoop (SnpUnique) drops the copy; otherwise (SnpShared) it
+// is downgraded to a shared state.
+func (rn *RN) applySnoop(sn *snoop, st memory.State) memory.State {
+	sn.hadCopy = true
+	sn.dirty = st.Dirty()
+	if sn.invalidate {
+		rn.Stats.Invalidations++
+		rn.sys.Policy.OnInvalidate(rn.id, sn.t.line)
+		return memory.Invalid
+	}
+	rn.Stats.Downgrades++
+	switch st {
+	case memory.UniqueDirty:
+		return memory.SharedDirty
+	case memory.UniqueClean:
+		return memory.SharedClean
+	default:
+		return st
+	}
 }
 
 // complete finishes a request and updates latency accounting.

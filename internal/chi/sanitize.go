@@ -148,32 +148,33 @@ func (s *System) AuditCoherence() *check.Violation {
 }
 
 // AuditDrained verifies end-of-run quiescence: no RN has an outstanding
-// fill and no HN has a blocked line once the event queue has emptied.
+// fill and no HN has a blocked line once the event queue has emptied. A
+// violation names the lowest such line, so the same state always gives the
+// same report.
 func (s *System) AuditDrained() *check.Violation {
 	now := s.Engine.Now()
 	for _, rn := range s.RNs {
 		if n := len(rn.mshrs); n > 0 {
-			var line memory.Line
-			for l := range rn.mshrs {
-				line = l
-				break
-			}
 			return check.Violatef(check.KindLeak, now,
-				"%d fills still outstanding after drain", n).AtCore(rn.id).AtLine(line)
+				"%d fills still outstanding after drain", n).AtCore(rn.id).AtLine(lowestLine(rn.mshrs))
 		}
 	}
 	for _, hn := range s.HNs {
 		if n := len(hn.busy); n > 0 {
-			var line memory.Line
-			for l := range hn.busy {
-				line = l
-				break
-			}
 			return check.Violatef(check.KindLeak, now,
-				"%d lines still blocked after drain", n).AtHN(hn.idx).AtLine(line)
+				"%d lines still blocked after drain", n).AtHN(hn.idx).AtLine(lowestLine(hn.busy))
 		}
 	}
 	return nil
+}
+
+// lowestLine returns the lowest line of a non-empty map keyed by line.
+func lowestLine[V any](m map[memory.Line]V) memory.Line {
+	low := ^memory.Line(0)
+	for l := range m {
+		low = min(low, l)
+	}
+	return low
 }
 
 // MSHRCount returns the number of outstanding fill transactions at this RN

@@ -158,3 +158,38 @@ func TestAuditDrainedFlagsLeftovers(t *testing.T) {
 		t.Errorf("violation = %v, want leak at core 1", v)
 	}
 }
+
+// AuditDrained names the lowest leftover line, so repeated audits of one
+// state agree however the maps iterate.
+func TestAuditDrainedIsDeterministic(t *testing.T) {
+	s := checkedTestSystem(t, check.Config{})
+	rn := s.RNs[1]
+	addrs := []memory.Addr{0x9000, 0x3000, 0x6000} // all homed at one HN
+	lowest := memory.LineOf(0x3000)
+	hn := s.HomeOf(lowest)
+	s.Engine.Schedule(0, func() {
+		for _, a := range addrs {
+			rn.Access(&Request{Kind: Load, Addr: a})
+		}
+	})
+	audit := func(want string) {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			v := s.AuditDrained()
+			if v == nil || v.Kind != check.KindLeak || v.Line != lowest {
+				t.Fatalf("audit %d = %v, want a leak at line %#x (%s)", i, v, uint64(lowest), want)
+			}
+		}
+	}
+	if !s.Engine.RunUntil(func() bool { return len(rn.mshrs) == len(addrs) }, 10_000) {
+		t.Fatal("load misses never allocated their MSHRs")
+	}
+	audit("outstanding fills")
+	if !s.Engine.RunUntil(func() bool { return hn.BusyLines() == len(addrs) }, 10_000) {
+		t.Fatal("the fills never reached their home node")
+	}
+	for _, a := range addrs {
+		rn.DropMSHRForTest(memory.LineOf(a))
+	}
+	audit("blocked lines")
+}

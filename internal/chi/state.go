@@ -10,11 +10,11 @@ import (
 // This file captures serializable snapshots of the protocol state for
 // checkpointing. Snapshots are canonical: cache arrays are visited in
 // Range order (set-major, MRU-first), which encodes replacement state,
-// and map-backed structures are sorted by line. Pending closures (queued
-// transaction starters, in-flight Done callbacks) cannot be serialized;
-// snapshots record their observable footprint (waiter counts, queue
-// depths) and checkpoint verification replays the deterministic event
-// stream to reconstruct them.
+// and map-backed structures are sorted by line. In-flight records (queued
+// and active transactions, snoops, the requests waiting on a fill) and the
+// events that carry them cannot be serialized; snapshots record their
+// observable footprint (waiter counts, queue depths) and checkpoint
+// verification replays the deterministic event stream to reconstruct them.
 
 // LineState is one cached line and its coherence state, in replacement
 // order within a snapshot.
@@ -108,7 +108,7 @@ func (hn *HN) Snapshot() HNState {
 		return true
 	})
 	for line, q := range hn.busy {
-		s.Busy = append(s.Busy, BusyState{Line: line, Queued: len(q)})
+		s.Busy = append(s.Busy, BusyState{Line: line, Queued: q.n})
 	}
 	sort.Slice(s.Busy, func(i, j int) bool { return s.Busy[i].Line < s.Busy[j].Line })
 	return s

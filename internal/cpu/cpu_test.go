@@ -374,29 +374,43 @@ func TestAbortNeverStarted(t *testing.T) {
 	assertNoPrograms(t, base)
 }
 
+// streamLine is the address of the i'th line of a stream cycling over 4,096
+// lines: far more than the L1 and L2 hold, so every access fills its line
+// and L2 victims write back.
+func streamLine(i int) memory.Addr { return memory.Addr(0x100000 + i%4096*memory.LineSize) }
+
 // The steady-state operation path allocates nothing: the core reuses its
-// request records and bound continuations, and the request node its bound
-// lookup stages. Each case runs batches of 1,000 operations on a line the
-// core holds UniqueDirty.
+// request records and bound continuations, the request node its bound
+// lookup stages and MSHRs, and the home node its transaction, snoop and
+// directory records. Each case warms up until every line it touches has
+// been touched once, then runs batches of 1,000 operations. The hit cases
+// work on a line the core holds UniqueDirty; the far cases ship every
+// atomic to the home node; the stream cases miss on every operation.
 func TestOpPathAllocatesNothing(t *testing.T) {
 	const batch = 1000
 	for _, tc := range []struct {
-		name string
-		op   func(th *Thread)
+		name   string
+		policy chi.Policy
+		warm   int
+		op     func(th *Thread, i int)
 	}{
-		{"compute", func(th *Thread) { th.Compute(1) }},
-		{"load-l1-hit", func(th *Thread) { th.Load(0x100) }},
-		{"store-unique", func(th *Thread) { th.Store(0x100, 1) }},
-		{"near-amo-unique", func(th *Thread) { th.AMO(memory.AMOAdd, 0x100, 1) }},
+		{"compute", nearPolicy{}, 0, func(th *Thread, _ int) { th.Compute(1) }},
+		{"load-l1-hit", nearPolicy{}, 0, func(th *Thread, _ int) { th.Load(0x100) }},
+		{"store-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.Store(0x100, 1) }},
+		{"near-amo-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x100, 1) }},
+		{"amostore-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
+		{"amoload-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
+		{"load-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Load(streamLine(i)) }},
+		{"store-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Store(streamLine(i), uint64(i)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := testSystem(t)
+			s := testSystemWith(t, tc.policy)
 			ops := 0
 			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 				th.Store(0x100, 1)
 				th.Fence()
-				for {
-					tc.op(th)
+				for i := 0; ; i++ {
+					tc.op(th, i)
 					ops++
 				}
 			}, nil)
@@ -405,8 +419,11 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 			}
 			defer c.Abort()
 			c.Start(0)
-			target := 0
+			target := tc.warm
 			reached := func() bool { return ops >= target }
+			if !s.Engine.RunUntil(reached, 0) {
+				t.Fatal("program stopped during warm-up")
+			}
 			perBatch := testing.AllocsPerRun(5, func() {
 				target += batch
 				if !s.Engine.RunUntil(reached, 0) {
@@ -424,17 +441,22 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 // handoff between the program and the core plus the events the operation
 // schedules. compute is a Compute(1) loop; load-l1-hit loads one word the
 // program warmed first, so every timed load hits in L1, and store-l1-hit
-// stores to it through a posted record. amostore-far posts AtomicStores to
-// a line the core never holds, so each runs at the home node's ALU.
+// stores to it through a posted record. load-miss loads a stream of lines
+// too long for the L1 and L2, so every load fills its line and L2 victims
+// write back. amostore-far posts AtomicStores and amoload-far issues
+// value-returning atomics to a line the core never holds, so each runs at
+// the home node's ALU.
 func BenchmarkThreadOp(b *testing.B) {
 	for _, bc := range []struct {
 		name string
-		op   func(th *Thread)
+		op   func(th *Thread, i int)
 	}{
-		{"compute", func(th *Thread) { th.Compute(1) }},
-		{"load-l1-hit", func(th *Thread) { th.Load(0x100) }},
-		{"store-l1-hit", func(th *Thread) { th.Store(0x100, 1) }},
-		{"amostore-far", func(th *Thread) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
+		{"compute", func(th *Thread, _ int) { th.Compute(1) }},
+		{"load-l1-hit", func(th *Thread, _ int) { th.Load(0x100) }},
+		{"store-l1-hit", func(th *Thread, _ int) { th.Store(0x100, 1) }},
+		{"load-miss", func(th *Thread, i int) { th.Load(streamLine(i)) }},
+		{"amostore-far", func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
+		{"amoload-far", func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := testSystemWith(b, farPolicy{})
@@ -443,7 +465,7 @@ func BenchmarkThreadOp(b *testing.B) {
 				th.Load(0x100)
 				warm = true
 				for i := 0; i < b.N; i++ {
-					bc.op(th)
+					bc.op(th, i)
 				}
 			}, func() { done = true })
 			if err != nil {

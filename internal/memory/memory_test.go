@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -157,8 +158,8 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("unaligned Load = %d, want 99", got)
 	}
 	s.StoreWord(0x1000, 0)
-	if s.Footprint() != 0 {
-		t.Fatalf("Footprint after zeroing = %d, want 0", s.Footprint())
+	if n := len(s.Words()); n != 0 {
+		t.Fatalf("%d words after zeroing, want 0", n)
 	}
 }
 
@@ -193,6 +194,75 @@ func TestStoreRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: the paged store behaves as a plain map from word address to
+// value. Random StoreWord, AMO and Load calls run against both, and Load
+// and Words are compared after every step. Addresses come from a few
+// clusters: both sides of a page boundary, unaligned offsets inside one
+// page, and high addresses far apart, and a third of the writes are zero.
+func TestStoreMatchesMapProperty(t *testing.T) {
+	bases := []Addr{0, 0x200 - 0x20, 0x1000, 0x7fff_ffff_fe00, 0xffff_ffff_ffff_ff00, 0x8000_0000_0000_0000}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		ref := make(map[Addr]uint64)
+		addr := func() Addr { return bases[rng.Intn(len(bases))] + Addr(rng.Intn(0x40)) }
+		value := func() uint64 {
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return uint64(rng.Intn(4)) << uint(rng.Intn(64))
+		}
+		for step := 0; step < 200; step++ {
+			a := addr()
+			w := a &^ 7
+			switch rng.Intn(3) { // one step in three only loads, below
+			case 0:
+				v := value()
+				s.StoreWord(a, v)
+				ref[w] = v
+			case 1:
+				op := AMOOps[rng.Intn(len(AMOOps))]
+				operand, compare := value(), value()
+				if old := s.AMO(op, a, operand, compare); old != ref[w] {
+					t.Logf("step %d: %v at %#x returned %d, want %d", step, op, a, old, ref[w])
+					return false
+				}
+				ref[w], _ = ApplyAMO(op, ref[w], operand, compare)
+			}
+			probe := addr()
+			if got, want := s.Load(probe), ref[probe&^7]; got != want {
+				t.Logf("step %d: Load(%#x) = %d, want %d", step, probe, got, want)
+				return false
+			}
+			if !sameWords(s.Words(), ref) {
+				t.Logf("step %d: Words disagrees with the reference map", step)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameWords reports whether words lists exactly ref's non-zero entries, in
+// strictly increasing address order.
+func sameWords(words []Word, ref map[Addr]uint64) bool {
+	n := 0
+	for i, w := range words {
+		if w.Value == 0 || ref[w.Addr] != w.Value || (i > 0 && words[i-1].Addr >= w.Addr) {
+			return false
+		}
+	}
+	for _, v := range ref {
+		if v != 0 {
+			n++
+		}
+	}
+	return n == len(words)
 }
 
 func BenchmarkStoreAMO(b *testing.B) {

@@ -2,6 +2,19 @@ package memory
 
 import "sort"
 
+// pageWords is the number of 64-bit words in one page of the store, and
+// pageShift the log2 of a page's size in bytes.
+const (
+	pageWords = 64
+	pageShift = 9
+)
+
+// page holds the words of one page-aligned block of memory.
+type page [pageWords]uint64
+
+// noPage is a page key no address maps to, so an empty cache never hits.
+const noPage = ^uint64(0)
+
 // Store is the functional backing store for simulated memory. The simulator
 // is execution-driven: workloads compute real results (histograms, sorted
 // arrays, BFS distances) in this store, which lets integration tests verify
@@ -9,46 +22,86 @@ import "sort"
 //
 // Values are 64-bit words at 8-byte-aligned addresses; unaligned accesses
 // are rounded down to their containing word. All timing-model serialization
-// happens in the protocol layer, so Store itself is a plain map owned by the
-// single-threaded simulation engine.
+// happens in the protocol layer, so Store itself is owned by the
+// single-threaded simulation engine. Words live in 64-word pages made on
+// the first non-zero write to them; the store remembers the last page it
+// looked up, a missing one included, so a sequential scan costs one map
+// lookup per page rather than one per word.
 type Store struct {
-	words map[Addr]uint64
+	pages map[uint64]*page
+	// lastKey and last cache the most recent lookup; last is nil when that
+	// page has never been written.
+	lastKey uint64
+	last    *page
 }
 
 // NewStore returns an empty store; unwritten memory reads as zero.
 func NewStore() *Store {
-	return &Store{words: make(map[Addr]uint64)}
+	return &Store{pages: make(map[uint64]*page), lastKey: noPage}
 }
 
-func align(a Addr) Addr { return a &^ 7 }
+// locate splits a into its page key and the index of its word in the page.
+func locate(a Addr) (key uint64, word int) {
+	return uint64(a) >> pageShift, int(a>>3) & (pageWords - 1)
+}
+
+// lookup returns the page with the given key, or nil if it was never
+// written.
+func (s *Store) lookup(key uint64) *page {
+	if key != s.lastKey {
+		s.lastKey, s.last = key, s.pages[key]
+	}
+	return s.last
+}
+
+// writable returns the page with the given key, making it if need be.
+func (s *Store) writable(key uint64) *page {
+	p := s.lookup(key)
+	if p == nil {
+		p = new(page)
+		s.pages[key] = p
+		s.last = p
+	}
+	return p
+}
 
 // Load returns the 64-bit word at a.
-func (s *Store) Load(a Addr) uint64 { return s.words[align(a)] }
+func (s *Store) Load(a Addr) uint64 {
+	key, w := locate(a)
+	if p := s.lookup(key); p != nil {
+		return p[w]
+	}
+	return 0
+}
 
 // StoreWord writes the 64-bit word at a.
 func (s *Store) StoreWord(a Addr, v uint64) {
-	a = align(a)
+	key, w := locate(a)
 	if v == 0 {
-		delete(s.words, a) // keep the map sparse for zero-dominated data
+		if p := s.lookup(key); p != nil {
+			p[w] = 0
+		}
 		return
 	}
-	s.words[a] = v
+	s.writable(key)[w] = v
 }
 
 // AMO applies an atomic read-modify-write at a and returns the prior value.
 func (s *Store) AMO(op AMOOp, a Addr, operand, compare uint64) (old uint64) {
-	a = align(a)
-	old = s.words[a]
+	key, w := locate(a)
+	p := s.lookup(key)
+	if p != nil {
+		old = p[w]
+	}
 	stored, _ := ApplyAMO(op, old, operand, compare)
 	if stored != old {
-		s.StoreWord(a, stored)
+		if p == nil {
+			p = s.writable(key)
+		}
+		p[w] = stored
 	}
 	return old
 }
-
-// Footprint returns the number of distinct non-zero words stored, an
-// approximation of the touched memory footprint used by Table III reporting.
-func (s *Store) Footprint() int { return len(s.words) }
 
 // Word is one (address, value) pair of the functional image.
 type Word struct {
@@ -60,10 +113,24 @@ type Word struct {
 // functional image, used to digest a run's result for metamorphic
 // (perturbation-invariance) testing.
 func (s *Store) Words() []Word {
-	out := make([]Word, 0, len(s.words))
-	for a, v := range s.words {
-		out = append(out, Word{Addr: a, Value: v})
+	keys := make([]uint64, 0, len(s.pages))
+	n := 0
+	for key, p := range s.pages {
+		keys = append(keys, key)
+		for _, v := range p {
+			if v != 0 {
+				n++
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]Word, 0, n)
+	for _, key := range keys {
+		for w, v := range s.pages[key] {
+			if v != 0 {
+				out = append(out, Word{Addr: Addr(key<<pageShift | uint64(w)<<3), Value: v})
+			}
+		}
+	}
 	return out
 }

@@ -16,9 +16,10 @@ import (
 // Tick is a point in simulated time, measured in clock cycles.
 type Tick uint64
 
-// event is a closure scheduled to run at a fixed simulated time. The queue
-// holds events by value, so scheduling allocates nothing beyond the
-// caller's closure.
+// event is a function scheduled to run at a fixed simulated time. The
+// queue holds events by value, so scheduling allocates nothing; the hot
+// paths pass functions bound once (a core's resume, the stages of request,
+// transaction and snoop records), never a closure made per event.
 type event struct {
 	when Tick
 	seq  uint64 // insertion order; breaks ties deterministically
