@@ -5,7 +5,8 @@
 # drift fails the build. Regenerate baselines after an intentional
 # behaviour change with: ./ci.sh -update-baselines
 # A dynamosim smoke resumes a run from its -ckpt file and compares the
-# output with a plain run's.
+# output with a plain run's. The digest gate hashes a cold seed-1 quick
+# suite's tables against the seed-1 entry of perfbench/golden.json.
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
 # -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
 # soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
@@ -111,11 +112,25 @@ sim -resume "$stats/sim.ckpt" >"$stats/sim-resumed.json"
 cmp "$stats/sim-plain.json" "$stats/sim-resumed.json"
 echo "ci: dynamosim resumed from its checkpoint to byte-identical output"
 
+# Quick-suite digest gate: every table of a cold seed-1 quick suite must
+# hash to the digest the benchmark records for seed 1 in
+# perfbench/golden.json (read here, never written). A change meant to
+# keep the simulation byte-identical is checked against an absolute
+# reference, not only against its own clean run.
+go build -o "$stats/dynamo-experiments" ./cmd/dynamo-experiments
+want_digest=$(sed -n '/"quick": {/,/}/ s/^ *"1": "\([0-9a-f]*\)".*/\1/p' perfbench/golden.json)
+[ -n "$want_digest" ] || { echo "ci: no seed-1 quick digest in perfbench/golden.json" >&2; exit 1; }
+got_digest=$("$stats/dynamo-experiments" -quick -jobs 2 -seed 1 -cache-dir "" 2>/dev/null | sha256sum | cut -d' ' -f1)
+[ "$got_digest" = "$want_digest" ] || {
+	echo "ci: quick suite tables hash to $got_digest, golden.json says $want_digest" >&2
+	exit 1
+}
+echo "ci: quick suite tables match the golden seed-1 digest"
+
 # Crash-recovery gate: a sweep SIGKILLed mid-run must complete under
 # -resume with tables byte-identical to an uninterrupted sweep. If the
 # sweep wins the race and finishes before the kill, the rerun is a pure
 # warm-cache pass and the byte-identity assertion still holds.
-go build -o "$stats/dynamo-experiments" ./cmd/dynamo-experiments
 rcache="$stats/recovery-cache"
 "$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
 	fig7 >"$stats/fig7-want.txt" 2>/dev/null

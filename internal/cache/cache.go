@@ -21,35 +21,39 @@ type SetAssoc[V any] struct {
 	sets     int
 	ways     int
 	setShift uint
-	// data holds the ways of every set that has been inserted into, one
-	// block of ways per set in first-touch order; hdr locates each set's
-	// block and counts its valid ways, which lead the block in LRU order
-	// (index 0 = most recently used). hdr is allocated by the first Insert
-	// and a set's block by its own first Insert: a simulated job fills a
-	// small share of a Table II machine's caches, so an array never written
-	// costs only its header and a written one only the sets it reached.
+	// data holds a block for every set that has been inserted into, in
+	// first-touch order: a count entry, whose tag is the number of the
+	// set's valid ways, then the set's ways, the valid ones first in LRU
+	// order (index 0 = most recently used). Keeping the count in the block
+	// means a set costs no allocation beyond its block's. hdr holds one more
+	// than each set's block number (0 until the set's first Insert), so a
+	// Table II LLC slice's header is 4 KiB. hdr is allocated by the first
+	// Insert and a set's block by its own first Insert: a simulated job
+	// fills a small share of a Table II machine's caches, so an array never
+	// written costs only its header and a written one only the sets it
+	// reached.
 	data      []way[V]
-	hdr       []setHdr
+	hdr       []uint16
 	evictions uint64
 	hits      uint64
 	misses    uint64
 }
 
-// setHdr locates one set's ways: block is one more than the set's block
-// number in data (0 until the set's first Insert), fill its valid ways.
-type setHdr struct {
-	block int32
-	fill  int32
-}
+// maxSets is the most sets an array can index: its header holds each
+// set's block number plus one in 16 bits.
+const maxSets = 1 << 15
 
-// NewSetAssoc builds an array with the given number of sets (a power of two)
-// and associativity.
+// NewSetAssoc builds an array with the given number of sets (a power of two
+// no larger than 32768) and associativity.
 func NewSetAssoc[V any](sets, ways int) *SetAssoc[V] {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %dx%d", sets, ways))
 	}
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets %d is not a power of two", sets))
+	}
+	if sets > maxSets {
+		panic(fmt.Sprintf("cache: %d sets exceed the limit of %d", sets, maxSets))
 	}
 	return &SetAssoc[V]{
 		sets:     sets,
@@ -76,18 +80,23 @@ func (c *SetAssoc[V]) index(key uint64) (set int, tag uint64) {
 	return int(key & uint64(c.sets-1)), key >> c.setShift
 }
 
+// block returns the position in data of set's count entry, or -1 before
+// the set's first Insert.
+func (c *SetAssoc[V]) block(set int) int {
+	if c.hdr == nil || c.hdr[set] == 0 {
+		return -1
+	}
+	return (int(c.hdr[set]) - 1) * (c.ways + 1)
+}
+
 // valid returns the valid ways of set in LRU order, with capacity for the
 // whole set; it is empty before the set's first Insert.
 func (c *SetAssoc[V]) valid(set int) []way[V] {
-	if c.hdr == nil {
+	b := c.block(set)
+	if b < 0 {
 		return nil
 	}
-	h := c.hdr[set]
-	if h.block == 0 {
-		return nil
-	}
-	base := int(h.block-1) * c.ways
-	return c.data[base : base+int(h.fill) : base+c.ways]
+	return c.data[b+1 : b+1+int(c.data[b].tag) : b+1+c.ways]
 }
 
 // find returns the position of tag among the ways s, or -1.
@@ -150,11 +159,11 @@ func (c *SetAssoc[V]) Contains(key uint64) bool {
 func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evicted bool) {
 	set, tag := c.index(key)
 	if c.hdr == nil {
-		c.hdr = make([]setHdr, c.sets)
+		c.hdr = make([]uint16, c.sets)
 	}
-	if c.hdr[set].block == 0 {
-		c.data = append(c.data, make([]way[V], c.ways)...)
-		c.hdr[set].block = int32(len(c.data) / c.ways)
+	if c.hdr[set] == 0 {
+		c.data = append(c.data, make([]way[V], c.ways+1)...)
+		c.hdr[set] = uint16(len(c.data) / (c.ways + 1))
 	}
 	s := c.valid(set)
 	if i := find(s, tag); i >= 0 {
@@ -163,7 +172,7 @@ func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evict
 		return 0, victim, false
 	}
 	if n := len(s); n < c.ways {
-		c.hdr[set].fill++
+		c.data[c.block(set)].tag++
 		s = s[:n+1]
 	} else {
 		// Evict LRU (last position).
@@ -184,7 +193,7 @@ func (c *SetAssoc[V]) Remove(key uint64) (V, bool) {
 	if i := find(s, tag); i >= 0 {
 		v := s[i].value
 		copy(s[i:], s[i+1:])
-		c.hdr[set].fill--
+		c.data[c.block(set)].tag--
 		return v, true
 	}
 	var zero V
@@ -205,8 +214,8 @@ func (c *SetAssoc[V]) Victim(key uint64) (victimKey uint64, wouldEvict bool) {
 // Len returns the number of valid entries across all sets.
 func (c *SetAssoc[V]) Len() int {
 	n := 0
-	for _, h := range c.hdr {
-		n += int(h.fill)
+	for b := 0; b < len(c.data); b += c.ways + 1 {
+		n += int(c.data[b].tag)
 	}
 	return n
 }

@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInsertLookup(t *testing.T) {
@@ -144,15 +148,36 @@ func TestRange(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, g := range [][2]int{{0, 1}, {1, 0}, {3, 2}, {-4, 4}} {
+	for _, g := range []struct {
+		sets, ways int
+		msg        string
+	}{
+		{0, 1, "invalid geometry"},
+		{1, 0, "invalid geometry"},
+		{3, 2, "not a power of two"},
+		{-4, 4, "invalid geometry"},
+		{1 << 16, 4, "limit of 32768"},
+	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("geometry %v did not panic", g)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), g.msg) {
+					t.Errorf("geometry %dx%d: panic %v, want one mentioning %q", g.sets, g.ways, r, g.msg)
 				}
 			}()
-			NewSetAssoc[int](g[0], g[1])
+			NewSetAssoc[int](g.sets, g.ways)
 		}()
+	}
+	// The largest array the header can index holds a block in every set,
+	// the last one touched numbered 32767.
+	const sets = 1 << 15
+	c := NewSetAssoc[int](sets, 1)
+	for k := sets - 1; k >= 0; k-- {
+		c.Insert(uint64(k), k)
+	}
+	for k := 0; k < sets; k++ {
+		if v, ok := c.Peek(uint64(k)); !ok || *v != k {
+			t.Fatalf("%d-set array: Peek(%d) = (%v, %v)", sets, k, v, ok)
+		}
 	}
 }
 
@@ -223,10 +248,10 @@ func TestLRUReferenceModelSparseSetsProperty(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Insert(key(rng), i)
 	}
-	var blocks []int32
+	var blocks []uint16
 	for _, h := range c.hdr {
-		if h.block != 0 {
-			blocks = append(blocks, h.block)
+		if h != 0 {
+			blocks = append(blocks, h-1)
 		}
 	}
 	if slices.IsSorted(blocks) {
@@ -329,15 +354,23 @@ func checkLRUReference(t *testing.T, sets, ways int, key func(*rand.Rand) uint64
 	}
 }
 
-// An array allocates nothing beyond its header until the first Insert: a
+// raceEnabled is set under the race detector, which turns off the
+// compiler's in-place growth for append(s, make([]T, n)...): there the
+// make allocates its zeroed block as a temporary.
+var raceEnabled bool
+
+// An array allocates nothing beyond itself until the first Insert: a
 // Table II LLC slice (2048 sets x 8 ways) that a job never fills costs
 // one small object, and reading it before then allocates nothing either.
-// After that it holds ways only for the sets it was given: slice 5 of 32
-// owns the lines whose low 5 bits are 5, which reach 64 of its sets.
+// The first Insert allocates the 2-byte-per-set header (4 KiB) and one
+// block: the set's ways and its count entry. After that the array holds
+// ways only for the sets it was given: slice 5 of 32 owns the lines whose
+// low 5 bits are 5, which reach 64 of its sets.
 func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
 	type line struct{ dirty bool }
+	const slice, hnSlices, sets, ways = 5, 32, 2048, 8
 	var c *SetAssoc[line]
-	if n := testing.AllocsPerRun(10, func() { c = NewSetAssoc[line](2048, 8) }); n != 1 {
+	if n := testing.AllocsPerRun(10, func() { c = NewSetAssoc[line](sets, ways) }); n != 1 {
 		t.Fatalf("NewSetAssoc(2048, 8) made %v allocations, want 1", n)
 	}
 	n := testing.AllocsPerRun(10, func() {
@@ -350,20 +383,38 @@ func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
 	if n != 0 || c.Len() != 0 {
 		t.Fatalf("reads of an empty array made %v allocations (Len %d), want 0", n, c.Len())
 	}
+	// The fewest bytes over a few fresh arrays, so that no allocation
+	// elsewhere in the process is counted.
+	block := (ways + 1) * int(unsafe.Sizeof(way[line]{}))
+	limit := uint64(sets*2 + block)
+	if raceEnabled {
+		limit += uint64(block)
+	}
+	first := ^uint64(0)
+	for range 5 {
+		a := NewSetAssoc[line](sets, ways)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a.Insert(5, line{})
+		runtime.ReadMemStats(&after)
+		first = min(first, after.TotalAlloc-before.TotalAlloc)
+	}
+	if first > limit {
+		t.Fatalf("the first Insert into a %dx%d array allocated %d bytes, want at most %d", sets, ways, first, limit)
+	}
 	c.Insert(5, line{dirty: true})
 	if v, ok := c.Peek(5); !ok || !v.dirty || c.Len() != 1 {
 		t.Fatalf("after the first Insert: Peek = (%v, %v), Len %d", v, ok, c.Len())
 	}
-	const slice, hnSlices, sets, ways = 5, 32, 2048, 8
 	for k := uint64(slice); k < ways*sets; k += hnSlices {
 		c.Insert(k, line{})
 	}
-	if want := sets / hnSlices * ways; len(c.data) != want || c.Len() != want {
-		t.Fatalf("after filling slice %d's sets: %d ways stored, Len %d; want %d", slice, len(c.data), c.Len(), want)
+	if want := sets / hnSlices; len(c.data) != want*(ways+1) || c.Len() != want*ways {
+		t.Fatalf("after filling slice %d's sets: %d entries stored, Len %d; want %d blocks of %d ways", slice, len(c.data), c.Len(), want, ways)
 	}
 	for set, h := range c.hdr {
-		if (h.block != 0) != (set%hnSlices == slice) {
-			t.Fatalf("set %d has block %d", set, h.block)
+		if (h != 0) != (set%hnSlices == slice) {
+			t.Fatalf("set %d has header %d", set, h)
 		}
 	}
 }

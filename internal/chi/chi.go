@@ -118,6 +118,10 @@ func (c Config) Validate() error {
 		if g[0] <= 0 || g[1] <= 0 || g[0]&(g[0]-1) != 0 {
 			return fmt.Errorf("chi: bad cache geometry %dx%d", g[0], g[1])
 		}
+		// A cache array's 2-byte set header indexes at most 32768 sets.
+		if g[0] > 1<<15 {
+			return fmt.Errorf("chi: cache geometry %dx%d exceeds 32768 sets", g[0], g[1])
+		}
 	}
 	if c.AMOBufEntries <= 0 {
 		return fmt.Errorf("chi: AMO buffer needs at least one entry")

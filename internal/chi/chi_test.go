@@ -82,12 +82,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	largest := testConfig()
+	largest.L1Sets, largest.L2Sets, largest.LLCSets = 1<<15, 1<<15, 1<<15
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("32768-set caches rejected: %v", err)
+	}
 	mutations := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Cores = 65 },
 		func(c *Config) { c.HNSlices = 3 },
 		func(c *Config) { c.L1Sets = 0 },
 		func(c *Config) { c.L1Sets = 3 },
+		// A cache array's 2-byte set header indexes at most 32768 sets.
+		func(c *Config) { c.L1Sets = 1 << 16 },
+		func(c *Config) { c.L2Sets = 1 << 16 },
+		func(c *Config) { c.LLCSets = 1 << 16 },
 		func(c *Config) { c.AMOBufEntries = 0 },
 		func(c *Config) { c.L1Latency = 0 },
 		func(c *Config) { c.Mesh.Width = 0 },

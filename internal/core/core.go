@@ -46,6 +46,10 @@ func (c AMTConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("core: AMT sets %d not a power of two", sets)
 	}
+	// A cache array's 2-byte set header indexes at most 32768 sets.
+	if sets > 1<<15 {
+		return fmt.Errorf("core: AMT sets %d exceed 32768", sets)
+	}
 	if c.CounterMax <= 0 {
 		return fmt.Errorf("core: AMT counter max %d", c.CounterMax)
 	}

@@ -68,14 +68,19 @@ func TestAMTConfigValidate(t *testing.T) {
 		{Entries: 127, Ways: 4, CounterMax: 32},
 		{Entries: 96, Ways: 4, CounterMax: 32}, // 24 sets: not a power of two
 		{Entries: 128, Ways: 4, CounterMax: 0},
+		// A cache array's 2-byte set header indexes at most 32768 sets.
+		{Entries: 1 << 16 * 4, Ways: 4, CounterMax: 32},
+		{Entries: 1 << 16, Ways: 1, CounterMax: 32},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v accepted", c)
 		}
 	}
-	if err := DefaultAMTConfig().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
+	for _, c := range []AMTConfig{DefaultAMTConfig(), {Entries: 1 << 15 * 4, Ways: 4, CounterMax: 32}} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("config %+v rejected: %v", c, err)
+		}
 	}
 }
 

@@ -250,6 +250,21 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkEngineScheduleRunFar is BenchmarkEngineScheduleRun with every
+// delay past the wheel's span, so each event goes through the overflow
+// heap.
+func BenchmarkEngineScheduleRunFar(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(wheelSpan+Tick(i%64), func() {})
+		if i%64 == 63 {
+			e.Run(0)
+		}
+	}
+	e.Run(0)
+}
+
 // engineAPI is the part of the engine contract the differential test
 // drives; *Engine and refEngine both implement it.
 type engineAPI interface {
@@ -365,16 +380,39 @@ type diffTrace struct {
 	snaps []Snapshot
 }
 
+// farDelays cross the timing wheel's span: 255 is the last delay the
+// wheel holds, 256 and beyond go to the overflow heap, some several spans
+// out. Events scheduled on nearby ticks at 255, 256 and 257 often land on
+// one tick from both sides, so the heap/wheel tie-break is exercised.
+var farDelays = [...]Tick{255, 256, 257, 2*wheelSpan - 1, 2 * wheelSpan, 3*wheelSpan + 5, 7*wheelSpan + 3}
+
+// scriptDelay picks a delay from r: usually 0-7, so equal-time ties are
+// common, otherwise one of farDelays.
+func scriptDelay(r uint64) Tick {
+	if r%4 != 0 {
+		return Tick(r / 4 % 8)
+	}
+	return farDelays[r/4%uint64(len(farDelays))]
+}
+
 // runScript drives eng through a random schedule fixed by seed. Events
-// schedule children with Schedule and At at small delays (so equal-time
-// ties are common) and occasionally Stop the run; the script interleaves
-// outside scheduling with Step, Run(limit) and RunUntil budgets.
+// schedule children with Schedule and At, mostly at small delays and
+// otherwise across the wheel span, and occasionally Stop the run; the
+// script interleaves outside scheduling with Step, Run(limit) and RunUntil
+// budgets.
 func runScript(seed int64, eng engineAPI) diffTrace {
 	var tr diffTrace
 	ids := uint64(0)
 	var event func(id uint64) func()
 	event = func(id uint64) func() {
 		return func() {
+			if len(tr.ops) > 10_000 {
+				// A script runs fewer than a thousand ops and events; a
+				// broken queue that runs events again stops here instead
+				// of spinning, and its trace no longer matches.
+				eng.Stop()
+				return
+			}
 			tr.ops = append(tr.ops, fmt.Sprintf("event %d at %d", id, eng.Now()))
 			tr.snaps = append(tr.snaps, eng.Snapshot())
 			r := mix(uint64(seed)<<20 ^ id)
@@ -384,7 +422,7 @@ func runScript(seed int64, eng engineAPI) diffTrace {
 			for kid := r % 3; kid > 0 && ids < 600; kid-- {
 				r = mix(r)
 				ids++
-				if delay := Tick(r % 8); r&8 == 0 {
+				if delay := scriptDelay(r >> 1); r&1 == 0 {
 					eng.Schedule(delay, event(ids))
 				} else {
 					eng.At(eng.Now()+delay, event(ids))
@@ -398,13 +436,13 @@ func runScript(seed int64, eng engineAPI) diffTrace {
 		switch rng.Intn(5) {
 		case 0, 1:
 			ids++
-			delay := Tick(rng.Intn(16))
+			delay := scriptDelay(rng.Uint64())
 			eng.Schedule(delay, event(ids))
 			op = fmt.Sprintf("schedule %d after %d", ids, delay)
 		case 2:
 			op = fmt.Sprintf("step %v", eng.Step())
 		case 3:
-			limit := Tick(rng.Intn(8))
+			limit := scriptDelay(rng.Uint64())
 			op = fmt.Sprintf("run(%d) = %d", limit, eng.Run(limit))
 		case 4:
 			target := len(tr.ops) + rng.Intn(10)
@@ -442,18 +480,22 @@ func TestEventQueueMatchesReference(t *testing.T) {
 }
 
 // Steady-state scheduling allocates nothing beyond the caller's closure:
-// the queue holds events by value and reuses its backing array.
+// freed slots are reused, and neither the wheel nor the overflow heap
+// grows once it holds the steady-state load. The far case keeps 64 events
+// in the overflow heap.
 func TestScheduleStepAllocatesNothing(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.Schedule(Tick(i), fn)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(64, fn)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Schedule+Step allocated %v times per call, want 0", allocs)
+	for _, delay := range []Tick{64, 3 * wheelSpan} {
+		e := NewEngine()
+		fn := func() {}
+		for i := 0; i < 64; i++ {
+			e.Schedule(delay-64+Tick(i), fn)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			e.Schedule(delay, fn)
+			e.Step()
+		})
+		if allocs != 0 {
+			t.Fatalf("Schedule(%d)+Step allocated %v times per call, want 0", delay, allocs)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dynamo/internal/cpu"
 	"dynamo/internal/memory"
@@ -344,14 +346,36 @@ func buildSPMV(p Params) (*Instance, error) {
 			t.Fence()
 		})
 	}
-	ref := make([]uint64, shape.rows)
-	for i := 0; i < nnz; i++ {
-		ref[rowOf[i]] += valOf[i] * xv[i/shape.nnzPerCol]
+	// The reference result is sparse: (row, sum) for each row the matrix
+	// touches, in row order. JP's y has 2^19 rows at every scale, and a
+	// dense copy would cost 4 MiB per build.
+	type rowSum struct {
+		row int
+		sum uint64
+	}
+	ref := make([]rowSum, nnz)
+	for i := range ref {
+		ref[i] = rowSum{rowOf[i], valOf[i] * xv[i/shape.nnzPerCol]}
+	}
+	slices.SortFunc(ref, func(a, b rowSum) int { return cmp.Compare(a.row, b.row) })
+	sums := ref[:0]
+	for _, r := range ref {
+		if n := len(sums); n > 0 && sums[n-1].row == r.row {
+			sums[n-1].sum += r.sum
+		} else {
+			sums = append(sums, r)
+		}
 	}
 	inst.Validate = func(data *memory.Store) error {
+		next := sums
 		for r := 0; r < shape.rows; r++ {
-			if got := data.Load(word(y, r)); got != ref[r] {
-				return fmt.Errorf("spmv(%s): y[%d] = %d, want %d", input, r, got, ref[r])
+			var want uint64
+			if len(next) > 0 && next[0].row == r {
+				want = next[0].sum
+				next = next[1:]
+			}
+			if got := data.Load(word(y, r)); got != want {
+				return fmt.Errorf("spmv(%s): y[%d] = %d, want %d", input, r, got, want)
 			}
 		}
 		return nil

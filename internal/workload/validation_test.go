@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynamo/internal/memory"
+	"dynamo/internal/obs"
 )
 
 // The validators are the safety net for the whole simulator: if the
@@ -61,6 +62,56 @@ func TestValidatorsCatchCorruption(t *testing.T) {
 				t.Fatal("no corruption detected by the validator")
 			}
 		})
+	}
+}
+
+// spmv's validator checks every row of y, not only the rows the matrix
+// touches: a stray write into a row no entry scatters to must fail it.
+// TestValidatorsCatchCorruption bumps words that are already non-zero, so
+// it cannot tell.
+func TestSPMVValidatorCatchesStrayWrite(t *testing.T) {
+	s, err := Get("spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Build(Params{Threads: 4, Seed: 2, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMachine(t, "all-near")
+	runInstance(t, m, inst)
+	var y obs.Site
+	for _, site := range inst.Sites {
+		if site.Name == "y" {
+			y = site
+		}
+	}
+	rows := int(y.Bytes / 8)
+	if rows == 0 {
+		t.Fatal("spmv tagged no y region")
+	}
+	data := m.Sys.Data
+	var untouched []int
+	for r := 0; r < rows; r++ {
+		if data.Load(word(y.Base, r)) == 0 {
+			untouched = append(untouched, r)
+		}
+	}
+	if len(untouched) == 0 {
+		t.Fatal("every row of y is non-zero; the test needs an untouched row")
+	}
+	// The first and the last untouched rows: a validator that stopped at
+	// the last touched row would miss the second.
+	for _, r := range []int{untouched[0], untouched[len(untouched)-1]} {
+		data.StoreWord(word(y.Base, r), 1)
+		err := inst.Validate(data)
+		data.StoreWord(word(y.Base, r), 0)
+		if err == nil {
+			t.Fatalf("validator accepted a stray write to untouched row %d of %d", r, rows)
+		}
+	}
+	if err := inst.Validate(data); err != nil {
+		t.Fatalf("restored result no longer validates: %v", err)
 	}
 }
 
