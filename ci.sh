@@ -5,8 +5,9 @@
 # drift fails the build. Regenerate baselines after an intentional
 # behaviour change with: ./ci.sh -update-baselines
 # A dynamosim smoke resumes a run from its -ckpt file and compares the
-# output with a plain run's. The digest gate hashes a cold seed-1 quick
-# suite's tables against the seed-1 entry of perfbench/golden.json.
+# output with a plain run's, once unperturbed and once sanitized under
+# chaos. The digest gate hashes a cold seed-1 quick suite's tables
+# against the seed-1 entry of perfbench/golden.json.
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
 # -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
 # soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
@@ -111,6 +112,14 @@ sim -ckpt "$stats/sim.ckpt" -ckpt-every 20000 >/dev/null
 sim -resume "$stats/sim.ckpt" >"$stats/sim-resumed.json"
 cmp "$stats/sim-plain.json" "$stats/sim-resumed.json"
 echo "ci: dynamosim resumed from its checkpoint to byte-identical output"
+# The same triple under the sanitizer and chaos: the injector is part of
+# the run's configuration and its stream positions ride in the checkpoint.
+chaos="-check -chaos-seed 3 -chaos-level 2"
+sim $chaos >"$stats/sim-chaos-plain.json"
+sim $chaos -ckpt "$stats/sim-chaos.ckpt" -ckpt-every 20000 >/dev/null
+sim $chaos -resume "$stats/sim-chaos.ckpt" >"$stats/sim-chaos-resumed.json"
+cmp "$stats/sim-chaos-plain.json" "$stats/sim-chaos-resumed.json"
+echo "ci: chaotic dynamosim resumed from its checkpoint to byte-identical output"
 
 # Quick-suite digest gate: every table of a cold seed-1 quick suite must
 # hash to the digest the benchmark records for seed 1 in

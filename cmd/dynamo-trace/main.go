@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"dynamo"
-	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/cliflags"
 	"dynamo/internal/cpu"
@@ -236,12 +235,6 @@ func bisect(args []string) error {
 		return err
 	}
 	defer stopProfiles()
-	if *chaosSeed != 0 && *chaosLevel == 0 {
-		*chaosLevel = 1
-	}
-	if *chaosLevel > 0 && *chaosSeed == 0 {
-		*chaosSeed = 1
-	}
 
 	// Every probe rebuilds the run identically; determinism makes replay-
 	// to-event-N a pure function of N.
@@ -262,16 +255,10 @@ func bisect(args []string) error {
 		cfg := machine.DefaultConfig()
 		cfg.Policy = *policy
 		cfg.Check = &check.Config{MaxMSHRs: *maxMSHRs, MaxBusyLines: *maxBusy}
+		cfg.ChaosSeed, cfg.ChaosLevel = *chaosSeed, *chaosLevel
 		m, err := machine.New(cfg)
 		if err != nil {
 			return nil, nil, err
-		}
-		if *chaosLevel > 0 {
-			inj, err := chaos.New(*chaosSeed, *chaosLevel)
-			if err != nil {
-				return nil, nil, err
-			}
-			inj.Attach(m)
 		}
 		if inst.Setup != nil {
 			inst.Setup(m.Sys.Data)

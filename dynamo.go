@@ -23,9 +23,6 @@
 package dynamo
 
 import (
-	"fmt"
-
-	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/core"
 	"dynamo/internal/cpu"
@@ -34,7 +31,6 @@ import (
 	"dynamo/internal/obs/profile"
 	"dynamo/internal/perf"
 	"dynamo/internal/sim"
-	"dynamo/internal/trace"
 	"dynamo/internal/workload"
 )
 
@@ -185,158 +181,6 @@ func ProbeCounters() []string { return obs.KnownCounters() }
 
 // ProbeSpans lists the occupancy/stall span names the simulator publishes.
 func ProbeSpans() []string { return obs.KnownSpans() }
-
-// options is a Session's run parameters, set by the functional options.
-type options struct {
-	// Policy is a placement policy name (see Policies). Empty selects
-	// "all-near", the paper's baseline.
-	Policy string
-	// Threads is the number of worker threads; 0 selects the core count.
-	Threads int
-	// Seed drives all pseudo-random choices (default 1).
-	Seed int64
-	// Scale multiplies the default problem size (0 = 1.0).
-	Scale float64
-	// Input selects a workload input variant ("" = default).
-	Input string
-	// Config overrides the system configuration (nil = DefaultConfig).
-	Config *Config
-	// SkipValidation disables the post-run functional check (benchmarks).
-	SkipValidation bool
-	// Trace, when non-nil, records every executed thread operation.
-	Trace *trace.Writer
-	// Obs, when non-nil, collects transaction-level observability data
-	// (latency histograms and, if the bus enables it, a timeline). The
-	// run's digest lands in Result.Obs; call Obs.WriteTimeline afterwards
-	// for the Chrome trace-event export.
-	Obs *obs.Bus
-	// Profile, when non-nil, collects the per-cacheline contention profile.
-	// Requires Obs: the profiler attaches to the bus as its contention
-	// observer, and workload site annotations are registered on the bus so
-	// the report can attribute hot lines.
-	Profile *profile.Profiler
-	// Interval, when non-nil, collects interval telemetry during the run.
-	// Class-latency and counter deltas are only populated when Obs is also
-	// set; traffic counters (NoC, HBM, instructions) always are.
-	Interval *profile.Recorder
-	// Check attaches the protocol invariant sanitizer (see WithCheck).
-	Check bool
-	// HostPerf attaches the host-performance self-profiler (see
-	// WithHostPerf); the run's report lands in Result.HostPerf.
-	HostPerf bool
-	// ChaosSeed and ChaosLevel attach the deterministic fault injector
-	// (see WithChaos). Setting one defaults the other to 1; both zero
-	// leave the run unperturbed.
-	ChaosSeed  int64
-	ChaosLevel int
-	// CkptEvery and CkptSink enable periodic checkpoint capture (see
-	// WithCheckpoint).
-	CkptEvery uint64
-	CkptSink  func(*Checkpoint)
-	// Interrupt cancels the run once signaled or closed (see
-	// WithInterrupt).
-	Interrupt <-chan struct{}
-	// resume restores the run from a checkpoint (Session.Resume).
-	resume *Checkpoint
-}
-
-func (o options) fill() (options, Config, error) {
-	cfg := DefaultConfig()
-	if o.Config != nil {
-		cfg = *o.Config
-	}
-	if o.Policy == "" {
-		o.Policy = "all-near"
-	}
-	cfg.Policy = o.Policy
-	if o.Threads == 0 {
-		o.Threads = cfg.Chi.Cores
-	}
-	if o.Threads > cfg.Chi.Cores {
-		return o, cfg, fmt.Errorf("dynamo: %d threads exceed %d cores", o.Threads, cfg.Chi.Cores)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.ChaosSeed != 0 && o.ChaosLevel == 0 {
-		o.ChaosLevel = 1
-	}
-	if o.ChaosLevel > 0 && o.ChaosSeed == 0 {
-		o.ChaosSeed = 1
-	}
-	if o.ChaosLevel < 0 || o.ChaosLevel > chaos.MaxLevel {
-		return o, cfg, fmt.Errorf("dynamo: chaos level %d out of range 0..%d", o.ChaosLevel, chaos.MaxLevel)
-	}
-	return o, cfg, nil
-}
-
-// attachChaos wires the fault injector selected by opts into a built
-// machine (a no-op when chaos is off). Must run between machine.New and
-// Run so every perturbation hook is in place before the first event.
-func attachChaos(m *machine.Machine, opts options) error {
-	if opts.ChaosLevel == 0 {
-		return nil
-	}
-	inj, err := chaos.New(opts.ChaosSeed, opts.ChaosLevel)
-	if err != nil {
-		return err
-	}
-	inj.Attach(m)
-	return nil
-}
-
-func runInstance(cfg Config, inst *workload.Instance, opts options) (*Result, error) {
-	if opts.Trace != nil {
-		observe, flush := trace.Recorder(opts.Trace)
-		cfg.CPU.Observe = observe
-		defer flush()
-	}
-	cfg.Obs = opts.Obs
-	cfg.Interval = opts.Interval
-	cfg.CkptEvery = opts.CkptEvery
-	cfg.CkptSink = opts.CkptSink
-	cfg.Interrupt = opts.Interrupt
-	if opts.Check {
-		cfg.Check = &check.Config{}
-	}
-	if opts.HostPerf {
-		cfg.Perf = perf.New(0)
-	}
-	if opts.Profile != nil {
-		if opts.Obs == nil {
-			return nil, fmt.Errorf("dynamo: WithProfile requires WithObs")
-		}
-		opts.Obs.AttachContention(opts.Profile)
-	}
-	for _, s := range inst.Sites {
-		opts.Obs.RegisterSite(s)
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := attachChaos(m, opts); err != nil {
-		return nil, err
-	}
-	if inst.Setup != nil {
-		inst.Setup(m.Sys.Data)
-	}
-	var res *Result
-	if opts.resume != nil {
-		res, err = m.RunFrom(inst.Programs, opts.resume)
-	} else {
-		res, err = m.Run(inst.Programs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !opts.SkipValidation {
-		if err := inst.Validate(m.Sys.Data); err != nil {
-			return nil, fmt.Errorf("dynamo: functional validation failed: %w", err)
-		}
-	}
-	return res, nil
-}
 
 // Thread is the API custom programs use to issue simulated operations:
 // Load, Store, AMO, CAS, AMOStore, Compute, Fence and the release

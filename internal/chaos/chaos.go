@@ -28,7 +28,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"dynamo/internal/machine"
+	"dynamo/internal/chi"
 	"dynamo/internal/memory"
 	"dynamo/internal/perf"
 	"dynamo/internal/sim"
@@ -37,9 +37,23 @@ import (
 // MaxLevel is the strongest perturbation intensity.
 const MaxLevel = 3
 
-// Injector perturbs one machine. Build with New, wire with Attach before
-// the run starts. An Injector is single-use, like the machine it attaches
-// to: its random streams advance as the run consumes them.
+// Normalize applies the one defaulting rule every entry point shares: a
+// seed without a level runs level 1, and a level without a seed runs
+// seed 1. Both zero leave the run unperturbed.
+func Normalize(seed int64, level int) (int64, int) {
+	if seed != 0 && level == 0 {
+		level = 1
+	}
+	if level > 0 && seed == 0 {
+		seed = 1
+	}
+	return seed, level
+}
+
+// Injector perturbs one machine. The machine builds and attaches one when
+// its configuration enables chaos (machine.Config.ChaosSeed/ChaosLevel).
+// An Injector is single-use, like the machine it attaches to: its random
+// streams advance as the run consumes them.
 type Injector struct {
 	seed  int64
 	level int
@@ -75,33 +89,33 @@ func (in *Injector) Level() int { return in.level }
 // ticks; level divides it.
 const amtPressurePeriod = 40_000
 
-// Attach wires the injector's perturbation hooks into a built machine.
-// Call between machine.New and Run. A nil or level-0 injector attaches
-// nothing, so the unperturbed run stays byte-for-byte identical to one
-// that never imported this package.
-func (in *Injector) Attach(m *machine.Machine) {
+// Attach wires the injector's perturbation hooks into a built system,
+// before its first event. A nil or level-0 injector attaches nothing, so
+// the unperturbed run stays byte-for-byte identical to one that never
+// imported this package.
+func (in *Injector) Attach(sys *chi.System, policy chi.Policy) {
 	if in == nil || in.level == 0 {
 		return
 	}
 	lvl := sim.Tick(in.level)
-	m.Sys.Mesh.SetJitter(func(src, dst, flits int) sim.Tick {
+	sys.Mesh.SetJitter(func(src, dst, flits int) sim.Tick {
 		return sim.Tick(in.mesh.below(uint64(3*lvl) + 1))
 	})
-	channels := m.Sys.Mem.Channels()
+	channels := sys.Mem.Channels()
 	in.skew = make([]sim.Tick, channels)
 	skewStream := newStream(in.seed, 0x736b6577) // "skew"
 	for ch := range in.skew {
 		in.skew[ch] = sim.Tick(skewStream.below(uint64(8*lvl) + 1))
 	}
-	m.Sys.Mem.SetJitter(func(ch int) sim.Tick {
+	sys.Mem.SetJitter(func(ch int) sim.Tick {
 		return in.skew[ch] + sim.Tick(in.mem.below(uint64(2*lvl)+1))
 	})
-	m.Sys.SetSnoopJitter(func(core int, line memory.Line) sim.Tick {
+	sys.SetSnoopJitter(func(core int, line memory.Line) sim.Tick {
 		return sim.Tick(in.snoop.below(uint64(4*lvl) + 1))
 	})
-	if a, ok := m.Policy.(interface{ Age() }); ok {
+	if a, ok := policy.(interface{ Age() }); ok {
 		period := sim.Tick(amtPressurePeriod / in.level)
-		eng := m.Sys.Engine
+		eng := sys.Engine
 		var tick func()
 		tick = func() {
 			if eng.Pending() == 0 {
@@ -114,25 +128,14 @@ func (in *Injector) Attach(m *machine.Machine) {
 		}
 		eng.ScheduleKind(period, perf.KindTick, tick)
 	}
-	// The injector's stream positions are part of the machine state: a
-	// checkpoint of a chaotic run must pin every stream so a restore (which
-	// rebuilds an identically seeded injector and replays) can verify it
-	// reproduced the same perturbation schedule.
-	m.RegisterCkptState("chaos", func() any { return in.snapshot() })
 }
 
-// snapshot is the serializable injector state: configuration plus the
-// position of every perturbation stream.
-type snapshot struct {
-	Seed  int64      `json:"seed"`
-	Level int        `json:"level"`
-	Mesh  uint64     `json:"mesh"`
-	Mem   uint64     `json:"mem"`
-	Snoop uint64     `json:"snoop"`
-	Skew  []sim.Tick `json:"skew,omitempty"`
-}
-
-func (in *Injector) snapshot() snapshot {
+// State is the injector's checkpoint image: its configuration plus the
+// position of every perturbation stream. A checkpoint of a chaotic run
+// pins every stream, so a restore (which rebuilds an identically seeded
+// injector and replays) can verify it reproduced the same perturbation
+// schedule.
+func (in *Injector) State() any {
 	return snapshot{
 		Seed:  in.seed,
 		Level: in.level,
@@ -141,6 +144,16 @@ func (in *Injector) snapshot() snapshot {
 		Snoop: in.snoop.x,
 		Skew:  in.skew,
 	}
+}
+
+// snapshot is the serializable injector state (see State).
+type snapshot struct {
+	Seed  int64      `json:"seed"`
+	Level int        `json:"level"`
+	Mesh  uint64     `json:"mesh"`
+	Mem   uint64     `json:"mem"`
+	Snoop uint64     `json:"snoop"`
+	Skew  []sim.Tick `json:"skew,omitempty"`
 }
 
 // stream is a splitmix64 pseudo-random stream: tiny, seedable, and with no

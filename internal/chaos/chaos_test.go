@@ -1,10 +1,11 @@
-package chaos
+package chaos_test
 
 import (
 	"errors"
 	"sync"
 	"testing"
 
+	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/machine"
 	"dynamo/internal/memory"
@@ -25,8 +26,8 @@ func smallCfg(policy string) machine.Config {
 	return cfg
 }
 
-// runInstance executes one workload instance under an optional injector
-// and sanitizer, validates its functional result, and returns the result
+// runInstance executes one workload instance under optional chaos and
+// sanitizer, validates its functional result, and returns the result
 // digest plus the machine result.
 func runInstance(t testing.TB, policy string, inst *workload.Instance, chaosSeed int64, level int, checked bool) (string, *machine.Result) {
 	t.Helper()
@@ -34,15 +35,11 @@ func runInstance(t testing.TB, policy string, inst *workload.Instance, chaosSeed
 	if checked {
 		cfg.Check = &check.Config{}
 	}
+	cfg.ChaosSeed, cfg.ChaosLevel = chaosSeed, level
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := New(chaosSeed, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Attach(m)
 	if inst.Setup != nil {
 		inst.Setup(m.Sys.Data)
 	}
@@ -55,7 +52,7 @@ func runInstance(t testing.TB, policy string, inst *workload.Instance, chaosSeed
 			t.Fatalf("validate (chaos seed %d level %d): %v", chaosSeed, level, err)
 		}
 	}
-	return Digest(m.Sys.Data), res
+	return chaos.Digest(m.Sys.Data), res
 }
 
 func counterInstance(t testing.TB, ops int) *workload.Instance {
@@ -68,17 +65,37 @@ func counterInstance(t testing.TB, ops int) *workload.Instance {
 }
 
 func TestNewRejectsBadLevel(t *testing.T) {
-	for _, lvl := range []int{-1, MaxLevel + 1} {
-		if _, err := New(1, lvl); err == nil {
+	for _, lvl := range []int{-1, chaos.MaxLevel + 1} {
+		if _, err := chaos.New(1, lvl); err == nil {
 			t.Errorf("level %d accepted", lvl)
 		}
 	}
-	in, err := New(42, 2)
+	in, err := chaos.New(42, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.Seed() != 42 || in.Level() != 2 {
 		t.Errorf("injector = seed %d level %d, want 42/2", in.Seed(), in.Level())
+	}
+}
+
+// TestNormalize pins the one defaulting rule every entry point shares.
+func TestNormalize(t *testing.T) {
+	for _, tc := range []struct {
+		seed, wantSeed   int64
+		level, wantLevel int
+	}{
+		{seed: 0, level: 0, wantSeed: 0, wantLevel: 0},
+		{seed: 5, level: 0, wantSeed: 5, wantLevel: 1},
+		{seed: 0, level: 2, wantSeed: 1, wantLevel: 2},
+		{seed: 5, level: 2, wantSeed: 5, wantLevel: 2},
+		{seed: -7, level: 0, wantSeed: -7, wantLevel: 1},
+	} {
+		seed, level := chaos.Normalize(tc.seed, tc.level)
+		if seed != tc.wantSeed || level != tc.wantLevel {
+			t.Errorf("Normalize(%d, %d) = (%d, %d), want (%d, %d)",
+				tc.seed, tc.level, seed, level, tc.wantSeed, tc.wantLevel)
+		}
 	}
 }
 
@@ -218,10 +235,10 @@ func FuzzCounterChaos(f *testing.F) {
 	f.Add(int64(42), 2)
 	f.Add(int64(-7), 3)
 	f.Fuzz(func(t *testing.T, seed int64, level int) {
-		if level < 1 || level > MaxLevel {
-			l := level % MaxLevel
+		if level < 1 || level > chaos.MaxLevel {
+			l := level % chaos.MaxLevel
 			if l < 0 {
-				l += MaxLevel
+				l += chaos.MaxLevel
 			}
 			level = l + 1
 		}

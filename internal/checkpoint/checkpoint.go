@@ -12,8 +12,8 @@
 // of the machine: engine clock and queue, per-core CPU state, L1/L2/LLC
 // arrays with replacement order, directory and MSHR state, NoC link
 // reservations, HBM channel queues, predictor tables, the functional
-// memory image, sanitizer and observability counters, and any extra
-// registered component state (e.g. chaos stream positions).
+// memory image, sanitizer and observability counters, and the chaos
+// injector's stream positions when the run is chaotic.
 package checkpoint
 
 import (
@@ -76,8 +76,9 @@ type State struct {
 	Check  *check.Report   `json:"check,omitempty"`
 	Obs    *obs.Report     `json:"obs,omitempty"`
 	Policy json.RawMessage `json:"policy,omitempty"`
-	// Extra holds registered component state (machine.RegisterCkptState),
-	// e.g. chaos injector stream positions, keyed by component name.
+	// Extra holds optional component state keyed by component name: the
+	// machine writes the chaos injector's stream positions under "chaos"
+	// when chaos is on.
 	Extra map[string]json.RawMessage `json:"extra,omitempty"`
 }
 

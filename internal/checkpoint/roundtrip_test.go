@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/checkpoint"
 	"dynamo/internal/machine"
@@ -33,15 +32,11 @@ func newMachine(t testing.TB, policy string, inst *workload.Instance, chaosSeed 
 	t.Helper()
 	cfg := smallCfg(policy)
 	cfg.Check = &check.Config{}
+	cfg.ChaosSeed, cfg.ChaosLevel = chaosSeed, level
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := chaos.New(chaosSeed, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Attach(m)
 	if inst.Setup != nil {
 		inst.Setup(m.Sys.Data)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/checkpoint"
 	"dynamo/internal/chi"
@@ -59,6 +60,13 @@ type Config struct {
 	// a clean run reports its audit counters in Result.Check. The zero
 	// Config selects every default.
 	Check *check.Config
+	// ChaosSeed and ChaosLevel, when either is non-zero, attach the
+	// deterministic fault injector (internal/chaos): protocol-legal timing
+	// perturbations at intensity 1..chaos.MaxLevel, with the pair
+	// defaulted by chaos.Normalize. Functional results are unaffected; the
+	// injector's stream positions are checkpointed under "chaos".
+	ChaosSeed  int64
+	ChaosLevel int
 	// WatchdogEvents is the forward-progress window: if no core commits an
 	// instruction for this many engine events, the run is abandoned with
 	// ErrStalled and a machine diagnostic. Zero selects the package
@@ -141,6 +149,9 @@ func (c Config) Validate() error {
 	if _, err := core.New(c.Policy, c.Chi.Cores, c.AMT); err != nil {
 		return err
 	}
+	if c.ChaosLevel < 0 || c.ChaosLevel > chaos.MaxLevel {
+		return fmt.Errorf("machine: chaos level %d out of range 0..%d", c.ChaosLevel, chaos.MaxLevel)
+	}
 	return nil
 }
 
@@ -201,27 +212,10 @@ type Machine struct {
 	Sys    *chi.System
 	Policy chi.Policy
 	model  energy.Model
-	// extra holds registered checkpoint-state providers (RegisterCkptState)
-	// in registration order.
-	extra []extraState
+	// chaos is the attached fault injector; nil when chaos is off.
+	chaos *chaos.Injector
 	// rs is the state of the in-progress run; nil before begin.
 	rs *runState
-}
-
-// extraState is one registered component-state provider for checkpoints.
-type extraState struct {
-	name string
-	fn   func() any
-}
-
-// RegisterCkptState adds a named component-state provider to the
-// machine's checkpoints — used by components outside the machine's own
-// wiring (e.g. the chaos injector) whose state must round-trip. fn must
-// return a JSON-serializable, canonically ordered value and must not
-// mutate simulation state. Registration order is irrelevant: checkpoint
-// state is keyed by name in a sorted map.
-func (m *Machine) RegisterCkptState(name string, fn func() any) {
-	m.extra = append(m.extra, extraState{name: name, fn: fn})
 }
 
 // runState carries one run's loop state across drive calls, so a run can
@@ -295,6 +289,16 @@ func NewWithPolicy(cfg Config, policy chi.Policy) (*Machine, error) {
 	if cfg.Check != nil {
 		sys.EnableCheck(check.New(*cfg.Check))
 	}
+	// The injector's hooks and its first pressure tick go in before the
+	// run schedules anything, so every event keeps its sequence number.
+	var inj *chaos.Injector
+	cfg.ChaosSeed, cfg.ChaosLevel = chaos.Normalize(cfg.ChaosSeed, cfg.ChaosLevel)
+	if cfg.ChaosLevel != 0 {
+		if inj, err = chaos.New(cfg.ChaosSeed, cfg.ChaosLevel); err != nil {
+			return nil, err
+		}
+		inj.Attach(sys, policy)
+	}
 	model := cfg.Energy
 	if model == (energy.Model{}) {
 		model = energy.DefaultModel()
@@ -302,7 +306,7 @@ func NewWithPolicy(cfg Config, policy chi.Policy) (*Machine, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{Cfg: cfg, Sys: sys, Policy: policy, model: model}, nil
+	return &Machine{Cfg: cfg, Sys: sys, Policy: policy, model: model, chaos: inj}, nil
 }
 
 // agingPeriod is how often (in cycles) aging-capable predictors halve
@@ -361,7 +365,7 @@ func (m *Machine) Resume() (*Result, error) {
 // replays the deterministic event stream to the checkpoint's event index,
 // cross-validates the reconstructed state against the stored digest
 // bit-exactly, and continues to completion. The machine must have been
-// built with the same configuration (and chaos wiring) as the run that
+// built with the same configuration (chaos included) as the run that
 // captured the checkpoint; a reconstruction mismatch returns
 // checkpoint.ErrDiverged, an identity mismatch checkpoint.ErrIncompatible.
 func (m *Machine) RunFrom(programs []cpu.Program, ck *checkpoint.Checkpoint) (*Result, error) {
@@ -685,15 +689,12 @@ func (m *Machine) captureState() (checkpoint.State, error) {
 		}
 		st.Policy = raw
 	}
-	for _, ex := range m.extra {
-		raw, err := json.Marshal(ex.fn())
+	if m.chaos != nil {
+		raw, err := json.Marshal(m.chaos.State())
 		if err != nil {
-			return checkpoint.State{}, fmt.Errorf("machine: encode %s state: %w", ex.name, err)
+			return checkpoint.State{}, fmt.Errorf("machine: encode chaos state: %w", err)
 		}
-		if st.Extra == nil {
-			st.Extra = make(map[string]json.RawMessage)
-		}
-		st.Extra[ex.name] = raw
+		st.Extra = map[string]json.RawMessage{"chaos": raw}
 	}
 	return st, nil
 }

@@ -1,12 +1,16 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"dynamo/internal/chaos"
+	"dynamo/internal/checkpoint"
 	"dynamo/internal/cpu"
 	"dynamo/internal/memory"
 )
@@ -252,6 +256,69 @@ func TestResumeOnAnotherGoroutine(t *testing.T) {
 	}
 	if a, b := m.Sys.Data.Load(0x9000), whole.Sys.Data.Load(0x9000); a != 120 || a != b {
 		t.Fatalf("counter = %d resumed, %d uninterrupted; want 120", a, b)
+	}
+}
+
+// Chaos is a Config field: New rejects an out-of-range level, a chaotic
+// machine checkpoints its injector under Extra["chaos"] with the pair
+// normalized, and a plain machine's checkpoint carries no Extra at all.
+func TestChaosConfig(t *testing.T) {
+	for _, level := range []int{-1, chaos.MaxLevel + 1} {
+		cfg := smallConfig("all-near")
+		cfg.ChaosLevel = level
+		if _, err := New(cfg); err == nil {
+			t.Errorf("chaos level %d accepted", level)
+		}
+	}
+	capture := func(seed int64, level int) *checkpoint.Checkpoint {
+		t.Helper()
+		cfg := smallConfig("dynamo-reuse-pn")
+		cfg.ChaosSeed, cfg.ChaosLevel = seed, level
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := make([]cpu.Program, 4)
+		for i := range progs {
+			progs[i] = func(th *cpu.Thread) {
+				for j := 0; j < 200; j++ {
+					th.AMOStore(memory.AMOAdd, 0x9000, 1)
+				}
+				th.Fence()
+			}
+		}
+		if res, err := m.RunTo(progs, 500); res != nil || err != nil {
+			t.Fatalf("RunTo = %v, %v; want a paused run", res, err)
+		}
+		var buf bytes.Buffer
+		if err := m.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := Restore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	if extra := capture(0, 0).State.Extra; extra != nil {
+		t.Errorf("plain checkpoint carries extra state %v", extra)
+	}
+	raw, ok := capture(5, 0).State.Extra["chaos"]
+	if !ok {
+		t.Fatal("chaotic checkpoint carries no chaos state")
+	}
+	var st struct {
+		Seed  int64 `json:"seed"`
+		Level int   `json:"level"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Seed != 5 || st.Level != 1 {
+		t.Errorf("chaos state = seed %d level %d, want 5/1", st.Seed, st.Level)
 	}
 }
 

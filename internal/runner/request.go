@@ -117,12 +117,7 @@ func (q Request) normalize() Request {
 	if q.Variant == "base" {
 		q.Variant = ""
 	}
-	if q.ChaosSeed != 0 && q.ChaosLevel == 0 {
-		q.ChaosLevel = 1
-	}
-	if q.ChaosLevel > 0 && q.ChaosSeed == 0 {
-		q.ChaosSeed = 1
-	}
+	q.ChaosSeed, q.ChaosLevel = chaos.Normalize(q.ChaosSeed, q.ChaosLevel)
 	return q
 }
 
@@ -288,6 +283,7 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 	if q.Check {
 		cfg.Check = &check.Config{}
 	}
+	cfg.ChaosSeed, cfg.ChaosLevel = q.ChaosSeed, q.ChaosLevel
 	cfg.CkptEvery = x.CkptEvery
 	cfg.CkptIdentity = q.Digest()
 	cfg.CkptSink = x.Sink
@@ -344,13 +340,6 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if q.ChaosLevel > 0 {
-		inj, err := chaos.New(q.ChaosSeed, q.ChaosLevel)
-		if err != nil {
-			return nil, err
-		}
-		inj.Attach(m)
 	}
 	if inst.Setup != nil {
 		inst.Setup(m.Sys.Data)

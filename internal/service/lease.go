@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,8 +50,9 @@ const (
 type workItem struct {
 	digest string
 	req    runner.Request
-	// lane is the sweep the item is scheduled under (see grantLocked).
-	lane  string
+	// admission is the sweep lane the item is scheduled under (see
+	// grantLocked) and the number that orders it there (see queueLocked).
+	admission
 	state int
 	// fence is the monotone fencing token of the item's latest grant.
 	// Heartbeats and commits must present it; after a revocation the next
@@ -114,15 +116,17 @@ type leaseTable struct {
 
 	mu    sync.Mutex
 	items map[string]*workItem
-	// Every sweep has a lane: laneOf maps a digest to the sweep that last
-	// admitted it, queues holds each lane's pending digests in FIFO order
-	// (exactly the pending items; lanes without any are absent), and
-	// served stamps each lane with the fence of its latest grant.
-	laneOf  map[string]string
-	queues  map[string][]string
-	served  map[string]uint64
-	fence   uint64 // global monotone fencing-token source
-	workers map[string]int
+	// Every sweep has a lane: laneOf maps a digest to its latest
+	// admission (sweep and number, counted by admitted), queues holds each
+	// lane's pending digests in FIFO order (exactly the pending items;
+	// lanes without any are absent), and served stamps each lane with the
+	// fence of its latest grant.
+	laneOf   map[string]admission
+	admitted uint64
+	queues   map[string][]string
+	served   map[string]uint64
+	fence    uint64 // global monotone fencing-token source
+	workers  map[string]int
 	// waiting counts lease calls parked for work; wake is closed (and
 	// replaced) whenever work is queued or the table closes.
 	waiting int
@@ -150,7 +154,7 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 		opts:    o,
 		tel:     o.Telemetry,
 		items:   make(map[string]*workItem),
-		laneOf:  make(map[string]string),
+		laneOf:  make(map[string]admission),
 		queues:  make(map[string][]string),
 		served:  make(map[string]uint64),
 		workers: make(map[string]int),
@@ -162,11 +166,20 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 	return t
 }
 
+// admission is one admit call: the sweep whose lane a digest joins and
+// the admission's number.
+type admission struct {
+	lane string
+	seq  uint64
+}
+
 // admit schedules digest under sweep's lane. The service calls it for
-// every job it admits, before the job can reach execute.
+// every job it admits, in submission order, before the job can reach
+// execute.
 func (t *leaseTable) admit(sweep, digest string) {
 	t.mu.Lock()
-	t.laneOf[digest] = sweep
+	t.admitted++
+	t.laneOf[digest] = admission{lane: sweep, seq: t.admitted}
 	t.mu.Unlock()
 }
 
@@ -198,7 +211,7 @@ func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Ou
 		t.mu.Unlock()
 		return nil, fmt.Errorf("service: lease table closed: %w", machine.ErrInterrupted)
 	}
-	it.lane = t.laneOf[digest]
+	it.admission = t.laneOf[digest]
 	t.items[digest] = it
 	t.queueLocked(it, false)
 	t.mu.Unlock()
@@ -587,15 +600,24 @@ func (t *leaseTable) returnLocked(it *workItem) {
 }
 
 // queueLocked puts an item (back) into its lane and wakes waiting lease
-// calls (mu held).
+// calls (mu held). A released or expired item goes to the front. A
+// never-granted one goes behind every such item and, among the
+// never-granted, in admission order: the runner's goroutines reach
+// execute in any order, so a lane is FIFO by admission only if queueing
+// restores it.
 func (t *leaseTable) queueLocked(it *workItem, front bool) {
 	it.state = workPending
 	it.worker = ""
-	if front {
-		t.queues[it.lane] = append([]string{it.digest}, t.queues[it.lane]...)
-	} else {
-		t.queues[it.lane] = append(t.queues[it.lane], it.digest)
+	q := t.queues[it.lane]
+	k := 0
+	if !front {
+		for k = len(q); k > 0; k-- {
+			if prev := t.items[q[k-1]]; prev.attempt > 0 || prev.seq < it.seq {
+				break
+			}
+		}
 	}
+	t.queues[it.lane] = slices.Insert(q, k, it.digest)
 	close(t.wake)
 	t.wake = make(chan struct{})
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,40 @@ func TestFleetCapacityNotCappedByJobs(t *testing.T) {
 	close(release)
 	if st, err = c.Wait(st.ID); err != nil || st.State != SweepDone {
 		t.Fatalf("sweep = %+v, %v", st, err)
+	}
+}
+
+// TestLeaseLanesFollowAdmissionOrder: a sweep's lane is FIFO by
+// submission, whatever order the runner's goroutines park its jobs in.
+func TestLeaseLanesFollowAdmissionOrder(t *testing.T) {
+	svc, err := New(Options{CacheDir: t.TempDir(), Workers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	reqs := make([]runner.Request, 12)
+	want := make([]string, len(reqs))
+	for i := range reqs {
+		reqs[i] = counterReq(int64(521 + i))
+		want[i] = reqs[i].Digest()
+	}
+	st, err := svc.Submit(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		svc.lt.mu.Lock()
+		lane := slices.Clone(svc.lt.queues[st.ID])
+		svc.lt.mu.Unlock()
+		if len(lane) == len(want) {
+			if !slices.Equal(lane, want) {
+				t.Fatalf("lane holds\n%v\nwant submission order\n%v", lane, want)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs parked", len(lane), len(want))
+		}
 	}
 }
 

@@ -246,6 +246,20 @@ func TestTracerTailEviction(t *testing.T) {
 	}
 }
 
+// TestTracerWithoutJournalAllocates0: a tracer with no journal encodes
+// nothing, so closing a span into a full tail allocates nothing.
+func TestTracerWithoutJournalAllocates0(t *testing.T) {
+	tr := NewTracer(nil, 4)
+	span := JobSpan{Digest: "d", Request: "r", Outcome: OutcomeOK,
+		Attempts: []AttemptSpan{{StartUS: 1, EndUS: 2}}}
+	for i := 0; i < 4; i++ {
+		tr.record(span)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.record(span) }); allocs != 0 {
+		t.Errorf("record allocates %.1f per span without a journal, want 0", allocs)
+	}
+}
+
 func TestReadJournalBadLine(t *testing.T) {
 	in := "{\"digest\":\"a\",\"request\":\"r\",\"queued_us\":0,\"start_us\":0,\"end_us\":1,\"outcome\":\"ok\"}\nnot json\n"
 	spans, err := ReadJournal(strings.NewReader(in))

@@ -102,7 +102,6 @@ func (t *Tracer) StartJob(digest, request string) *Job {
 // record closes a span into the tail and the journal. Journal write
 // failures degrade the journal (dropped line), never the sweep.
 func (t *Tracer) record(span JobSpan) {
-	line, err := json.Marshal(span)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
@@ -111,8 +110,10 @@ func (t *Tracer) record(span JobSpan) {
 		t.tail = t.tail[:t.cap-1]
 	}
 	t.tail = append(t.tail, span)
-	if t.journal != nil && err == nil {
-		t.journal.Write(append(line, '\n'))
+	if t.journal != nil {
+		if line, err := json.Marshal(span); err == nil {
+			t.journal.Write(append(line, '\n'))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"dynamo/internal/core"
 	"dynamo/internal/machine"
 	"dynamo/internal/memory"
+	"dynamo/internal/obs/profile"
 	"dynamo/internal/perf"
 	"dynamo/internal/runner"
 	"dynamo/internal/trace"
@@ -77,65 +78,73 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // a Session is safe for concurrent Run calls as long as the attached
 // collectors (Obs, Profile, Interval, Trace) are not shared.
 type Session struct {
-	cfg  Config
-	opts options
+	// cfg is every run's machine configuration and params its workload
+	// parameters; trace, profile and hostPerf are attached per run.
+	cfg            Config
+	params         workload.Params
+	trace          *trace.Writer
+	profile        *profile.Profiler
+	hostPerf       bool
+	skipValidation bool
 }
 
-// Option configures a Session.
+// Option configures a Session. An option overrides the matching field of
+// the Config given to New.
 type Option func(*Session)
 
-// WithPolicy selects the AMO placement policy (default "all-near", the
-// paper's baseline; see Policies).
+// WithPolicy selects the AMO placement policy (default: the Config's
+// Policy, or "all-near", the paper's baseline, when that is empty; see
+// Policies).
 func WithPolicy(name string) Option {
-	return func(s *Session) { s.opts.Policy = name }
+	return func(s *Session) { s.cfg.Policy = name }
 }
 
 // WithThreads sets the worker-thread count (default: the core count).
 func WithThreads(n int) Option {
-	return func(s *Session) { s.opts.Threads = n }
+	return func(s *Session) { s.params.Threads = n }
 }
 
 // WithSeed sets the seed driving all pseudo-random choices (default 1).
 func WithSeed(seed int64) Option {
-	return func(s *Session) { s.opts.Seed = seed }
+	return func(s *Session) { s.params.Seed = seed }
 }
 
 // WithScale multiplies the default problem size (default 1.0).
 func WithScale(scale float64) Option {
-	return func(s *Session) { s.opts.Scale = scale }
+	return func(s *Session) { s.params.Scale = scale }
 }
 
 // WithInput selects a workload input variant (default: the workload's
 // first registered input).
 func WithInput(input string) Option {
-	return func(s *Session) { s.opts.Input = input }
+	return func(s *Session) { s.params.Input = input }
 }
 
 // WithTrace records every executed thread operation to w.
 func WithTrace(w *trace.Writer) Option {
-	return func(s *Session) { s.opts.Trace = w }
+	return func(s *Session) { s.trace = w }
 }
 
 // WithObs attaches an observability bus; the run's digest lands in
 // Result.Obs.
 func WithObs(bus *ObsBus) Option {
-	return func(s *Session) { s.opts.Obs = bus }
+	return func(s *Session) { s.cfg.Obs = bus }
 }
 
 // WithProfile attaches the per-cacheline contention profiler (requires
 // WithObs).
 func WithProfile(p *Profiler) Option {
-	return func(s *Session) { s.opts.Profile = p }
+	return func(s *Session) { s.profile = p }
 }
 
 // WithInterval attaches the interval-telemetry recorder.
 func WithInterval(rec *IntervalRecorder) Option {
-	return func(s *Session) { s.opts.Interval = rec }
+	return func(s *Session) { s.cfg.Interval = rec }
 }
 
 // WithoutValidation disables the post-run functional check (benchmarks).
 func WithoutValidation() Option {
-	return func(s *Session) { s.opts.SkipValidation = true }
+	return func(s *Session) { s.skipValidation = true }
 }
 
 // WithCheck attaches the runtime protocol invariant sanitizer: SWMR and
@@ -145,7 +154,7 @@ func WithoutValidation() Option {
 // *check.Violation (match with ErrViolation); a clean run reports its
 // audit counters in Result.Check.
 func WithCheck() Option {
-	return func(s *Session) { s.opts.Check = true }
+	return func(s *Session) { s.cfg.Check = &check.Config{} }
 }
 
 // WithHostPerf attaches the host-performance self-profiler: every kernel
@@ -155,7 +164,7 @@ func WithCheck() Option {
 // Profiling is purely observational: simulated results are bit-identical
 // with it on or off.
 func WithHostPerf() Option {
-	return func(s *Session) { s.opts.HostPerf = true }
+	return func(s *Session) { s.hostPerf = true }
 }
 
 // WithChaos attaches the deterministic fault injector: protocol-legal
@@ -165,48 +174,48 @@ func WithHostPerf() Option {
 // construction — only schedules move — and a given seed replays exactly.
 // A zero level with a non-zero seed selects level 1, and vice versa.
 func WithChaos(seed int64, level int) Option {
-	return func(s *Session) {
-		s.opts.ChaosSeed = seed
-		s.opts.ChaosLevel = level
-	}
+	return func(s *Session) { s.cfg.ChaosSeed, s.cfg.ChaosLevel = seed, level }
 }
 
 // WithCheckpoint captures a checkpoint to sink every `every` simulation
 // events, plus a final checkpoint when the run is interrupted
 // (WithInterrupt). Restore one with Session.Resume.
 func WithCheckpoint(every uint64, sink func(*Checkpoint)) Option {
-	return func(s *Session) {
-		s.opts.CkptEvery = every
-		s.opts.CkptSink = sink
-	}
+	return func(s *Session) { s.cfg.CkptEvery, s.cfg.CkptSink = every, sink }
 }
 
 // WithInterrupt cancels a run once ch is signaled or closed: the machine
 // captures a final checkpoint to the WithCheckpoint sink (when one is
 // configured) and aborts with ErrInterrupted.
 func WithInterrupt(ch <-chan struct{}) Option {
-	return func(s *Session) { s.opts.Interrupt = ch }
+	return func(s *Session) { s.cfg.Interrupt = ch }
 }
 
-// New builds a Session on cfg. The policy name and thread count are
-// validated eagerly: an unregistered policy returns ErrUnknownPolicy
-// here, not at the first Run.
+// New builds a Session on cfg and applies the options. A Config field no
+// option sets is used as given; an empty Policy runs "all-near". The
+// whole configuration is validated here, not at the first run: an
+// unregistered policy returns ErrUnknownPolicy, and a bad geometry, AMT
+// sizing, chaos level or thread count fails too.
 func New(cfg Config, options ...Option) (*Session, error) {
 	s := &Session{cfg: cfg}
 	for _, o := range options {
 		o(s)
 	}
-	s.opts.Config = &s.cfg
-	filled, conf, err := s.opts.fill()
-	if err != nil {
+	if s.cfg.Policy == "" {
+		s.cfg.Policy = "all-near"
+	}
+	if s.params.Threads == 0 {
+		s.params.Threads = s.cfg.Chi.Cores
+	}
+	if s.params.Threads > s.cfg.Chi.Cores {
+		return nil, fmt.Errorf("dynamo: %d threads exceed %d cores", s.params.Threads, s.cfg.Chi.Cores)
+	}
+	if s.params.Seed == 0 {
+		s.params.Seed = 1
+	}
+	if err := s.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := core.New(conf.Policy, conf.Chi.Cores, conf.AMT); err != nil {
-		return nil, err
-	}
-	s.opts = filled
-	s.cfg = conf
-	s.opts.Config = &s.cfg
 	return s, nil
 }
 
@@ -214,97 +223,96 @@ func New(cfg Config, options ...Option) (*Session, error) {
 // functional result is validated unless the Session was built with
 // WithoutValidation.
 func (s *Session) Run(workloadName string) (*Result, error) {
-	spec, err := workload.Get(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := spec.Build(workload.Params{
-		Threads: s.opts.Threads,
-		Seed:    s.opts.Seed,
-		Scale:   s.opts.Scale,
-		Input:   s.opts.Input,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runInstance(s.cfg, inst, s.opts)
+	return s.Resume(workloadName, nil)
 }
 
 // Resume restores a run of the named workload from a checkpoint and
 // carries it to completion, returning metrics byte-identical to an
-// uninterrupted run. The Session must be configured identically to the
-// one that captured the checkpoint (same config, policy, parameters and
-// chaos wiring): an unreproducible checkpoint fails with
-// ErrCheckpointDiverged, a mismatched identity with
-// ErrCheckpointIncompatible.
+// uninterrupted run; a nil checkpoint runs from the start, like Run. The
+// Session must be configured identically to the one that captured the
+// checkpoint (same config, policy, parameters and chaos): an
+// unreproducible checkpoint fails with ErrCheckpointDiverged, a
+// mismatched identity with ErrCheckpointIncompatible.
 func (s *Session) Resume(workloadName string, ck *Checkpoint) (*Result, error) {
 	spec, err := workload.Get(workloadName)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := spec.Build(workload.Params{
-		Threads: s.opts.Threads,
-		Seed:    s.opts.Seed,
-		Scale:   s.opts.Scale,
-		Input:   s.opts.Input,
-	})
+	inst, err := spec.Build(s.params)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.opts
-	opts.resume = ck
-	return runInstance(s.cfg, inst, opts)
+	_, res, err := s.run(inst, ck)
+	return res, err
 }
 
 // RunCounter executes the Fig. 1 shared-counter microbenchmark: the
 // Session's threads each performing ops atomic increments, with
 // AtomicStore (noReturn) or AtomicLoad semantics.
 func (s *Session) RunCounter(ops int, noReturn bool) (*Result, error) {
-	inst, err := workload.Counter(s.opts.Threads, ops, noReturn, 8)
+	inst, err := workload.Counter(s.params.Threads, ops, noReturn, 8)
 	if err != nil {
 		return nil, err
 	}
-	return runInstance(s.cfg, inst, s.opts)
+	_, res, err := s.run(inst, nil)
+	return res, err
 }
 
 // RunPrograms executes custom programs (at most one per core) built
-// against the Thread API, honouring the Session's trace and
-// observability attachments, and returns the metrics plus a read
-// function for inspecting final memory contents. Custom programs carry
-// no validator, so no functional check runs.
+// against the Thread API under every Session option, and returns the
+// metrics plus a read function for inspecting final memory contents.
+// Custom programs carry no validator, so no functional check runs.
 func (s *Session) RunPrograms(programs []Program) (*Result, func(addr uint64) uint64, error) {
+	m, res, err := s.run(&workload.Instance{Programs: programs}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, func(addr uint64) uint64 { return m.Sys.Data.Load(memory.Addr(addr)) }, nil
+}
+
+// run is every run's path. It builds a machine from a copy of the
+// Session's config plus this run's trace recorder, host-perf profiler and
+// contention hook, runs inst from its start (or from ck when non-nil) and
+// validates the result.
+func (s *Session) run(inst *workload.Instance, ck *Checkpoint) (*machine.Machine, *Result, error) {
 	cfg := s.cfg
-	opts := s.opts
-	if opts.Trace != nil {
-		observe, flush := trace.Recorder(opts.Trace)
-		cfg.CPU.Observe = observe
-		defer flush()
-	}
-	cfg.Obs = opts.Obs
-	cfg.Interval = opts.Interval
-	if opts.Check {
-		cfg.Check = &check.Config{}
-	}
-	if opts.HostPerf {
-		cfg.Perf = perf.New(0)
-	}
-	if opts.Profile != nil {
-		if opts.Obs == nil {
+	if s.profile != nil {
+		if cfg.Obs == nil {
 			return nil, nil, fmt.Errorf("dynamo: WithProfile requires WithObs")
 		}
-		opts.Obs.AttachContention(opts.Profile)
+		cfg.Obs.AttachContention(s.profile)
+	}
+	if s.hostPerf {
+		cfg.Perf = perf.New(0)
+	}
+	if s.trace != nil {
+		var flush func() error
+		cfg.CPU.Observe, flush = trace.Recorder(s.trace)
+		defer flush()
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := attachChaos(m, opts); err != nil {
-		return nil, nil, err
+	for _, site := range inst.Sites {
+		cfg.Obs.RegisterSite(site)
 	}
-	res, err := m.Run(programs)
+	if inst.Setup != nil {
+		inst.Setup(m.Sys.Data)
+	}
+	var res *Result
+	if ck != nil {
+		res, err = m.RunFrom(inst.Programs, ck)
+	} else {
+		res, err = m.Run(inst.Programs)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	read := func(addr uint64) uint64 { return m.Sys.Data.Load(memory.Addr(addr)) }
-	return res, read, nil
+	if inst.Validate != nil && !s.skipValidation {
+		if err := inst.Validate(m.Sys.Data); err != nil {
+			return nil, nil, fmt.Errorf("dynamo: functional validation failed: %w", err)
+		}
+	}
+	return m, res, nil
 }

@@ -87,6 +87,62 @@ func TestSessionRunPrograms(t *testing.T) {
 	}
 }
 
+// RunPrograms runs under every Session option: a closed interrupt stops
+// it with ErrInterrupted after its final checkpoint reaches the sink.
+func TestRunProgramsHonoursInterruptAndCheckpoint(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	var sunk []*Checkpoint
+	s := newSession(t, smallConfig(), WithThreads(2),
+		WithCheckpoint(1<<40, func(ck *Checkpoint) { sunk = append(sunk, ck) }),
+		WithInterrupt(stop))
+	// Long enough to outlast the first interrupt poll.
+	prog := func(th *Thread) {
+		for i := 0; i < 50_000; i++ {
+			th.AMOStore(memory.AMOAdd, 0x1000, 1)
+		}
+		th.Fence()
+	}
+	if _, _, err := s.RunPrograms([]Program{prog, prog}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if len(sunk) == 0 {
+		t.Fatal("the interrupted run sank no checkpoint")
+	}
+}
+
+// New validates the whole Config, not only its policy: a bad cache
+// geometry fails at construction instead of at the first run.
+func TestNewValidatesConfig(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Chi.L1Ways = 0
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a zero-way L1")
+	}
+}
+
+// A Config field no option sets is used as given, and an option
+// overrides it.
+func TestSessionHonoursConfigFields(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Policy = "unique-near"
+	cfg.Obs = NewObs()
+	res, err := newSession(t, cfg, WithThreads(2)).RunCounter(10, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy != "unique-near" || res.Obs == nil {
+		t.Fatalf("policy %q, obs report %v; want the Config's policy and bus", res.Policy, res.Obs)
+	}
+	res, err = newSession(t, cfg, WithThreads(2), WithPolicy("shared-far")).RunCounter(10, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy != "shared-far" {
+		t.Fatalf("policy %q, want WithPolicy's shared-far", res.Policy)
+	}
+}
+
 func TestSessionProfileRequiresObs(t *testing.T) {
 	s, err := New(smallConfig(), WithThreads(2), WithProfile(NewProfiler(4)))
 	if err != nil {
