@@ -54,6 +54,11 @@ go test -race -run TestParallelSerialDeterminism ./internal/experiments
 # program and its core, Abort, pause/resume on another goroutine and a
 # program's panic unwinding the run.
 go test -race ./internal/cpu ./internal/machine
+# A program's run-ahead queue is written on its goroutine and read on the
+# engine's: repeat the tests that hand it across, abort it, panic through
+# it and resume it on another goroutine.
+go test -race -count=10 -run 'RunsAhead|RunAhead|QueuedOperations|Abort|Panic|Resume' \
+	./internal/cpu ./internal/machine
 
 # Robustness gate: invariant-checked runs through the CLI (sanitizer on,
 # deterministic chaos on) must finish clean, and the committed chaos

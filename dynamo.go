@@ -183,11 +183,22 @@ func ProbeCounters() []string { return obs.KnownCounters() }
 func ProbeSpans() []string { return obs.KnownSpans() }
 
 // Thread is the API custom programs use to issue simulated operations:
-// Load, Store, AMO, CAS, AMOStore, Compute, Fence and the release
+// Load, Store, AMO, CAS, AMOStore, Compute, Pause, Fence and the release
 // variants. Value-returning operations block the simulated core;
 // stores and AtomicStores are posted. Call Thread methods only from the
-// goroutine the Program was invoked on: each call switches the program's
+// goroutine the Program was invoked on: a call may switch the program's
 // coroutine back to the simulation, which no other goroutine may do.
+//
+// A program runs ahead of its core through the operations that return
+// nothing: such a call queues its operation and returns at once, and the
+// program waits only at a Load, AMO or CAS or once eight operations are
+// queued. Each operation still executes at the same simulated cycle, but
+// the program's Go code after a posted operation runs before that
+// operation executes, though never past a value-returning one. Programs
+// must therefore share state only through Thread operations, not through
+// Go variables another program or the caller reads while the run is in
+// progress. A program's panic can surface at an earlier simulated cycle,
+// and the operations it queued before panicking never execute.
 type Thread = cpu.Thread
 
 // Program is custom workload code: one function per simulated thread.

@@ -601,3 +601,29 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", t1, f1, t2, f2)
 	}
 }
+
+// A prefetch's latency counts from when it was made, as a demand load's
+// does: over a long sequential stream, LoadLatencySum averaged over the
+// demand loads and prefetches stays within an uncontended miss or two,
+// instead of growing with the cycle at which each prefetch completes.
+func TestPrefetchLatencyStartsWhenMade(t *testing.T) {
+	cfg := testConfig()
+	cfg.PrefetchDegree = 4
+	s, err := NewSystem(cfg, fixedPolicy{Near})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 0x100000
+	_, miss := run(t, s, 0, &Request{Kind: Load, Addr: base})
+	for i := 1; i < 512; i++ {
+		run(t, s, 0, &Request{Kind: Load, Addr: memory.Addr(base + i*memory.LineSize)})
+	}
+	st := s.RNs[0].Stats
+	if st.Prefetches == 0 {
+		t.Fatal("the stream never armed the prefetcher")
+	}
+	if mean := st.LoadLatencySum / (st.Loads + st.Prefetches); mean > 2*uint64(miss) {
+		t.Fatalf("mean load latency %d cycles over %d loads and %d prefetches (run ended at cycle %d); an uncontended miss takes %d",
+			mean, st.Loads, st.Prefetches, s.Engine.Now(), miss)
+	}
+}

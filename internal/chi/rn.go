@@ -396,7 +396,7 @@ func (rn *RN) maybePrefetch(line memory.Line) {
 			continue
 		}
 		rn.Stats.Prefetches++
-		req := &Request{Kind: Load, Addr: target.Base()}
+		req := &Request{Kind: Load, Addr: target.Base(), issued: rn.sys.Engine.Now()}
 		rn.startFill(req, target, false, txnReadShared, memory.Invalid)
 	}
 }

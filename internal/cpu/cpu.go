@@ -10,13 +10,21 @@
 // and commit early. Everything else about the core is abstracted to an
 // IPC-1 compute model — the studied effects live in the memory system.
 //
-// Each program runs as a coroutine (iter.Pull) and interacts with the
-// simulated core through blocking Thread methods: a method yields its
-// operation to the core and resumes when the core hands back the result.
-// The handoff is a direct coroutine switch between the engine's goroutine
-// and the program's that bypasses the scheduler, so only one side runs at
-// a time and simulations remain fully deterministic. (The go1.23
-// constraint admits iter.Pull while the module's go directive stays 1.22.)
+// Each program runs as a coroutine (iter.Pull) and runs ahead of the core
+// through the operations that return nothing. A Thread method that returns
+// no value (Store, AMOStore, Compute, Pause, Fence) appends its operation
+// to a queue of at most runAhead operations and returns at once; a
+// value-returning one (Load, AMO, CAS) appends its operation and suspends
+// the program until the core has executed the queue and hands back the
+// result. The core executes queued operations one by one, each at the
+// event where it would have executed had every call suspended the
+// program, and resumes the coroutine only once the queue is drained, so
+// simulated time is the same either way and only the host order of
+// program code moves. The handoff is a direct coroutine switch between
+// the engine's goroutine and the program's that bypasses the scheduler,
+// so only one side runs at a time and simulations remain fully
+// deterministic. (The go1.23 constraint admits iter.Pull while the
+// module's go directive stays 1.22.)
 package cpu
 
 import (
@@ -60,26 +68,64 @@ type op struct {
 // abortSignal unwinds a program's coroutine when its run is abandoned.
 type abortSignal struct{}
 
+// runAhead bounds the operations a program may issue before the core has
+// executed them. Eight keeps 99% of an unbounded queue's saving in
+// coroutine switches on the paper's workloads, whose spin and update loops
+// post a few operations between value-returning ones.
+const runAhead = 8
+
 // Thread is the interface a Program uses to execute simulated operations.
-// Every operation suspends the program's coroutine until the simulated
-// core accepts or completes it, so Thread methods may only be called from
-// the goroutine the Program was invoked on.
+// Thread methods may only be called from the goroutine the Program was
+// invoked on. The program runs ahead of its core (see the package doc),
+// which leaves every simulated cycle as it would be if each call waited
+// for its operation, but a program can see two differences:
+//
+//   - Program Go code after a posted operation runs before that operation
+//     executes in simulated time, though never past a value-returning
+//     operation. Programs that share Go state with each other or with the
+//     engine's side must therefore communicate through Thread operations.
+//   - A program's panic can surface at an earlier simulated cycle, and the
+//     operations it queued before panicking never execute.
 type Thread struct {
-	id     int
-	yield  func(op) bool
-	result uint64
+	id    int
+	yield func(struct{}) bool
+	// queue[head:n] holds the operations the program has issued and the
+	// core has not executed, in program order. The program appends while
+	// it runs; the core takes from head while the program is suspended and
+	// resumes it only once the queue is drained.
+	queue   [runAhead]op
+	head, n int
+	result  uint64
 }
 
 // ID returns the thread's index, which equals its core index.
 func (t *Thread) ID() int { return t.id }
 
-// exchange hands o to the core and returns the result the core stores
-// before resuming the coroutine. A false yield means the run was aborted.
-func (t *Thread) exchange(o op) uint64 {
-	if !t.yield(o) {
+// post queues an operation that returns no value, suspending the program
+// only when the queue is full.
+func (t *Thread) post(o op) {
+	t.queue[t.n] = o
+	t.n++
+	if t.n == runAhead {
+		t.suspend()
+	}
+}
+
+// call queues a value-returning operation and suspends the program until
+// the core has executed the queue, returning the result the core stores
+// before resuming it.
+func (t *Thread) call(o op) uint64 {
+	t.queue[t.n] = o
+	t.n++
+	t.suspend()
+	return t.result
+}
+
+// suspend switches to the core. A false yield means the run was aborted.
+func (t *Thread) suspend() {
+	if !t.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
-	return t.result
 }
 
 // Compute advances simulated time by n cycles of local work, committing n
@@ -88,7 +134,7 @@ func (t *Thread) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	t.exchange(op{kind: opCompute, cycles: sim.Tick(n)})
+	t.post(op{kind: opCompute, cycles: sim.Tick(n)})
 }
 
 // Pause advances simulated time by n cycles without committing
@@ -100,44 +146,43 @@ func (t *Thread) Pause(n int) {
 	if n <= 0 {
 		return
 	}
-	t.exchange(op{kind: opPause, cycles: sim.Tick(n)})
+	t.post(op{kind: opPause, cycles: sim.Tick(n)})
 }
 
 // Load reads the 64-bit word at a, blocking until the value returns.
 func (t *Thread) Load(a memory.Addr) uint64 {
-	return t.exchange(op{kind: opLoad, addr: a})
+	return t.call(op{kind: opLoad, addr: a})
 }
 
-// Store writes v at a. The store is posted: the call returns once the
-// store buffer accepts it.
+// Store writes v at a. The store is posted: the core moves past it once
+// the store buffer accepts it.
 func (t *Thread) Store(a memory.Addr, v uint64) {
-	t.exchange(op{kind: opStore, addr: a, operand: v})
+	t.post(op{kind: opStore, addr: a, operand: v})
 }
 
 // AMO performs a value-returning atomic (CHI AtomicLoad/CAS semantics) and
 // blocks until the prior value arrives.
 func (t *Thread) AMO(amo memory.AMOOp, a memory.Addr, operand uint64) uint64 {
-	return t.exchange(op{kind: opAMO, addr: a, amo: amo, operand: operand})
+	return t.call(op{kind: opAMO, addr: a, amo: amo, operand: operand})
 }
 
 // CAS atomically compares the word at a with expect and stores v on a
 // match, returning the prior value.
 func (t *Thread) CAS(a memory.Addr, expect, v uint64) uint64 {
-	return t.exchange(op{kind: opAMO, addr: a, amo: memory.AMOCAS, operand: v, compare: expect})
+	return t.call(op{kind: opAMO, addr: a, amo: memory.AMOCAS, operand: v, compare: expect})
 }
 
 // AMOStore performs a no-return atomic (CHI AtomicStore semantics): the
-// call returns once the store buffer accepts it, letting the core commit
-// past it (Section III-B1).
+// core commits past it once the store buffer accepts it (Section III-B1).
 func (t *Thread) AMOStore(amo memory.AMOOp, a memory.Addr, operand uint64) {
-	t.exchange(op{kind: opAMOStore, addr: a, amo: amo, operand: operand})
+	t.post(op{kind: opAMOStore, addr: a, amo: amo, operand: operand})
 }
 
-// Fence blocks until every posted store and AtomicStore has completed —
-// release semantics (Armv8 stlr / dmb), required before publishing a lock
-// release or a producer flag.
+// Fence holds the core until every posted store and AtomicStore has
+// completed — release semantics (Armv8 stlr / dmb), required before
+// publishing a lock release or a producer flag.
 func (t *Thread) Fence() {
-	t.exchange(op{kind: opFence})
+	t.post(op{kind: opFence})
 }
 
 // StoreRelease writes v at a with release ordering: it fences and then
@@ -207,10 +252,10 @@ type Core struct {
 	cfg    Config
 	engine *sim.Engine
 	rn     *chi.RN
-	thread *Thread
-	// next resumes the program's coroutine until its next operation; stop
-	// unwinds a suspended coroutine (see Abort).
-	next func() (op, bool)
+	thread Thread
+	// next resumes the program's coroutine until it waits on a value, fills
+	// its queue or returns; stop unwinds a suspended coroutine (see Abort).
+	next func() (struct{}, bool)
 	stop func()
 	// resume is advance(0), bound once for every operation that hands the
 	// program no value.
@@ -272,11 +317,11 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		onFinish:     onFinish,
 		pendingWords: make(map[memory.Addr]int),
 		free:         make([]*postedReq, 0, cfg.StoreBuffer),
-		thread:       &Thread{id: rn.ID()},
+		thread:       Thread{id: rn.ID()},
 	}
 	c.resume = func() { c.advance(0) }
 	c.blocking.Done = c.advance
-	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.thread.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
@@ -287,7 +332,7 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 				}
 			}
 		}()
-		prog(c.thread)
+		prog(&c.thread)
 	})
 	return c, nil
 }
@@ -300,8 +345,10 @@ func (c *Core) Start(delay sim.Tick) {
 // Finished reports whether the program has returned.
 func (c *Core) Finished() bool { return c.finished }
 
-// Abort unwinds the program coroutine of an abandoned run; it returns
-// once the coroutine has exited. The core must not be advanced afterwards.
+// Abort unwinds the program coroutine of an abandoned run, wherever it is
+// suspended (a full queue included), and drops its queued operations; it
+// returns once the coroutine has exited. The core must not be advanced
+// afterwards.
 func (c *Core) Abort() {
 	if c.finished || c.aborted {
 		return
@@ -311,24 +358,35 @@ func (c *Core) Abort() {
 	c.finished = true
 }
 
-// advance hands result to the program and executes its next operation.
-// It runs on the simulation thread. A program's panic re-raises here,
-// wrapped with the program's stack.
+// advance executes the program's next operation. While operations are
+// queued it takes the next one; once the queue is drained it hands result
+// to the program and resumes the coroutine, which queues more or returns.
+// Every operation therefore executes in the event at which the core moves
+// past the one before it, whether or not the coroutine switched in
+// between. It runs on the simulation thread. A program's panic re-raises
+// here, wrapped with the program's stack.
 func (c *Core) advance(result uint64) {
 	if c.aborted {
 		return
 	}
 	c.started = true
-	c.thread.result = result
-	o, ok := c.next()
-	if !ok {
-		c.finished = true
-		c.FinishedAt = c.engine.Now()
-		if c.onFinish != nil {
-			c.onFinish()
+	t := &c.thread
+	if t.head == t.n {
+		t.result, t.head, t.n = result, 0, 0
+		// Once the program has returned, next returns at once and the
+		// queue stays empty.
+		c.next()
+		if t.n == 0 {
+			c.finished = true
+			c.FinishedAt = c.engine.Now()
+			if c.onFinish != nil {
+				c.onFinish()
+			}
+			return
 		}
-		return
 	}
+	o := t.queue[t.head]
+	t.head++
 	c.execute(o)
 }
 
@@ -486,9 +544,10 @@ type PendingWord struct {
 }
 
 // Snapshot is a serializable image of the core's externally visible state.
-// Blocked records only whether an operation is blocked, not which one —
+// Blocked records only whether an operation is blocked, not which one, and
+// the program's queue of issued but unexecuted operations is left out —
 // checkpoint verification replays the deterministic event stream, which
-// reconstructs it.
+// rebuilds both.
 type Snapshot struct {
 	Started        bool
 	Finished       bool

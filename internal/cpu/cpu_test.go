@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynamo/internal/chi"
@@ -335,27 +336,61 @@ func assertNoPrograms(t *testing.T, base int) {
 	}
 }
 
+// Abort unwinds the coroutine wherever the program is: spinning, suspended
+// at a Load with posted operations queued ahead of it, parked on a full
+// queue, or already returned with operations left to execute. A second
+// Abort is safe, and the core's pending events do not resume it.
 func TestAbortUnblocksProgram(t *testing.T) {
-	s := testSystem(t)
-	base := runtime.NumGoroutine()
-	c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
-		for {
-			th.Load(0x700) // spins forever
-			th.Compute(10)
-		}
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		prog Program
+		// at says when to abort.
+		at func(c *Core) bool
+	}{
+		{"spinning", func(th *Thread) {
+			for {
+				th.Load(0x700)
+				th.Compute(10)
+			}
+		}, func(c *Core) bool { return c.engine.Executed() >= 1000 }},
+		{"queued-before-load", func(th *Thread) {
+			for {
+				th.Store(0x700, 1)
+				th.Compute(3)
+				th.Load(0x740)
+			}
+		}, func(c *Core) bool { return c.thread.n-c.thread.head > 1 }},
+		{"parked-on-full-queue", func(th *Thread) {
+			for i := 0; ; i++ {
+				th.Store(memory.Addr(0x4000+i%64*64), uint64(i))
+			}
+		}, func(c *Core) bool { return c.thread.n == runAhead && c.thread.head < c.thread.n }},
+		{"returned-with-queue", func(th *Thread) {
+			for i := 0; i < 3; i++ {
+				th.Store(memory.Addr(0x4000+i*64*16), 1)
+			}
+		}, func(c *Core) bool { return c.thread.head > 0 && c.thread.head < c.thread.n }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testSystem(t)
+			base := runtime.NumGoroutine()
+			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], tc.prog, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start(0)
+			if !s.Engine.RunUntil(func() bool { return tc.at(c) }, 100_000) {
+				t.Fatal("the program never reached the state to abort in")
+			}
+			c.Abort()
+			if !c.Finished() {
+				t.Fatal("aborted core not finished")
+			}
+			assertNoPrograms(t, base)
+			c.Abort()
+			s.Engine.Run(0)
+		})
 	}
-	c.Start(0)
-	s.Engine.RunUntil(func() bool { return false }, 1000)
-	c.Abort()
-	if !c.Finished() {
-		t.Fatal("aborted core not finished")
-	}
-	assertNoPrograms(t, base)
-	// Double abort is safe.
-	c.Abort()
 }
 
 func TestAbortNeverStarted(t *testing.T) {
@@ -374,10 +409,103 @@ func TestAbortNeverStarted(t *testing.T) {
 	assertNoPrograms(t, base)
 }
 
+// A program runs ahead through the operations that return nothing: after
+// a posted call returns, the core may not have executed it yet, but never
+// more than runAhead operations lag, and a value-returning call returns
+// only once the core has executed everything the program issued.
+func TestProgramRunsAhead(t *testing.T) {
+	s := testSystem(t)
+	cfg := DefaultConfig()
+	issued, executed := 0, 0
+	cfg.Observe = func(ObservedOp) { executed++ }
+	var lag []int
+	var loaded uint64
+	finished := false
+	c, err := New(cfg, s.Engine, s.RNs[0], func(th *Thread) {
+		for i := 0; i < 20; i++ {
+			th.Store(memory.Addr(0x1000+i*64), uint64(i+1))
+			issued++
+			lag = append(lag, issued-executed)
+		}
+		loaded = th.Load(0x1000 + 19*64)
+		issued++
+		lag = append(lag, issued-executed)
+	}, func() { finished = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(0)
+	if !s.Engine.RunUntil(func() bool { return finished }, 1_000_000) {
+		t.Fatal("program did not finish")
+	}
+	if slices.Max(lag[:20]) < 1 {
+		t.Errorf("no posted call returned before the core executed it: lags %v", lag[:20])
+	}
+	if slices.Max(lag[:20]) > runAhead || slices.Min(lag[:20]) < 0 {
+		t.Errorf("posted calls lag the core by %v; want 0..%d", lag[:20], runAhead)
+	}
+	if lag[20] != 0 || loaded != 20 {
+		t.Errorf("Load returned %d with %d operations unexecuted; want 20 and none", loaded, lag[20])
+	}
+}
+
+// A program may return with operations still queued: the core executes
+// them and the program finishes after the last one, at the cycle it
+// finished when every call suspended the program, and the store lands.
+// The Store issues at cycle 10, after the Compute; the program ends one
+// issue cycle later, or with the Fence once the store's miss completes.
+func TestProgramFinishesAfterQueuedOperations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fence bool
+		want  sim.Tick
+	}{
+		{"compute-store", false, 11},
+		{"compute-store-fence", true, 134},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testSystem(t)
+			cores := runProgram(t, s, func(th *Thread) {
+				th.Compute(10)
+				th.Store(0x2040, 5)
+				if tc.fence {
+					th.Fence()
+				}
+			})
+			if got := cores[0].FinishedAt; got != tc.want {
+				t.Errorf("FinishedAt = %d, want %d", got, tc.want)
+			}
+			if got := s.Data.Load(0x2040); got != 5 {
+				t.Errorf("stored word = %d, want 5", got)
+			}
+		})
+	}
+}
+
 // streamLine is the address of the i'th line of a stream cycling over 4,096
 // lines: far more than the L1 and L2 hold, so every access fills its line
 // and L2 victims write back.
 func streamLine(i int) memory.Addr { return memory.Addr(0x100000 + i%4096*memory.LineSize) }
+
+// postedRun issues the i'th operation of a loop of seven operations that
+// return nothing and then a Load, on the line at 0x100: the program
+// switches to the core once every eight operations.
+func postedRun(th *Thread, i int) {
+	switch i % 8 {
+	case 0, 4:
+		th.Store(0x100, uint64(i))
+	case 1, 5:
+		th.Compute(1)
+	case 2:
+		th.AMOStore(memory.AMOAdd, 0x108, 1)
+	case 3:
+		th.Pause(1)
+	case 6:
+		th.Fence()
+	default:
+		th.Load(0x100)
+	}
+}
 
 // The steady-state operation path allocates nothing: the core reuses its
 // request records and bound continuations, the request node its bound
@@ -402,6 +530,7 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 		{"amoload-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
 		{"load-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Load(streamLine(i)) }},
 		{"store-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Store(streamLine(i), uint64(i)) }},
+		{"posted-run", nearPolicy{}, 0, postedRun},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testSystemWith(t, tc.policy)
@@ -437,15 +566,19 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkThreadOp measures one program operation on one core: the
-// handoff between the program and the core plus the events the operation
-// schedules. compute is a Compute(1) loop; load-l1-hit loads one word the
-// program warmed first, so every timed load hits in L1, and store-l1-hit
-// stores to it through a posted record. load-miss loads a stream of lines
-// too long for the L1 and L2, so every load fills its line and L2 victims
-// write back. amostore-far posts AtomicStores and amoload-far issues
-// value-returning atomics to a line the core never holds, so each runs at
-// the home node's ALU.
+// BenchmarkThreadOp measures one program operation on one core: its share
+// of the handoffs between the program and the core plus the events the
+// operation schedules. compute is a Compute(1) loop; load-l1-hit loads one
+// word the program warmed first, so every timed load hits in L1, and
+// store-l1-hit stores to it through a posted record. load-miss loads a
+// stream of lines too long for the L1 and L2, so every load fills its line
+// and L2 victims write back. amostore-far posts AtomicStores and
+// amoload-far issues value-returning atomics to a line the core never
+// holds, so each runs at the home node's ALU. posted-run mixes seven
+// operations that return nothing with an L1-hit Load (see postedRun).
+// compute, store-l1-hit and amostore-far switch coroutines once per
+// runAhead operations, posted-run once per eight, and the value-returning
+// cases once per operation.
 func BenchmarkThreadOp(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -457,6 +590,7 @@ func BenchmarkThreadOp(b *testing.B) {
 		{"load-miss", func(th *Thread, i int) { th.Load(streamLine(i)) }},
 		{"amostore-far", func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
 		{"amoload-far", func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
+		{"posted-run", postedRun},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := testSystemWith(b, farPolicy{})

@@ -154,36 +154,129 @@ func spin(th *cpu.Thread) {
 // A program's panic fails its run on the caller's goroutine, where the
 // sweep runner recovers it, instead of killing the process. The value
 // names the panic and the program's own frame, and every program's
-// coroutine, the still-running ones included, is gone.
+// coroutine, the still-running ones included, is gone. The same holds for
+// a program that panics after queuing posted operations, which then never
+// execute.
 func TestProgramPanicUnwindsRun(t *testing.T) {
-	m, err := New(smallConfig("all-near"))
+	for _, tc := range []struct {
+		name string
+		prog cpu.Program
+	}{
+		{"after-load", func(th *cpu.Thread) {
+			th.Load(0x1000)
+			panic("boom")
+		}},
+		{"after-queued-posts", func(th *cpu.Thread) {
+			th.Store(0x1000, 1)
+			th.Compute(5)
+			th.AMOStore(memory.AMOAdd, 0x1040, 1)
+			panic("boom")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(smallConfig("all-near"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			var rec any
+			func() {
+				defer func() { rec = recover() }()
+				_, err = m.Run([]cpu.Program{spin, tc.prog, spin})
+			}()
+			if rec == nil {
+				t.Fatalf("Run returned (err %v) instead of panicking", err)
+			}
+			msg := fmt.Sprint(rec)
+			if !strings.Contains(msg, "boom") || !strings.Contains(msg, "TestProgramPanicUnwindsRun") {
+				t.Fatalf("panic value does not name the panic and the program frame:\n%s", msg)
+			}
+			// An earlier test's goroutine may still be exiting, so the count
+			// can fall below base; a coroutine left behind would push it above.
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%d goroutines after the panic, %d before the run", n, base)
+			}
+		})
+	}
+}
+
+// A checkpoint taken while programs have issued operations their cores
+// have not executed restores exactly: the checkpoint leaves the queued
+// operations out, and replaying the event stream rebuilds them.
+func TestCheckpointWhileProgramsRunAhead(t *testing.T) {
+	const pause = 600
+	var issued, executed []int
+	build := func() (*Machine, []cpu.Program) {
+		issued, executed = make([]int, 4), make([]int, 4)
+		cfg := smallConfig("dynamo-reuse-pn")
+		cfg.CPU.Observe = func(o cpu.ObservedOp) { executed[o.Core]++ }
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := make([]cpu.Program, 4)
+		for i := range progs {
+			progs[i] = func(th *cpu.Thread) {
+				id := th.ID()
+				for j := 0; j < 40; j++ {
+					for k := 0; k < 5; k++ {
+						th.Store(memory.Addr(0xb000+id*0x400+k*64), uint64(j))
+						issued[id]++
+					}
+					th.AMOStore(memory.AMOAdd, 0x9000, 1)
+					th.Compute(3)
+					issued[id] += 2
+					th.Store(memory.Addr(0xa000+id*64), th.Load(0x9000))
+					issued[id] += 2
+				}
+				th.Fence()
+			}
+		}
+		return m, progs
+	}
+	whole, progs := build()
+	want, err := whole.Run(progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	var rec any
-	func() {
-		defer func() { rec = recover() }()
-		_, err = m.Run([]cpu.Program{
-			spin,
-			func(th *cpu.Thread) {
-				th.Load(0x1000)
-				panic("boom")
-			},
-			spin,
-		})
-	}()
-	if rec == nil {
-		t.Fatalf("Run returned (err %v) instead of panicking", err)
+	m, progs := build()
+	if res, err := m.RunTo(progs, pause); res != nil || err != nil || !m.Paused() {
+		t.Fatalf("RunTo = %v, %v; want a paused run", res, err)
 	}
-	msg := fmt.Sprint(rec)
-	if !strings.Contains(msg, "boom") || !strings.Contains(msg, "TestProgramPanicUnwindsRun") {
-		t.Fatalf("panic value does not name the panic and the program frame:\n%s", msg)
+	ahead := false
+	for i := range issued {
+		ahead = ahead || issued[i] > executed[i]
 	}
-	// An earlier test's goroutine may still be exiting, so the count can
-	// fall below base; a coroutine left behind would push it above.
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after the panic, %d before the run", n, base)
+	if !ahead {
+		t.Fatalf("no program ahead of its core at event %d: issued %v, executed %v", pause, issued, executed)
+	}
+	var buf bytes.Buffer
+	if err := m.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m.abortCores()
+	ck, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, progs := build()
+	got, err := fresh.RunFrom(progs, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("restored run diverged from the uninterrupted one:\n%s\n%s", a, b)
+	}
+	if a, b := fresh.Sys.Data.Load(0x9000), whole.Sys.Data.Load(0x9000); a != 160 || a != b {
+		t.Fatalf("counter = %d restored, %d uninterrupted; want 160", a, b)
 	}
 }
 

@@ -46,7 +46,8 @@ const (
 // workItem is one job flowing through the lease table. Exactly one live
 // item exists per digest (the runner dedupes submissions); a finished
 // item stays registered so late duplicate commits can be told apart from
-// divergent ones.
+// divergent ones, but keeps only what that check reads once its execute
+// call has returned.
 type workItem struct {
 	digest string
 	req    runner.Request
@@ -229,6 +230,10 @@ func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Ou
 	}
 	t.mu.Lock()
 	out, err := it.out, it.err
+	// From here on the item serves only the duplicate-commit check, which
+	// reads its state, committed, entryHash and fence: drop the payload, so
+	// the table does not keep every job it has run.
+	it.out, it.req, it.sink, it.ckpt = nil, runner.Request{}, nil, nil
 	t.mu.Unlock()
 	return out, err
 }

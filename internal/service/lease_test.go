@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -461,5 +462,40 @@ func TestErrorCommitFeedsRetryPolicy(t *testing.T) {
 	}
 	if st.State != SweepDone || st.Done != 1 {
 		t.Fatalf("sweep after retry = %+v", st)
+	}
+}
+
+// TestSettledItemsDropPayload: a settled job's item keeps only what the
+// duplicate-commit check reads, so a long-running service does not hold
+// the outcome, request or checkpoint of every job it has run.
+func TestSettledItemsDropPayload(t *testing.T) {
+	svc, err := New(Options{CacheDir: t.TempDir(), Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for sweep := 0; sweep < 3; sweep++ {
+		reqs := make([]runner.Request, 10)
+		for i := range reqs {
+			reqs[i] = counterReq(int64(541 + 10*sweep + i))
+		}
+		if _, err := svc.Submit(reqs); err != nil {
+			t.Fatal(err)
+		}
+		svc.Wait()
+	}
+	svc.lt.mu.Lock()
+	defer svc.lt.mu.Unlock()
+	if n := len(svc.lt.items); n != 30 {
+		t.Fatalf("lease table holds %d items, want 30", n)
+	}
+	for digest, it := range svc.lt.items {
+		if it.state != workDone {
+			t.Errorf("%s: state %d, want done", short(digest), it.state)
+		}
+		if it.out != nil || !reflect.ValueOf(it.req).IsZero() || it.sink != nil || it.ckpt != nil {
+			t.Errorf("%s: settled item keeps outcome %v, request %v, sink %v or %d checkpoint bytes",
+				short(digest), it.out != nil, !reflect.ValueOf(it.req).IsZero(), it.sink != nil, len(it.ckpt))
+		}
 	}
 }
