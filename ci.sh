@@ -7,7 +7,9 @@
 # A dynamosim smoke resumes a run from its -ckpt file and compares the
 # output with a plain run's, once unperturbed and once sanitized under
 # chaos. The digest gate hashes a cold seed-1 quick suite's tables
-# against the seed-1 entry of perfbench/golden.json.
+# against the seed-1 entry of perfbench/golden.json, and the warm-cache
+# gate reruns it over its own cache: same tables, no simulation, no
+# eviction.
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
 # -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
 # soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
@@ -71,12 +73,13 @@ done
 go test -run Fuzz ./internal/chaos
 
 # Microbenchmark smoke: one iteration of every kernel, core, cache,
-# mesh, memory, predictor, telemetry and machine benchmark, so the bodies
-# the benchmark's per-layer rows mirror keep compiling and running, and of
-# the probe-bus (sanitizer included) and self-profiler overhead benchmarks
-# EXPERIMENTS.md reports.
+# mesh, memory, predictor, telemetry, machine, digest and cache-entry
+# codec benchmark, so the bodies the benchmark's per-layer rows mirror
+# keep compiling and running, and of the probe-bus (sanitizer included)
+# and self-profiler overhead benchmarks EXPERIMENTS.md reports.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache \
-	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine
+	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine \
+	./internal/runner ./internal/stats
 go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.
@@ -140,6 +143,26 @@ got_digest=$("$stats/dynamo-experiments" -quick -jobs 2 -seed 1 -cache-dir "" 2>
 	exit 1
 }
 echo "ci: quick suite tables match the golden seed-1 digest"
+
+# Warm-cache gate: a second seed-1 quick suite over the cache a first one
+# filled must render the same golden tables from disk alone. Its runner
+# line must count no simulation and no eviction: an evicted entry
+# re-simulates to the same tables, so the digest alone would not notice a
+# cache-entry decoder that rejects good entries.
+warm="$stats/warm-cache"
+"$stats/dynamo-experiments" -quick -jobs 2 -seed 1 -cache-dir "$warm" >/dev/null 2>&1
+got_digest=$("$stats/dynamo-experiments" -quick -jobs 2 -seed 1 -cache-dir "$warm" \
+	2>"$stats/warm.err" | sha256sum | cut -d' ' -f1)
+[ "$got_digest" = "$want_digest" ] || {
+	echo "ci: warm quick suite tables hash to $got_digest, golden.json says $want_digest" >&2
+	exit 1
+}
+grep '^runner: ' "$stats/warm.err" | grep ' 0 simulated,' | grep ' 503 disk hits,' | grep -q ' 0 evictions' || {
+	echo "ci: warm quick suite did not answer from the cache alone:" >&2
+	cat "$stats/warm.err" >&2
+	exit 1
+}
+echo "ci: warm quick suite served 503 disk hits with no simulation or eviction"
 
 # Crash-recovery gate: a sweep SIGKILLed mid-run must complete under
 # -resume with tables byte-identical to an uninterrupted sweep. If the

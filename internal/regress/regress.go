@@ -7,8 +7,6 @@
 package regress
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,20 +15,6 @@ import (
 
 	"dynamo/internal/machine"
 )
-
-// Digest canonicalises a metadata map into a content digest: the map is
-// JSON-encoded (Go sorts map keys, so encoding is deterministic) and
-// hashed. Two runs with the same identifying metadata share a digest;
-// internal/runner keys its persistent result cache on it.
-func Digest(meta map[string]string) string {
-	canon, err := json.Marshal(meta)
-	if err != nil {
-		// A map[string]string always marshals.
-		panic(fmt.Sprintf("regress: canonicalising meta: %v", err))
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:])
-}
 
 // Snapshot is the canonical form of one run: identifying metadata plus a
 // flat metric map. JSON encoding is deterministic (Go sorts map keys), so

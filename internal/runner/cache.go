@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"time"
@@ -94,15 +95,16 @@ func (s *store) ckptPath(digest string) string {
 // re-simulates.
 var errEvicted = errors.New("runner: cache entry evicted")
 
-// load returns the cached outcome for a request, os.ErrNotExist on a
-// clean miss, or errEvicted after removing an unusable entry. It decodes
-// inline: every cache hit runs it on a fresh goroutine, whose stack a
-// deeper call chain would make grow once more per job.
-func (s *store) load(q Request) (*Outcome, time.Duration, error) {
+// load returns the cached outcome for a normalized request and its
+// digest, os.ErrNotExist on a clean miss, or errEvicted after removing an
+// unusable entry. It decodes inline: every cache hit runs it on a fresh
+// goroutine, whose stack a deeper call chain would make grow once more
+// per job.
+func (s *store) load(q Request, digest string) (*Outcome, time.Duration, error) {
 	if s == nil {
 		return nil, 0, os.ErrNotExist
 	}
-	path := s.path(q.Digest())
+	path := s.path(digest)
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, os.ErrNotExist
@@ -111,7 +113,7 @@ func (s *store) load(q Request) (*Outcome, time.Duration, error) {
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, 0, s.evict(path)
 	}
-	if e.Schema != entrySchema || e.Result == nil || !metaEqual(e.Meta, q.meta()) {
+	if e.Schema != entrySchema || e.Result == nil || !q.metaMatches(e.Meta) {
 		return nil, 0, s.evict(path)
 	}
 	return &Outcome{Result: e.Result, Hot: e.Hot, Cached: true},
@@ -170,8 +172,9 @@ func encodeEntry(q Request, out *Outcome, elapsed time.Duration) ([]byte, error)
 	return append(data, '\n'), nil
 }
 
-// save persists an outcome atomically.
-func (s *store) save(q Request, out *Outcome, elapsed time.Duration) error {
+// save persists a normalized request's outcome atomically under its
+// digest.
+func (s *store) save(q Request, digest string, out *Outcome, elapsed time.Duration) error {
 	if s == nil {
 		return nil
 	}
@@ -179,7 +182,6 @@ func (s *store) save(q Request, out *Outcome, elapsed time.Duration) error {
 	if err != nil {
 		return err
 	}
-	digest := q.Digest()
 	if err := s.writeAtomic(s.path(digest), data); err != nil {
 		return err
 	}
@@ -201,10 +203,11 @@ type failedEntry struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// quarantine records a failed run beside the result cache for post-mortem
-// inspection. The write is atomic, so a concurrent worker reading the
-// marker never sees a torn file. A nil store drops the record.
-func (s *store) quarantine(q Request, cause error, attempts int) error {
+// quarantine records a normalized request's failed run beside the result
+// cache, under its digest, for post-mortem inspection. The write is
+// atomic, so a concurrent worker reading the marker never sees a torn
+// file. A nil store drops the record.
+func (s *store) quarantine(q Request, digest string, cause error, attempts int) error {
 	if s == nil {
 		return nil
 	}
@@ -213,7 +216,7 @@ func (s *store) quarantine(q Request, cause error, attempts int) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding quarantine marker: %w", err)
 	}
-	return s.writeAtomic(s.failedPath(q.Digest()), append(data, '\n'))
+	return s.writeAtomic(s.failedPath(digest), append(data, '\n'))
 }
 
 // claimFailed atomically claims a request's quarantine marker before a
@@ -222,23 +225,23 @@ func (s *store) quarantine(q Request, cause error, attempts int) error {
 // (and inherits the recorded attempt count); the loser sees a clean
 // slate. This replaces the racy read-then-remove sequence in which both
 // workers could fold the same stale attempt count into their accounting.
+// A miss with no marker — every first run of a job — costs one failed
+// read and nothing else.
 func (s *store) claimFailed(digest string) (*failedEntry, bool) {
 	if s == nil {
 		return nil, false
 	}
-	tmp, err := os.CreateTemp(s.dir, ".claim-*")
-	if err != nil {
+	marker := s.failedPath(digest)
+	if _, err := s.fs.ReadFile(marker); err != nil {
 		return nil, false
 	}
-	claim := tmp.Name()
-	tmp.Close()
-	os.Remove(claim)
 	// Rename is atomic: of N concurrent claimers each renaming the marker
-	// to its own unique name, exactly one succeeds.
-	if err := s.fs.Rename(s.failedPath(digest), claim); err != nil {
+	// to its own random name, exactly one succeeds.
+	claim := filepath.Join(s.dir, fmt.Sprintf(".claim-%s-%016x", digest, rand.Uint64()))
+	if err := s.fs.Rename(marker, claim); err != nil {
 		return nil, false
 	}
-	defer os.Remove(claim)
+	defer s.fs.Remove(claim)
 	data, err := s.fs.ReadFile(claim)
 	if err != nil {
 		return nil, true
@@ -264,15 +267,14 @@ func (s *store) saveCkpt(digest string, ck *checkpoint.Checkpoint) error {
 	return s.writeAtomic(s.ckptPath(digest), append(data, '\n'))
 }
 
-// loadCkpt returns a request's persisted checkpoint, os.ErrNotExist on a
-// clean miss. An unreadable, corrupt, incompatible or misattributed file
-// is removed and its typed cause returned, so the caller counts an
-// eviction and restarts from event zero.
-func (s *store) loadCkpt(q Request) (*checkpoint.Checkpoint, error) {
+// loadCkpt returns the checkpoint persisted under a request digest,
+// os.ErrNotExist on a clean miss. An unreadable, corrupt, incompatible or
+// misattributed file is removed and its typed cause returned, so the
+// caller counts an eviction and restarts from event zero.
+func (s *store) loadCkpt(digest string) (*checkpoint.Checkpoint, error) {
 	if s == nil {
 		return nil, os.ErrNotExist
 	}
-	digest := q.Digest()
 	path := s.ckptPath(digest)
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -297,16 +299,4 @@ func (s *store) removeCkpt(digest string) {
 		return
 	}
 	s.fs.Remove(s.ckptPath(digest))
-}
-
-func metaEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -23,7 +23,7 @@ func TestStoreEvictsTornWrite(t *testing.T) {
 
 	inj := faultio.New(faultio.Options{Seed: 7, TornPermille: 1000, Budget: 1})
 	torn := newStore(dir, inj.WrapFS(faultio.OS{}))
-	if err := torn.save(q, out, 0); err != nil {
+	if err := torn.save(q, q.Digest(), out, 0); err != nil {
 		t.Fatalf("torn save reported an error (the tear is silent by design): %v", err)
 	}
 	if inj.Injected() != 1 {
@@ -32,7 +32,7 @@ func TestStoreEvictsTornWrite(t *testing.T) {
 
 	// A clean store over the same directory must detect and evict it.
 	s := newStore(dir, nil)
-	if _, _, err := s.load(q); !errors.Is(err, errEvicted) {
+	if _, _, err := s.load(q, q.Digest()); !errors.Is(err, errEvicted) {
 		t.Fatalf("load of torn entry = %v, want errEvicted", err)
 	}
 
@@ -63,7 +63,7 @@ func TestRunnerSurvivesENOSPC(t *testing.T) {
 	inj := faultio.New(faultio.Options{Seed: 11, ENOSPCPermille: 1000, Budget: 1})
 	fs := inj.WrapFS(faultio.OS{})
 	s := newStore(dir, fs)
-	if err := s.save(q, out, 0); !errors.Is(err, syscall.ENOSPC) {
+	if err := s.save(q, q.Digest(), out, 0); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("save under ENOSPC = %v, want a typed syscall.ENOSPC", err)
 	}
 
@@ -86,13 +86,13 @@ func TestStoreEvictsCorruptRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := newStore(dir, nil).save(q, out, 0); err != nil {
+	if err := newStore(dir, nil).save(q, q.Digest(), out, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	inj := faultio.New(faultio.Options{Seed: 3, CorruptPermille: 1000, Budget: 1})
 	s := newStore(dir, inj.WrapFS(faultio.OS{}))
-	if _, _, err := s.load(q); !errors.Is(err, errEvicted) {
+	if _, _, err := s.load(q, q.Digest()); !errors.Is(err, errEvicted) {
 		t.Fatalf("load of corrupt-read entry = %v, want errEvicted", err)
 	}
 }

@@ -99,7 +99,7 @@ func TestQuarantineClaimIsExclusive(t *testing.T) {
 	dir := t.TempDir()
 	s := newStore(dir, nil)
 	q := quick()
-	if err := s.quarantine(q, errors.New("old failure"), 5); err != nil {
+	if err := s.quarantine(q, q.Digest(), errors.New("old failure"), 5); err != nil {
 		t.Fatal(err)
 	}
 

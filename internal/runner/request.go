@@ -8,6 +8,9 @@
 package runner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -18,7 +21,6 @@ import (
 	"dynamo/internal/machine"
 	"dynamo/internal/obs"
 	"dynamo/internal/obs/profile"
-	"dynamo/internal/regress"
 	"dynamo/internal/sim"
 	"dynamo/internal/workload"
 )
@@ -121,47 +123,165 @@ func (q Request) normalize() Request {
 	return q
 }
 
-// meta canonicalises the request into the flat metadata map the digest is
-// computed over (and that persisted cache entries are verified against).
-func (q Request) meta() map[string]string {
-	m := map[string]string{
-		"schema":   strconv.Itoa(ConfigSchema),
-		"workload": q.Workload,
-		"policy":   q.Policy,
-		"input":    q.Input,
-		"threads":  strconv.Itoa(q.Threads),
-		"seed":     strconv.FormatInt(q.Seed, 10),
-		"scale":    strconv.FormatFloat(q.Scale, 'g', -1, 64),
-		"variant":  q.Variant,
-	}
-	if q.DSE != "" {
-		m["dse"] = q.DSE
-	}
+// metaKeys lists every key of a request's canonical metadata in
+// ascending byte order, the order the digest's JSON object is written in;
+// appendMeta gives each key its value. Together they are the one
+// definition of what a digest covers, and of the meta every persisted
+// entry is verified against.
+var metaKeys = [...]string{
+	"chaos-level", "chaos-seed", "check",
+	"counter-cells", "counter-noreturn", "counter-ops",
+	"dse", "input", "observe", "policy", "profile-topk",
+	"scale", "schema", "seed", "threads", "variant", "workload",
+}
+
+// appendMeta appends the text of key's value in a normalized request's
+// metadata to b and reports whether the request carries the key; when it
+// does not, b comes back unchanged. Design-space, counter, observability,
+// sanitizer and chaos keys are carried only when set, so plain requests
+// keep the digests their cache entries were saved under.
+func (q *Request) appendMeta(b []byte, key string) ([]byte, bool) {
+	var c CounterSpec
 	if q.Counter != nil {
-		m["counter-ops"] = strconv.Itoa(q.Counter.Ops)
-		m["counter-noreturn"] = strconv.FormatBool(q.Counter.NoReturn)
-		m["counter-cells"] = strconv.Itoa(q.Counter.Cells)
+		c = *q.Counter
 	}
-	if q.Observe {
-		m["observe"] = "true"
+	switch key {
+	case "chaos-level":
+		return appendInt(b, int64(q.ChaosLevel), q.ChaosLevel > 0)
+	case "chaos-seed":
+		return appendInt(b, q.ChaosSeed, q.ChaosLevel > 0)
+	case "check":
+		return appendString(b, "true", q.Check)
+	case "counter-cells":
+		return appendInt(b, int64(c.Cells), q.Counter != nil)
+	case "counter-noreturn":
+		return appendString(b, strconv.FormatBool(c.NoReturn), q.Counter != nil)
+	case "counter-ops":
+		return appendInt(b, int64(c.Ops), q.Counter != nil)
+	case "dse":
+		return appendString(b, q.DSE, q.DSE != "")
+	case "input":
+		return appendString(b, q.Input, true)
+	case "observe":
+		return appendString(b, "true", q.Observe)
+	case "policy":
+		return appendString(b, q.Policy, true)
+	case "profile-topk":
+		return appendInt(b, int64(q.ProfileTopK), q.ProfileTopK > 0)
+	case "scale":
+		return strconv.AppendFloat(b, q.Scale, 'g', -1, 64), true
+	case "schema":
+		return appendInt(b, ConfigSchema, true)
+	case "seed":
+		return appendInt(b, q.Seed, true)
+	case "threads":
+		return appendInt(b, int64(q.Threads), true)
+	case "variant":
+		return appendString(b, q.Variant, true)
+	case "workload":
+		return appendString(b, q.Workload, true)
 	}
-	if q.ProfileTopK > 0 {
-		m["profile-topk"] = strconv.Itoa(q.ProfileTopK)
+	panic("runner: unknown metadata key " + key)
+}
+
+func appendInt(b []byte, v int64, set bool) ([]byte, bool) {
+	if !set {
+		return b, false
 	}
-	// Sanitizer and chaos keys are emitted only when set, so plain
-	// requests keep the digests their cache entries were saved under.
-	if q.Check {
-		m["check"] = "true"
+	return strconv.AppendInt(b, v, 10), true
+}
+
+func appendString(b []byte, v string, set bool) ([]byte, bool) {
+	if !set {
+		return b, false
 	}
-	if q.ChaosLevel > 0 {
-		m["chaos-seed"] = strconv.FormatInt(q.ChaosSeed, 10)
-		m["chaos-level"] = strconv.Itoa(q.ChaosLevel)
+	return append(b, v...), true
+}
+
+// meta returns a normalized request's canonical metadata, the map every
+// persisted entry and quarantine marker stores.
+func (q Request) meta() map[string]string {
+	m := make(map[string]string, len(metaKeys))
+	for _, k := range metaKeys {
+		if v, ok := q.appendMeta(nil, k); ok {
+			m[k] = string(v)
+		}
 	}
 	return m
 }
 
-// Digest returns the request's canonical content digest.
-func (q Request) Digest() string { return regress.Digest(q.normalize().meta()) }
+// metaMatches reports whether m is exactly a normalized request's
+// canonical metadata, without building the request's map.
+func (q *Request) metaMatches(m map[string]string) bool {
+	var scratch [64]byte
+	n := 0
+	for _, k := range metaKeys {
+		v, ok := q.appendMeta(scratch[:0], k)
+		if !ok {
+			continue
+		}
+		n++
+		if got, has := m[k]; !has || got != string(v) {
+			return false
+		}
+	}
+	return n == len(m)
+}
+
+// Digest returns the request's canonical content digest: the hex SHA-256
+// of its normalized metadata as the JSON object json.Marshal writes for
+// meta() — keys sorted, every value a string, HTML-escaped — written
+// directly, with no map and no reflection. The bytes must never change:
+// persisted cache entries, checkpoints and quarantine markers are named
+// by them.
+func (q Request) Digest() string {
+	q = q.normalize()
+	var buf [320]byte
+	b := append(buf[:0], '{')
+	for _, k := range metaKeys {
+		mark := len(b)
+		if mark > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, k...)
+		b = append(b, `":"`...)
+		start := len(b)
+		var ok bool
+		if b, ok = q.appendMeta(b, k); !ok {
+			b = b[:mark]
+			continue
+		}
+		if plainJSON(b[start:]) {
+			b = append(b, '"')
+			continue
+		}
+		quoted, err := json.Marshal(string(b[start:]))
+		if err != nil {
+			// A string always marshals.
+			panic(fmt.Sprintf("runner: quoting meta %q: %v", k, err))
+		}
+		b = append(b[:start-1], quoted...)
+	}
+	b = append(b, '}')
+	sum := sha256.Sum256(b)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// plainJSON reports whether json.Marshal writes s between its quotes
+// unchanged: no control byte, quote, backslash, HTML-escaped '<', '>' or
+// '&', and no non-ASCII byte, since it escapes U+2028 and U+2029 and
+// replaces invalid UTF-8.
+func plainJSON(s []byte) bool {
+	for _, c := range s {
+		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
 
 // String renders the request for logs and error wrapping.
 func (q Request) String() string {

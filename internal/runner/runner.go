@@ -171,6 +171,7 @@ func guard(exec func(Request, ExecOptions) (*Outcome, error), q Request, x ExecO
 // Task is a submitted job's handle.
 type Task struct {
 	req     Request
+	digest  string // req.Digest(), computed once at submission
 	done    chan struct{}
 	out     *Outcome
 	err     error
@@ -307,7 +308,7 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 		r.tel.JobDeduped()
 		return t
 	}
-	t := &Task{req: req, done: make(chan struct{}), interrupt: interrupt}
+	t := &Task{req: req, digest: digest, done: make(chan struct{}), interrupt: interrupt}
 	if r.tel.Enabled() {
 		// Guarded so the request never renders when telemetry is off.
 		t.jt = r.tel.StartJob(digest, req.String())
@@ -446,7 +447,7 @@ func (r *Runner) run(t *Task) {
 
 	// The persistent store is probed outside the worker pool: hits are
 	// cheap JSON reads and must not queue behind running simulations.
-	out, elapsed, err := r.store.load(t.req)
+	out, elapsed, err := r.store.load(t.req, t.digest)
 	switch {
 	case err == nil:
 		r.mu.Lock()
@@ -463,7 +464,6 @@ func (r *Runner) run(t *Task) {
 		r.evicted()
 	}
 
-	digest := t.req.Digest()
 	// The executor watches one channel: the merge of the sweep-wide and
 	// per-task cancellation sources.
 	intr := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
@@ -472,13 +472,13 @@ func (r *Runner) run(t *Task) {
 		if r.opts.CkptEvery > 0 {
 			x.CkptEvery = r.opts.CkptEvery
 			x.Sink = func(ck *checkpoint.Checkpoint) {
-				if err := r.store.saveCkpt(digest, ck); err != nil {
+				if err := r.store.saveCkpt(t.digest, ck); err != nil {
 					r.logf(t, "checkpoint write failed: %v", err)
 				}
 			}
 		}
 		if r.opts.Resume {
-			switch ck, err := r.store.loadCkpt(t.req); {
+			switch ck, err := r.store.loadCkpt(t.digest); {
 			case err == nil:
 				x.Resume = ck
 				r.mu.Lock()
@@ -497,7 +497,7 @@ func (r *Runner) run(t *Task) {
 	// inside claimFailed guarantees that of all workers sharing this cache
 	// directory, exactly one inherits the marker's attempt count.
 	var prior int
-	if prev, ok := r.store.claimFailed(digest); ok && prev != nil {
+	if prev, ok := r.store.claimFailed(t.digest); ok && prev != nil {
 		prior = prev.Attempts
 	}
 
@@ -559,7 +559,7 @@ func (r *Runner) run(t *Task) {
 		// Failed runs never enter the result cache; they leave a
 		// quarantine marker beside it for post-mortem instead. Any
 		// persisted checkpoint stays for bisection.
-		if qerr := r.store.quarantine(t.req, runErr, prior+attempts); qerr != nil {
+		if qerr := r.store.quarantine(t.req, t.digest, runErr, prior+attempts); qerr != nil {
 			r.logf(t, "quarantine write failed: %v", qerr)
 		}
 		r.logf(t, "failed %s after %d attempt(s): %v", t.req, attempts, runErr)
@@ -574,8 +574,8 @@ func (r *Runner) run(t *Task) {
 	t.elapsed = elapsed
 	r.tel.JobSucceeded(elapsed, out.Result.SimEvents)
 	t.jt.Done(telemetry.OutcomeOK, out.Result.SimEvents, nil)
-	r.store.removeCkpt(digest)
-	if err := r.store.save(t.req, out, elapsed); err != nil {
+	r.store.removeCkpt(t.digest)
+	if err := r.store.save(t.req, t.digest, out, elapsed); err != nil {
 		// A write failure degrades the cache, not the run.
 		r.logf(t, "cache write failed: %v", err)
 	}

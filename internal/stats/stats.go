@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // Geomean returns the geometric mean of xs. It returns 0 for an empty slice
@@ -83,30 +85,34 @@ type Counter struct {
 }
 
 // Group is an ordered collection of named counters, used for run reports.
+// Add and Get scan the slice: a group holds a few dozen names at most (a
+// run's Detail has 23), too few for an index to pay for itself.
 type Group struct {
 	counters []Counter
-	index    map[string]int
 }
 
 // NewGroup returns an empty group.
 func NewGroup() *Group {
-	return &Group{index: make(map[string]int)}
+	return &Group{}
 }
 
 // Add increments the named counter by n, creating it if needed.
 func (g *Group) Add(name string, n uint64) {
-	if i, ok := g.index[name]; ok {
-		g.counters[i].Value += n
-		return
+	for i := range g.counters {
+		if g.counters[i].Name == name {
+			g.counters[i].Value += n
+			return
+		}
 	}
-	g.index[name] = len(g.counters)
 	g.counters = append(g.counters, Counter{Name: name, Value: n})
 }
 
 // Get returns the value of the named counter (zero if absent).
 func (g *Group) Get(name string) uint64 {
-	if i, ok := g.index[name]; ok {
-		return g.counters[i].Value
+	for _, c := range g.counters {
+		if c.Name == name {
+			return c.Value
+		}
 	}
 	return 0
 }
@@ -156,24 +162,193 @@ func (g *Group) MarshalJSON() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// UnmarshalJSON decodes the name-to-value object form produced by
-// MarshalJSON. Counters are inserted in sorted name order (the encoded
-// order), so a decoded group re-encodes byte-identically.
+// UnmarshalJSON decodes exactly what MarshalJSON writes, in any JSON
+// whitespace (a document written with MarshalIndent spreads the object
+// over lines): an object whose names strictly ascend and whose values are
+// unsigned decimal integers. Anything else is an error. It scans the
+// object once, straight into the counters; they keep the encoded order,
+// so a decoded group re-encodes byte-identically.
 func (g *Group) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
+	// One copy of the object holds every name written without escapes.
+	d := groupDecoder{text: string(data)}
+	if !d.consume('{') {
+		return d.fail("expected '{'")
 	}
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
+	// Each counter is written with one ':', so this bounds their number.
+	cs := make([]Counter, 0, strings.Count(d.text, ":"))
+	if !d.consume('}') {
+		for {
+			name, err := d.name()
+			if err != nil {
+				return err
+			}
+			if len(cs) > 0 && name <= cs[len(cs)-1].Name {
+				return d.fail(fmt.Sprintf("name %q out of order", name))
+			}
+			if !d.consume(':') {
+				return d.fail("expected ':'")
+			}
+			v, err := d.uint()
+			if err != nil {
+				return err
+			}
+			cs = append(cs, Counter{Name: name, Value: v})
+			if d.consume('}') {
+				break
+			}
+			if !d.consume(',') {
+				return d.fail("expected ',' or '}'")
+			}
+		}
 	}
-	sort.Strings(names)
-	*g = *NewGroup()
-	for _, n := range names {
-		g.Add(n, m[n])
+	if d.space(); d.i != len(d.text) {
+		return d.fail("unexpected data after the object")
 	}
+	g.counters = cs
 	return nil
+}
+
+// groupDecoder is UnmarshalJSON's cursor over one encoded group.
+type groupDecoder struct {
+	text string
+	i    int
+}
+
+func (d *groupDecoder) fail(what string) error {
+	return fmt.Errorf("stats: decoding group: %s at offset %d", what, d.i)
+}
+
+// space skips JSON whitespace.
+func (d *groupDecoder) space() {
+	for d.i < len(d.text) {
+		switch d.text[d.i] {
+		case ' ', '\t', '\n', '\r':
+			d.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace, then reports whether the next byte is c,
+// stepping past it if so.
+func (d *groupDecoder) consume(c byte) bool {
+	d.space()
+	if d.i < len(d.text) && d.text[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// name reads a quoted counter name. A name written without escapes is a
+// substring of the decoder's text; only an escaped one is copied.
+func (d *groupDecoder) name() (string, error) {
+	if !d.consume('"') {
+		return "", d.fail("expected a quoted name")
+	}
+	start := d.i
+	ascii := true
+	for ; d.i < len(d.text); d.i++ {
+		switch c := d.text[d.i]; {
+		case c == '"':
+			s := d.text[start:d.i]
+			d.i++
+			if !ascii && !utf8.ValidString(s) {
+				return "", d.fail("invalid UTF-8 in a name")
+			}
+			return s, nil
+		case c == '\\':
+			d.i = start
+			return d.unquote()
+		case c < 0x20:
+			return "", d.fail("control byte in a name")
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return "", d.fail("unterminated name")
+}
+
+// unquote reads a name holding escapes, from just past its opening quote.
+// It accepts every JSON escape except a surrogate half, which json.Marshal
+// never writes: it writes non-ASCII text as UTF-8.
+func (d *groupDecoder) unquote() (string, error) {
+	var b []byte
+	for d.i < len(d.text) {
+		c := d.text[d.i]
+		switch {
+		case c == '"':
+			d.i++
+			if !utf8.Valid(b) {
+				return "", d.fail("invalid UTF-8 in a name")
+			}
+			return string(b), nil
+		case c < 0x20:
+			return "", d.fail("control byte in a name")
+		case c != '\\':
+			b = append(b, c)
+			d.i++
+			continue
+		}
+		if d.i+1 == len(d.text) {
+			break
+		}
+		esc := d.text[d.i+1]
+		d.i += 2
+		switch esc {
+		case '"', '\\', '/':
+			b = append(b, esc)
+		case 'b':
+			b = append(b, '\b')
+		case 'f':
+			b = append(b, '\f')
+		case 'n':
+			b = append(b, '\n')
+		case 'r':
+			b = append(b, '\r')
+		case 't':
+			b = append(b, '\t')
+		case 'u':
+			if d.i+4 > len(d.text) {
+				return "", d.fail("short \\u escape")
+			}
+			r, err := strconv.ParseUint(d.text[d.i:d.i+4], 16, 16)
+			if err != nil || utf16.IsSurrogate(rune(r)) {
+				return "", d.fail("bad \\u escape")
+			}
+			b = utf8.AppendRune(b, rune(r))
+			d.i += 4
+		default:
+			return "", d.fail("bad escape")
+		}
+	}
+	return "", d.fail("unterminated name")
+}
+
+// uint reads an unsigned decimal value: no sign, no leading zero, no
+// fraction or exponent, at most math.MaxUint64.
+func (d *groupDecoder) uint() (uint64, error) {
+	d.space()
+	start := d.i
+	var v uint64
+	for ; d.i < len(d.text); d.i++ {
+		c := d.text[d.i]
+		if c < '0' || c > '9' {
+			break
+		}
+		if v > (math.MaxUint64-uint64(c-'0'))/10 {
+			return 0, d.fail("value overflows uint64")
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	switch {
+	case d.i == start:
+		return 0, d.fail("expected an unsigned integer")
+	case d.text[start] == '0' && d.i-start > 1:
+		return 0, d.fail("leading zero")
+	}
+	return v, nil
 }
 
 // Table formats rows of cells with left-aligned, width-padded columns; the
