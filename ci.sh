@@ -188,8 +188,10 @@ echo "ci: killed sweep resumed to byte-identical tables"
 # Telemetry gate: a served sweep must expose live /metrics, /progress and
 # /jobs endpoints whose counts agree with the sweep's own summary, and
 # serving must not perturb stdout — the tables stay byte-identical to the
-# unserved fig7 run above. The instruments are pure atomics; re-check the
-# package under the race detector.
+# unserved fig7 run above. The stderr runner: line, printed once the sweep
+# ends, must agree with /progress too: its jobs with total_jobs, and its
+# simulated plus disk hits with done_jobs. The instruments are pure
+# atomics; re-check the package under the race detector.
 go test -race ./internal/telemetry
 echo "ci: telemetry gate"
 tcache="$stats/telemetry-cache"
@@ -215,6 +217,25 @@ for _ in $(seq 1 120); do
 done
 [ "$done_jobs" -gt 0 ] && [ "$done_jobs" = "$total_jobs" ] || {
 	echo "ci: sweep never converged on /progress (done=$done_jobs total=$total_jobs)" >&2
+	exit 1
+}
+runner_line=""
+for _ in $(seq 1 120); do
+	runner_line=$(grep '^runner: [0-9]* requests -> ' "$stats/fig7-serve.err" | head -1)
+	[ -n "$runner_line" ] && break
+	sleep 0.5
+done
+[ -n "$runner_line" ] || { echo "ci: served sweep never printed its runner: line" >&2; exit 1; }
+final=$(curl -fsS "http://$addr/progress")
+final_done=$(echo "$final" | sed -n 's/.*"done_jobs": \([0-9]*\).*/\1/p')
+final_total=$(echo "$final" | sed -n 's/.*"total_jobs": \([0-9]*\).*/\1/p')
+line_jobs=$(echo "$runner_line" | sed -n 's/.* -> \([0-9]*\) jobs: .*/\1/p')
+line_sim=$(echo "$runner_line" | sed -n 's/.* jobs: \([0-9]*\) simulated, .*/\1/p')
+line_disk=$(echo "$runner_line" | sed -n 's/.* \([0-9]*\) disk hits.*/\1/p')
+[ -n "$line_jobs" ] && [ -n "$line_sim" ] && [ -n "$line_disk" ] && [ -n "$final_done" ] &&
+	[ "$line_jobs" = "$final_total" ] && [ $((line_sim + line_disk)) = "$final_done" ] || {
+	echo "ci: runner: line disagrees with /progress (total=$final_total done=$final_done):" >&2
+	echo "$runner_line" >&2
 	exit 1
 }
 curl -fsS "http://$addr/metrics" >"$stats/metrics.txt"

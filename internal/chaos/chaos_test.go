@@ -40,17 +40,9 @@ func runInstance(t testing.TB, policy string, inst *workload.Instance, chaosSeed
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Setup != nil {
-		inst.Setup(m.Sys.Data)
-	}
-	res, err := m.Run(inst.Programs)
+	res, err := inst.Run(m, nil)
 	if err != nil {
 		t.Fatalf("run (chaos seed %d level %d): %v", chaosSeed, level, err)
-	}
-	if inst.Validate != nil {
-		if err := inst.Validate(m.Sys.Data); err != nil {
-			t.Fatalf("validate (chaos seed %d level %d): %v", chaosSeed, level, err)
-		}
 	}
 	return chaos.Digest(m.Sys.Data), res
 }

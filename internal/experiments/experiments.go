@@ -126,11 +126,6 @@ func NewSuite(o Options) *Suite {
 // Runner exposes the suite's sweep engine (for progress and cache stats).
 func (s *Suite) Runner() *runner.Runner { return s.r }
 
-// sysVariant maps variant names to configuration mutations.
-func sysVariant(name string, cfg *machine.Config) error {
-	return runner.ApplyVariant(name, cfg)
-}
-
 // request expands a suite run key into a full runner request.
 func (s *Suite) request(key runKey) runner.Request {
 	return runner.Request{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynamo/internal/machine"
+	"dynamo/internal/runner"
 	"dynamo/internal/workload"
 )
 
@@ -105,7 +106,7 @@ func TestSysVariants(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := machine.DefaultConfig()
-		if err := sysVariant(c.name, &cfg); err != nil {
+		if err := runner.ApplyVariant(c.name, &cfg); err != nil {
 			t.Fatalf("%q: %v", c.name, err)
 		}
 		if !c.check(cfg) {
@@ -113,7 +114,7 @@ func TestSysVariants(t *testing.T) {
 		}
 	}
 	cfg := machine.DefaultConfig()
-	if err := sysVariant("nonsense", &cfg); err == nil {
+	if err := runner.ApplyVariant("nonsense", &cfg); err == nil {
 		t.Error("unknown variant accepted")
 	}
 }

@@ -438,11 +438,6 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prof != nil {
-		for _, site := range inst.Sites {
-			bus.RegisterSite(site)
-		}
-	}
 
 	var m *machine.Machine
 	if q.DSE != "" {
@@ -461,20 +456,9 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 			return nil, err
 		}
 	}
-	if inst.Setup != nil {
-		inst.Setup(m.Sys.Data)
-	}
-	var res *machine.Result
-	if x.Resume != nil {
-		res, err = m.RunFrom(inst.Programs, x.Resume)
-	} else {
-		res, err = m.Run(inst.Programs)
-	}
+	res, err := inst.Run(m, x.Resume)
 	if err != nil {
 		return nil, err
-	}
-	if err := inst.Validate(m.Sys.Data); err != nil {
-		return nil, fmt.Errorf("validation: %w", err)
 	}
 	out := &Outcome{Result: res}
 	if prof != nil {

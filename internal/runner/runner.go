@@ -49,7 +49,9 @@ type Options struct {
 	// and every cancelled job reports machine.ErrInterrupted.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, receives metrics and a structured job span
-	// from every submit, cache, run, retry, quarantine and interrupt path.
+	// from every submit, cache, run, retry, quarantine and interrupt path,
+	// and its counter block is the runner's: Stats reads the same counts
+	// as /progress and /metrics, so runners sharing a surface share them.
 	// Nil costs nothing: the hot path does not allocate.
 	Telemetry *telemetry.Sweep
 	// ServeAddr, when non-empty, serves telemetry over HTTP (/metrics,
@@ -104,8 +106,9 @@ type Stats struct {
 	// Evictions counts persisted entries dropped as corrupt or outdated.
 	Evictions uint64
 	// Retries counts re-executions of transiently failed jobs; Resumed
-	// counts jobs restored from a persisted checkpoint; Interrupted
-	// counts cancelled jobs (Options.Interrupt or a per-task interrupt).
+	// counts jobs restored from a persisted checkpoint (under the sweep
+	// service, lease re-grants that carry one too); Interrupted counts
+	// cancelled jobs (Options.Interrupt or a per-task interrupt).
 	Retries     uint64
 	Resumed     uint64
 	Interrupted uint64
@@ -207,6 +210,7 @@ type Runner struct {
 	store  *store
 	sem    chan struct{}
 	tel    *telemetry.Sweep  // nil: telemetry disabled
+	counts *telemetry.Counts // tel's block, or the runner's own without tel
 	srv    *telemetry.Server // nil: not serving
 	srvErr error
 	ownTel bool // the runner created tel and closes it
@@ -215,7 +219,6 @@ type Runner struct {
 	tasks  map[string]*Task
 	order  []*Task
 	failed []*JobError
-	stats  Stats
 }
 
 // New builds a runner.
@@ -233,6 +236,9 @@ func New(opts Options) *Runner {
 	if opts.ServeAddr != "" && r.tel == nil {
 		r.tel = telemetry.NewSweep(telemetry.SweepOptions{})
 		r.ownTel = true
+	}
+	if r.counts = r.tel.Counts(); r.counts == nil {
+		r.counts = new(telemetry.Counts)
 	}
 	r.tel.SetWorkers(opts.Jobs)
 	if opts.ServeAddr != "" {
@@ -299,13 +305,11 @@ func (r *Runner) SubmitInterruptible(req Request, interrupt <-chan struct{}) *Ta
 func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 	req = req.normalize()
 	digest := req.Digest()
-	r.tel.Submitted()
+	r.counts.Requests.Add(1)
 	r.mu.Lock()
-	r.stats.Requests++
 	if t, ok := r.tasks[digest]; ok && !replayable(t) {
-		r.stats.Hits++
 		r.mu.Unlock()
-		r.tel.JobDeduped()
+		r.counts.Deduped.Add(1)
 		return t
 	}
 	t := &Task{req: req, digest: digest, done: make(chan struct{}), interrupt: interrupt}
@@ -315,9 +319,9 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 	}
 	r.tasks[digest] = t
 	r.order = append(r.order, t)
-	r.stats.Submitted++
 	r.mu.Unlock()
-	r.tel.JobQueued()
+	r.counts.Submitted.Add(1)
+	r.counts.Queued.Add(1)
 	go r.run(t)
 	return t
 }
@@ -353,11 +357,28 @@ func (r *Runner) Wait() error {
 	return first
 }
 
-// Stats returns a snapshot of the runner's counters.
+// Stats returns a snapshot of the runner's counters, read from the same
+// block as /progress and /metrics. Each counter loads atomically, but not
+// all at one instant, so a snapshot taken mid-sweep may mix counts from
+// slightly different moments; after Wait it is exact.
 func (r *Runner) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	c := r.counts
+	return Stats{
+		Requests:    c.Requests.Load(),
+		Submitted:   c.Submitted.Load(),
+		Hits:        c.Deduped.Load(),
+		DiskHits:    c.DiskHits.Load(),
+		Misses:      c.Misses.Load(),
+		Errors:      c.Failed.Load(),
+		Panics:      c.Panics.Load(),
+		Evictions:   c.Evictions.Load(),
+		Retries:     c.Retries.Load(),
+		Resumed:     c.Resumed.Load(),
+		Interrupted: c.Interrupted.Load(),
+		Saved:       time.Duration(c.SavedNanos.Load()),
+		SimEvents:   c.SimEvents.Load(),
+		SimTime:     time.Duration(c.SimNanos.Load()),
+	}
 }
 
 // Failed returns every failed job so far, in completion order. A sweep
@@ -450,18 +471,16 @@ func (r *Runner) run(t *Task) {
 	out, elapsed, err := r.store.load(t.req, t.digest)
 	switch {
 	case err == nil:
-		r.mu.Lock()
-		r.stats.DiskHits++
-		r.stats.Saved += elapsed
-		r.mu.Unlock()
+		r.counts.Queued.Add(-1)
+		r.counts.DiskHits.Add(1)
+		r.counts.SavedNanos.Add(int64(elapsed))
 		t.out = out
 		t.elapsed = elapsed
-		r.tel.JobCached(elapsed)
 		t.jt.Done(telemetry.OutcomeCached, 0, nil)
 		r.logf(t, "cached %s (saved %s)", t.req, elapsed.Round(time.Millisecond))
 		return
 	case errors.Is(err, errEvicted):
-		r.evicted()
+		r.counts.Evictions.Add(1)
 	}
 
 	// The executor watches one channel: the merge of the sweep-wide and
@@ -481,14 +500,11 @@ func (r *Runner) run(t *Task) {
 			switch ck, err := r.store.loadCkpt(t.digest); {
 			case err == nil:
 				x.Resume = ck
-				r.mu.Lock()
-				r.stats.Resumed++
-				r.mu.Unlock()
-				r.tel.JobResumed()
+				r.counts.Resumed.Add(1)
 				t.jt.MarkResumed()
 				r.logf(t, "resuming %s from event %d", t.req, ck.Event)
 			case !errors.Is(err, os.ErrNotExist):
-				r.evicted()
+				r.counts.Evictions.Add(1)
 				r.logf(t, "checkpoint evicted: %v", err)
 			}
 		}
@@ -510,7 +526,8 @@ func (r *Runner) run(t *Task) {
 		r.finishInterrupted(t, true)
 		return
 	}
-	r.tel.JobRunning()
+	r.counts.Queued.Add(-1)
+	r.counts.Running.Add(1)
 	t.jt.Begin()
 	start := time.Now()
 	var runErr error
@@ -524,10 +541,7 @@ func (r *Runner) run(t *Task) {
 			break
 		}
 		delay := r.backoff(attempts)
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		r.tel.Retry()
+		r.counts.Retries.Add(1)
 		r.logf(t, "retrying %s in %s (attempt %d of %d): %v",
 			t.req, delay, attempts+1, r.opts.Retries+1, runErr)
 		if !sleep(delay, intr) {
@@ -537,7 +551,7 @@ func (r *Runner) run(t *Task) {
 	}
 	elapsed = time.Since(start)
 	<-r.sem
-	r.tel.JobRunDone()
+	r.counts.Running.Add(-1)
 
 	if errors.Is(runErr, machine.ErrInterrupted) {
 		r.finishInterrupted(t, false)
@@ -545,16 +559,15 @@ func (r *Runner) run(t *Task) {
 	}
 	if runErr != nil {
 		je := &JobError{Request: t.req, Err: runErr}
-		panicked := errors.Is(runErr, ErrJobPanicked)
 		r.mu.Lock()
-		r.stats.Errors++
-		if panicked {
-			r.stats.Panics++
-		}
 		r.failed = append(r.failed, je)
 		r.mu.Unlock()
+		r.counts.Failed.Add(1)
+		if errors.Is(runErr, ErrJobPanicked) {
+			r.counts.Panics.Add(1)
+		}
 		t.err = je
-		r.tel.JobFailed(panicked, elapsed)
+		r.tel.ObserveJob(elapsed)
 		t.jt.Done(telemetry.OutcomeFailed, 0, runErr)
 		// Failed runs never enter the result cache; they leave a
 		// quarantine marker beside it for post-mortem instead. Any
@@ -565,14 +578,12 @@ func (r *Runner) run(t *Task) {
 		r.logf(t, "failed %s after %d attempt(s): %v", t.req, attempts, runErr)
 		return
 	}
-	r.mu.Lock()
-	r.stats.Misses++
-	r.stats.SimEvents += out.Result.SimEvents
-	r.stats.SimTime += elapsed
-	r.mu.Unlock()
+	r.counts.Misses.Add(1)
+	r.counts.SimEvents.Add(out.Result.SimEvents)
+	r.counts.SimNanos.Add(int64(elapsed))
 	t.out = out
 	t.elapsed = elapsed
-	r.tel.JobSucceeded(elapsed, out.Result.SimEvents)
+	r.tel.ObserveJob(elapsed)
 	t.jt.Done(telemetry.OutcomeOK, out.Result.SimEvents, nil)
 	r.store.removeCkpt(t.digest)
 	if err := r.store.save(t.req, t.digest, out, elapsed); err != nil {
@@ -582,26 +593,18 @@ func (r *Runner) run(t *Task) {
 	r.logf(t, "ran %s: %d cycles (%s)", t.req, out.Result.Cycles, elapsed.Round(time.Millisecond))
 }
 
-// evicted counts a persisted file dropped as unusable.
-func (r *Runner) evicted() {
-	r.mu.Lock()
-	r.stats.Evictions++
-	r.mu.Unlock()
-	r.tel.Eviction()
-}
-
 // finishInterrupted records a cancelled job: it reports
 // machine.ErrInterrupted through its task but is neither quarantined nor
 // counted as an error — its checkpoint (when one was captured) makes it
 // resumable, not failed. fromQueue marks a job cancelled before it ever
-// reached the worker pool.
+// reached the worker pool, whose queued slot is released here; a job
+// cancelled mid-run released it when it started running.
 func (r *Runner) finishInterrupted(t *Task, fromQueue bool) {
-	je := &JobError{Request: t.req, Err: machine.ErrInterrupted}
-	r.mu.Lock()
-	r.stats.Interrupted++
-	r.mu.Unlock()
-	t.err = je
-	r.tel.JobInterrupted(fromQueue)
+	if fromQueue {
+		r.counts.Queued.Add(-1)
+	}
+	r.counts.Interrupted.Add(1)
+	t.err = &JobError{Request: t.req, Err: machine.ErrInterrupted}
 	t.jt.Done(telemetry.OutcomeInterrupted, 0, machine.ErrInterrupted)
 	r.logf(t, "interrupted %s", t.req)
 }
@@ -624,7 +627,7 @@ func (r *Runner) EntryBytes(digest string) ([]byte, error) {
 	case err == nil:
 		return data, nil
 	case errors.Is(err, errEvicted):
-		r.evicted()
+		r.counts.Evictions.Add(1)
 	}
 	r.mu.Lock()
 	t := r.tasks[digest]
@@ -644,13 +647,14 @@ func (r *Runner) EntryBytes(digest string) ([]byte, error) {
 	return data, nil
 }
 
+// logf writes one progress line, prefixed with the jobs finished in any
+// terminal state over the jobs submitted.
 func (r *Runner) logf(t *Task, format string, args ...any) {
 	if r.opts.Log == nil {
 		return
 	}
-	r.mu.Lock()
-	done := r.stats.DiskHits + r.stats.Misses + r.stats.Errors
-	total := r.stats.Submitted
-	r.mu.Unlock()
+	c := r.counts
+	done := c.DiskHits.Load() + c.Misses.Load() + c.Failed.Load() + c.Interrupted.Load()
+	total := c.Submitted.Load()
 	fmt.Fprintf(r.opts.Log, "  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
 }

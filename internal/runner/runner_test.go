@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynamo/internal/machine"
 )
 
 // quick is a request small enough for unit tests.
@@ -206,6 +208,28 @@ func TestErrorsReported(t *testing.T) {
 	}
 	if st := r.Stats(); st.Errors != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestLogCountsEveryFinishedJob: the log's [done/total] prefix counts a
+// job in any terminal state, so a sweep whose last job is cancelled still
+// ends at [total/total].
+func TestLogCountsEveryFinishedJob(t *testing.T) {
+	var log bytes.Buffer
+	exec := func(Request, ExecOptions) (*Outcome, error) { return nil, errors.New("boom") }
+	r := New(Options{Jobs: 1, Log: &log, Execute: exec})
+	if _, err := r.Run(quick()); err == nil {
+		t.Fatal("a failing job reported no error")
+	}
+	cancelled := make(chan struct{})
+	close(cancelled)
+	task := r.SubmitInterruptible(Request{Workload: "histogram", Threads: 2, Scale: 0.05}, cancelled)
+	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
+		t.Fatalf("cancelled job err = %v, want ErrInterrupted", err)
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if last := strings.TrimSpace(lines[len(lines)-1]); !strings.HasPrefix(last, "[2/2] interrupted ") {
+		t.Errorf("last log line %q, want [2/2] interrupted; log:\n%s", last, log.String())
 	}
 }
 

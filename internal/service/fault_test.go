@@ -94,6 +94,11 @@ func TestPreemptionTimeSlicesAcrossSweeps(t *testing.T) {
 	if p.Preempted < 1 || p.Resumed < 1 {
 		t.Fatalf("telemetry preempted/resumed = %d/%d, want >= 1 each", p.Preempted, p.Resumed)
 	}
+	// The runner's stats and /progress read one counter block, so the
+	// re-grant's resume shows in both.
+	if got := svc.Runner().Stats().Resumed; got != p.Resumed {
+		t.Fatalf("Runner().Stats().Resumed = %d, /progress resumed = %d", got, p.Resumed)
+	}
 }
 
 // TestDeadlineExpiresSweep: a sweep past its wall-clock deadline turns

@@ -354,7 +354,7 @@ func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
 		// The runner counted the resume checkpoint it handed over; only a
 		// re-grant resumes anew.
 		if it.attempt > 1 {
-			t.tel.JobResumed()
+			t.tel.Counts().Resumed.Add(1)
 		}
 	}
 	return g
@@ -392,7 +392,7 @@ func (t *leaseTable) Heartbeat(_ context.Context, digest, worker string, fence u
 	}
 	if release {
 		if it.yield && !it.withdrawn {
-			t.tel.JobPreempted()
+			t.tel.Counts().Preempted.Add(1)
 		}
 		t.endLeaseLocked(it)
 		t.tel.LeaseReleased()

@@ -327,7 +327,7 @@ func (s *Service) reload() error {
 				for _, j := range sw.jobs {
 					j.state = JobExpired
 				}
-				s.tel.DeadlineExpired(uint64(len(sw.jobs)))
+				s.tel.Counts().Expired.Add(uint64(len(sw.jobs)))
 			}
 		}
 		s.sweeps[sw.id] = sw
@@ -418,7 +418,7 @@ func (s *Service) SubmitDeadline(reqs []runner.Request, deadline time.Duration) 
 	sw := buildSweep("", reqs)
 	if max := s.opts.MaxQueued; max > 0 {
 		if pending := s.pendingLocked(); pending+len(sw.jobs) > max {
-			s.tel.Overloaded()
+			s.tel.Counts().Overloaded.Add(1)
 			return nil, fmt.Errorf("%w: %d jobs pending + %d submitted > limit %d",
 				ErrOverloaded, pending, len(sw.jobs), max)
 		}
@@ -482,7 +482,7 @@ func (s *Service) expire(id string) {
 		return
 	}
 	sw.expired = true
-	s.tel.DeadlineExpired(s.settleQueuedLocked(sw, JobExpired))
+	s.tel.Counts().Expired.Add(s.settleQueuedLocked(sw, JobExpired))
 	s.releaseOwnersLocked(id)
 	s.persistLocked(sw)
 	s.cond.Broadcast()
@@ -667,7 +667,7 @@ func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
 		case errors.Is(err, machine.ErrInterrupted):
 			if sw.expired {
 				j.state = JobExpired
-				s.tel.DeadlineExpired(1)
+				s.tel.Counts().Expired.Add(1)
 			} else {
 				j.state = JobCancelled
 			}

@@ -4,13 +4,15 @@
 // to the Chrome trace-event format, and an HTTP server exposing both as
 // /metrics, /progress and /jobs while a sweep runs.
 //
-// Like the probe bus (package obs) and the host self-profiler (package
-// perf), the whole layer is designed to cost nothing when off: the runner
-// holds a plain *Sweep (nil by default), every hook method is safe on a
-// nil receiver, and the disabled job hot path allocates zero bytes
-// (asserted in tests). Telemetry only observes the sweep — it never
-// touches simulated state, so results, cache digests and experiment
-// tables are byte-identical with it on or off.
+// One block of atomic job counters (Counts) is always on: the runner and
+// the sweep service bump it, and Runner.Stats, /progress and /metrics read
+// it. Like the probe bus (package obs) and the host self-profiler (package
+// perf), everything else is designed to cost nothing when off: the runner
+// holds a plain *Sweep (nil by default), every method is safe on a nil
+// receiver, and the disabled job path allocates zero bytes (asserted in
+// tests). Telemetry only observes the sweep — it never touches simulated
+// state, so results, cache digests and experiment tables are
+// byte-identical with it on or off.
 package telemetry
 
 import (
@@ -73,14 +75,6 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	return c
 }
 
-// FloatCounter registers a monotonically increasing float series
-// (accumulated seconds, for instance).
-func (r *Registry) FloatCounter(name, labels, help string) *FloatCounter {
-	c := &FloatCounter{lbl: labels}
-	r.register(name, "counter", help, c)
-	return c
-}
-
 // Gauge registers an int64 series that can move both ways.
 func (r *Registry) Gauge(name, labels, help string) *Gauge {
 	g := &Gauge{lbl: labels}
@@ -88,12 +82,11 @@ func (r *Registry) Gauge(name, labels, help string) *Gauge {
 	return g
 }
 
-// FloatGauge registers a float series set point-in-time (derived rates,
-// utilizations — typically refreshed at scrape).
-func (r *Registry) FloatGauge(name, labels, help string) *FloatGauge {
-	g := &FloatGauge{lbl: labels}
-	r.register(name, "gauge", help, g)
-	return g
+// Func registers a series of type typ ("counter" or "gauge") whose value
+// f renders at scrape time: a count kept outside the registry, or a rate
+// derived from counts.
+func (r *Registry) Func(name, typ, labels, help string, f func() string) {
+	r.register(name, typ, help, funcSeries{lbl: labels, f: f})
 }
 
 // Histogram registers a cumulative histogram over the given upper bounds
@@ -168,10 +161,9 @@ func (c *Counter) write(w *bufio.Writer, name, labels string) {
 }
 
 // FloatCounter is a monotonically increasing float64, updated with a CAS
-// loop so concurrent Adds never lose increments.
+// loop so concurrent Adds never lose increments: a histogram's sum.
 type FloatCounter struct {
 	bits atomic.Uint64
-	lbl  string
 }
 
 // Add accumulates v.
@@ -194,11 +186,6 @@ func (c *FloatCounter) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(c.bits.Load())
-}
-
-func (c *FloatCounter) labels() string { return c.lbl }
-func (c *FloatCounter) write(w *bufio.Writer, name, labels string) {
-	writeSample(w, name, labels, formatFloat(c.Value()))
 }
 
 // Gauge is an int64 level: queue depth, running workers.
@@ -236,31 +223,15 @@ func (g *Gauge) write(w *bufio.Writer, name, labels string) {
 	writeSample(w, name, labels, strconv.FormatInt(g.v.Load(), 10))
 }
 
-// FloatGauge is a float64 level, set whole (no read-modify-write).
-type FloatGauge struct {
-	bits atomic.Uint64
-	lbl  string
+// funcSeries is a series rendered by a function at scrape time.
+type funcSeries struct {
+	lbl string
+	f   func() string
 }
 
-// Set stores v.
-func (g *FloatGauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current level.
-func (g *FloatGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *FloatGauge) labels() string { return g.lbl }
-func (g *FloatGauge) write(w *bufio.Writer, name, labels string) {
-	writeSample(w, name, labels, formatFloat(g.Value()))
+func (s funcSeries) labels() string { return s.lbl }
+func (s funcSeries) write(w *bufio.Writer, name, labels string) {
+	writeSample(w, name, labels, s.f())
 }
 
 // Histogram is a cumulative histogram: per-bucket counts plus sum and

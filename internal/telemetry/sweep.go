@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"io"
+	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,35 +24,47 @@ type SweepOptions struct {
 	JobTail int
 }
 
-// Sweep is the runner's telemetry surface: a metrics registry updated by
-// the runner's submit, cache, run, retry and quarantine paths, plus the
-// per-job tracer. A nil *Sweep is a valid, permanently disabled surface —
-// every method short-circuits with zero allocations, so the runner
-// publishes unconditionally.
+// Counts is a sweep's one block of job counters. The runner and the sweep
+// service bump it directly, and Runner.Stats, Progress and /metrics all
+// read it, so no two copies of a count can drift apart. Every field is an
+// atomic and the zero value is ready to use. Each field loads atomically,
+// but a reader loading several sees each at its own instant.
+type Counts struct {
+	// Requests counts Submit calls; Submitted the distinct jobs they
+	// made, and Deduped the calls the in-memory cache answered.
+	Requests, Submitted, Deduped atomic.Uint64
+	// A job ends as a disk hit or a miss (both done, a miss simulated), or
+	// as Failed (Panics of them recovered from a panic) or Interrupted.
+	DiskHits, Misses, Failed, Panics, Interrupted atomic.Uint64
+	// Evictions counts unusable persisted entries and checkpoints dropped,
+	// Retries re-executions of transiently failed jobs, and Resumed jobs
+	// (and lease re-grants) restored from a checkpoint.
+	Evictions, Retries, Resumed atomic.Uint64
+	// Preempted counts leases that yielded at a checkpoint boundary so a
+	// starved sweep could run, Overloaded sweep submissions the bounded
+	// admission queue rejected, and Expired jobs abandoned because their
+	// sweep's deadline passed. Only the sweep service bumps them.
+	Preempted, Overloaded, Expired atomic.Uint64
+	// SimEvents and SimNanos total the kernel events and wall-clock of
+	// simulated jobs; SavedNanos is the recorded simulation time of every
+	// disk hit.
+	SimEvents            atomic.Uint64
+	SimNanos, SavedNanos atomic.Int64
+	// Queued and Running are levels: jobs submitted but not yet on the
+	// worker pool or finished, and jobs executing on it.
+	Queued, Running atomic.Int64
+}
+
+// Sweep is the runner's telemetry surface: the job counter block, a
+// metrics registry whose sweep series read it at scrape time, and the
+// per-job tracer. A nil *Sweep is a valid, permanently disabled surface:
+// every method short-circuits with zero allocations, and a runner without
+// one counts into a block of its own.
 type Sweep struct {
 	reg    *Registry
 	tracer *Tracer
 	start  time.Time
-
-	requests    *Counter
-	deduped     *Counter
-	submitted   *Counter
-	done        *Counter
-	failed      *Counter
-	interrupted *Counter
-
-	memHits   *Counter
-	diskHits  *Counter
-	misses    *Counter
-	evictions *Counter
-
-	retries *Counter
-	panics  *Counter
-	resumed *Counter
-
-	preempted  *Counter
-	overloaded *Counter
-	expired    *Counter
+	counts Counts
 
 	leaseGranted   *Counter
 	leaseExpired   *Counter
@@ -65,16 +79,8 @@ type Sweep struct {
 	leases         *Gauge
 	fleetWorkers   *Gauge
 
-	queued   *Gauge
-	running  *Gauge
-	workers  *Gauge
-	util     *FloatGauge
-	eventSec *FloatGauge
-
-	simEvents    *Counter
-	simSeconds   *FloatCounter
-	savedSeconds *FloatCounter
-	jobDur       *Histogram
+	workers *Gauge
+	jobDur  *Histogram
 }
 
 // NewSweep builds an enabled telemetry surface.
@@ -84,26 +90,6 @@ func NewSweep(o SweepOptions) *Sweep {
 		reg:    reg,
 		tracer: NewTracer(o.Journal, o.JobTail),
 		start:  time.Now(),
-
-		requests:    reg.Counter("dynamo_sweep_requests_total", "", "Submit calls, before dedupe."),
-		deduped:     reg.Counter("dynamo_sweep_jobs_total", `state="deduped"`, "Jobs by state."),
-		submitted:   reg.Counter("dynamo_sweep_jobs_total", `state="submitted"`, "Jobs by state."),
-		done:        reg.Counter("dynamo_sweep_jobs_total", `state="done"`, "Jobs by state."),
-		failed:      reg.Counter("dynamo_sweep_jobs_total", `state="failed"`, "Jobs by state."),
-		interrupted: reg.Counter("dynamo_sweep_jobs_total", `state="interrupted"`, "Jobs by state."),
-
-		memHits:   reg.Counter("dynamo_sweep_cache_total", `event="memory_hit"`, "Result cache activity."),
-		diskHits:  reg.Counter("dynamo_sweep_cache_total", `event="disk_hit"`, "Result cache activity."),
-		misses:    reg.Counter("dynamo_sweep_cache_total", `event="miss"`, "Result cache activity."),
-		evictions: reg.Counter("dynamo_sweep_cache_total", `event="eviction"`, "Result cache activity."),
-
-		retries: reg.Counter("dynamo_sweep_retries_total", "", "Re-executions of transiently failed jobs."),
-		panics:  reg.Counter("dynamo_sweep_panics_total", "", "Jobs whose simulation panicked (recovered)."),
-		resumed: reg.Counter("dynamo_sweep_resumed_total", "", "Jobs restored from a persisted checkpoint."),
-
-		preempted:  reg.Counter("dynamo_runner_preemptions_total", "", "Jobs that yielded at a checkpoint boundary to make room for another sweep."),
-		overloaded: reg.Counter("dynamo_service_overloaded_total", "", "Sweep submissions rejected by the bounded admission queue."),
-		expired:    reg.Counter("dynamo_service_deadline_expired_total", "", "Jobs abandoned because their sweep's deadline passed."),
 
 		leaseGranted:   reg.Counter("dynamo_work_leases_total", `event="granted"`, "Work-lease lifecycle events."),
 		leaseExpired:   reg.Counter("dynamo_work_leases_total", `event="expired"`, "Work-lease lifecycle events."),
@@ -118,18 +104,74 @@ func NewSweep(o SweepOptions) *Sweep {
 		leases:         reg.Gauge("dynamo_work_leases", "", "Work leases currently held by workers."),
 		fleetWorkers:   reg.Gauge("dynamo_work_workers", "", "Distinct workers currently holding at least one lease."),
 
-		queued:   reg.Gauge("dynamo_sweep_jobs_queued", "", "Jobs submitted but not yet running or finished."),
-		running:  reg.Gauge("dynamo_sweep_jobs_running", "", "Jobs currently executing on the worker pool."),
-		workers:  reg.Gauge("dynamo_sweep_workers", "", "Worker-pool size."),
-		util:     reg.FloatGauge("dynamo_sweep_worker_utilization", "", "Running jobs over pool size (at scrape)."),
-		eventSec: reg.FloatGauge("dynamo_sweep_events_per_second", "", "Aggregate simulated events per second of simulation wall-clock."),
-
-		simEvents:    reg.Counter("dynamo_sweep_sim_events_total", "", "Kernel events executed by simulated (non-cached) jobs."),
-		simSeconds:   reg.FloatCounter("dynamo_sweep_sim_seconds_total", "", "Wall-clock spent simulating jobs."),
-		savedSeconds: reg.FloatCounter("dynamo_sweep_saved_seconds_total", "", "Recorded simulation time served from the persistent store."),
-		jobDur:       reg.Histogram("dynamo_sweep_job_duration_seconds", "Executed-job wall-clock, cache hits excluded.", jobDurationBounds),
+		workers: reg.Gauge("dynamo_sweep_workers", "", "Worker-pool size."),
+		jobDur:  reg.Histogram("dynamo_sweep_job_duration_seconds", "Executed-job wall-clock, cache hits excluded.", jobDurationBounds),
 	}
+
+	// The job counter series render the block at scrape time.
+	c := &s.counts
+	const jobs, cache = "Jobs by state.", "Result cache activity."
+	reg.Func("dynamo_sweep_requests_total", "counter", "", "Submit calls, before dedupe.", uintText(&c.Requests))
+	reg.Func("dynamo_sweep_jobs_total", "counter", `state="deduped"`, jobs, uintText(&c.Deduped))
+	reg.Func("dynamo_sweep_jobs_total", "counter", `state="submitted"`, jobs, uintText(&c.Submitted))
+	reg.Func("dynamo_sweep_jobs_total", "counter", `state="done"`, jobs, func() string { return strconv.FormatUint(c.done(), 10) })
+	reg.Func("dynamo_sweep_jobs_total", "counter", `state="failed"`, jobs, uintText(&c.Failed))
+	reg.Func("dynamo_sweep_jobs_total", "counter", `state="interrupted"`, jobs, uintText(&c.Interrupted))
+
+	reg.Func("dynamo_sweep_cache_total", "counter", `event="memory_hit"`, cache, uintText(&c.Deduped))
+	reg.Func("dynamo_sweep_cache_total", "counter", `event="disk_hit"`, cache, uintText(&c.DiskHits))
+	reg.Func("dynamo_sweep_cache_total", "counter", `event="miss"`, cache, uintText(&c.Misses))
+	reg.Func("dynamo_sweep_cache_total", "counter", `event="eviction"`, cache, uintText(&c.Evictions))
+
+	reg.Func("dynamo_sweep_retries_total", "counter", "", "Re-executions of transiently failed jobs.", uintText(&c.Retries))
+	reg.Func("dynamo_sweep_panics_total", "counter", "", "Jobs whose simulation panicked (recovered).", uintText(&c.Panics))
+	reg.Func("dynamo_sweep_resumed_total", "counter", "", "Jobs restored from a persisted checkpoint.", uintText(&c.Resumed))
+
+	reg.Func("dynamo_runner_preemptions_total", "counter", "", "Jobs that yielded at a checkpoint boundary to make room for another sweep.", uintText(&c.Preempted))
+	reg.Func("dynamo_service_overloaded_total", "counter", "", "Sweep submissions rejected by the bounded admission queue.", uintText(&c.Overloaded))
+	reg.Func("dynamo_service_deadline_expired_total", "counter", "", "Jobs abandoned because their sweep's deadline passed.", uintText(&c.Expired))
+
+	reg.Func("dynamo_sweep_jobs_queued", "gauge", "", "Jobs submitted but not yet running or finished.", intText(&c.Queued))
+	reg.Func("dynamo_sweep_jobs_running", "gauge", "", "Jobs currently executing on the worker pool.", intText(&c.Running))
+	reg.Func("dynamo_sweep_worker_utilization", "gauge", "", "Running jobs over pool size (at scrape).", func() string {
+		var util float64
+		if workers := s.workers.Value(); workers > 0 {
+			util = float64(c.Running.Load()) / float64(workers)
+		}
+		return formatFloat(util)
+	})
+	reg.Func("dynamo_sweep_events_per_second", "gauge", "", "Aggregate simulated events per second of simulation wall-clock.", func() string {
+		return formatFloat(c.eventsPerSec())
+	})
+
+	reg.Func("dynamo_sweep_sim_events_total", "counter", "", "Kernel events executed by simulated (non-cached) jobs.", uintText(&c.SimEvents))
+	reg.Func("dynamo_sweep_sim_seconds_total", "counter", "", "Wall-clock spent simulating jobs.", secondsText(&c.SimNanos))
+	reg.Func("dynamo_sweep_saved_seconds_total", "counter", "", "Recorded simulation time served from the persistent store.", secondsText(&c.SavedNanos))
 	return s
+}
+
+// done counts the jobs that finished with a result, cached or simulated.
+func (c *Counts) done() uint64 { return c.DiskHits.Load() + c.Misses.Load() }
+
+// eventsPerSec is the simulated jobs' aggregate host throughput (0 before
+// any job simulated).
+func (c *Counts) eventsPerSec() float64 {
+	if sec := time.Duration(c.SimNanos.Load()).Seconds(); sec > 0 {
+		return float64(c.SimEvents.Load()) / sec
+	}
+	return 0
+}
+
+func uintText(v *atomic.Uint64) func() string {
+	return func() string { return strconv.FormatUint(v.Load(), 10) }
+}
+
+func intText(v *atomic.Int64) func() string {
+	return func() string { return strconv.FormatInt(v.Load(), 10) }
+}
+
+func secondsText(ns *atomic.Int64) func() string {
+	return func() string { return formatFloat(time.Duration(ns.Load()).Seconds()) }
 }
 
 // Enabled reports whether telemetry collects anything; the runner guards
@@ -177,153 +219,22 @@ func (s *Sweep) SetWorkers(n int) {
 	s.workers.Set(int64(n))
 }
 
-// Submitted counts one Submit call (pre-dedupe).
-func (s *Sweep) Submitted() {
+// Counts returns the surface's job counter block (nil on a disabled
+// surface; a runner without telemetry keeps a block of its own).
+func (s *Sweep) Counts() *Counts {
 	if s == nil {
-		return
+		return nil
 	}
-	s.requests.Inc()
+	return &s.counts
 }
 
-// JobDeduped counts a submission answered by the in-memory cache.
-func (s *Sweep) JobDeduped() {
+// ObserveJob enters an executed job's wall-clock, simulated or failed, in
+// the job-duration histogram.
+func (s *Sweep) ObserveJob(elapsed time.Duration) {
 	if s == nil {
 		return
-	}
-	s.deduped.Inc()
-	s.memHits.Inc()
-}
-
-// JobQueued counts a new distinct job entering the queue.
-func (s *Sweep) JobQueued() {
-	if s == nil {
-		return
-	}
-	s.submitted.Inc()
-	s.queued.Add(1)
-}
-
-// JobCached counts a job answered by the persistent store; saved is the
-// recorded wall-clock of the original simulation.
-func (s *Sweep) JobCached(saved time.Duration) {
-	if s == nil {
-		return
-	}
-	s.queued.Add(-1)
-	s.diskHits.Inc()
-	s.done.Inc()
-	s.savedSeconds.Add(saved.Seconds())
-}
-
-// Eviction counts an unusable persisted entry or checkpoint dropped.
-func (s *Sweep) Eviction() {
-	if s == nil {
-		return
-	}
-	s.evictions.Inc()
-}
-
-// JobResumed counts a job restored from a persisted checkpoint.
-func (s *Sweep) JobResumed() {
-	if s == nil {
-		return
-	}
-	s.resumed.Inc()
-}
-
-// JobRunning moves a job from the queue onto the worker pool.
-func (s *Sweep) JobRunning() {
-	if s == nil {
-		return
-	}
-	s.queued.Add(-1)
-	s.running.Add(1)
-}
-
-// JobRunDone releases the job's worker-pool slot.
-func (s *Sweep) JobRunDone() {
-	if s == nil {
-		return
-	}
-	s.running.Add(-1)
-}
-
-// Retry counts one re-execution of a transiently failed job.
-func (s *Sweep) Retry() {
-	if s == nil {
-		return
-	}
-	s.retries.Inc()
-}
-
-// JobSucceeded counts a simulated job's success: the run's wall-clock
-// enters the duration histogram, its kernel events the throughput
-// counters.
-func (s *Sweep) JobSucceeded(elapsed time.Duration, simEvents uint64) {
-	if s == nil {
-		return
-	}
-	s.done.Inc()
-	s.misses.Inc()
-	s.simEvents.Add(simEvents)
-	s.simSeconds.Add(elapsed.Seconds())
-	s.jobDur.Observe(elapsed.Seconds())
-}
-
-// JobFailed counts a quarantined job.
-func (s *Sweep) JobFailed(panicked bool, elapsed time.Duration) {
-	if s == nil {
-		return
-	}
-	s.failed.Inc()
-	if panicked {
-		s.panics.Inc()
 	}
 	s.jobDur.Observe(elapsed.Seconds())
-}
-
-// JobInterrupted counts a cancelled job. fromQueue marks a job cancelled
-// before it ever reached the worker pool (its queued-gauge slot is
-// released here; a job cancelled mid-run released it at JobRunning).
-func (s *Sweep) JobInterrupted(fromQueue bool) {
-	if s == nil {
-		return
-	}
-	if fromQueue {
-		s.queued.Add(-1)
-	}
-	s.interrupted.Inc()
-}
-
-// JobPreempted counts a lease that yielded its slice at a checkpoint
-// boundary so a starved sweep could run; the job requeues and later
-// resumes from its shipped checkpoint. The job gauges do not move: the
-// job stays submitted to the runner throughout.
-func (s *Sweep) JobPreempted() {
-	if s == nil {
-		return
-	}
-	s.preempted.Inc()
-}
-
-// Overloaded counts a sweep submission the bounded admission queue
-// rejected. Rejected jobs never touch the queued/running gauges — they
-// were refused before admission, not abandoned after it.
-func (s *Sweep) Overloaded() {
-	if s == nil {
-		return
-	}
-	s.overloaded.Inc()
-}
-
-// DeadlineExpired counts n jobs abandoned because their sweep's deadline
-// passed (still-queued jobs expire in bulk; each in-flight job expires as
-// its interrupt lands).
-func (s *Sweep) DeadlineExpired(n uint64) {
-	if s == nil {
-		return
-	}
-	s.expired.Add(n)
 }
 
 // LeaseGranted counts a work lease handed to a worker and takes its slot
@@ -468,34 +379,33 @@ type Progress struct {
 // Finished counts jobs in any terminal state.
 func (p Progress) Finished() uint64 { return p.DoneJobs + p.FailedJobs + p.InterruptedJobs }
 
-// Progress snapshots the registry into a derived view.
+// Progress snapshots the job counter block into a derived view.
 func (s *Sweep) Progress() Progress {
 	if s == nil {
 		return Progress{}
 	}
+	c := &s.counts
 	p := Progress{
 		Workers:         s.workers.Value(),
-		TotalJobs:       s.submitted.Value(),
-		DoneJobs:        s.done.Value(),
-		FailedJobs:      s.failed.Value(),
-		InterruptedJobs: s.interrupted.Value(),
-		Running:         s.running.Value(),
-		Queued:          s.queued.Value(),
-		MemoryHits:      s.memHits.Value(),
-		DiskHits:        s.diskHits.Value(),
-		Misses:          s.misses.Value(),
-		Evictions:       s.evictions.Value(),
-		Retries:         s.retries.Value(),
-		Panics:          s.panics.Value(),
-		Resumed:         s.resumed.Value(),
-		Preempted:       s.preempted.Value(),
-		Overloaded:      s.overloaded.Value(),
-		Expired:         s.expired.Value(),
-		SimEvents:       s.simEvents.Value(),
+		TotalJobs:       c.Submitted.Load(),
+		DoneJobs:        c.done(),
+		FailedJobs:      c.Failed.Load(),
+		InterruptedJobs: c.Interrupted.Load(),
+		Running:         c.Running.Load(),
+		Queued:          c.Queued.Load(),
+		MemoryHits:      c.Deduped.Load(),
+		DiskHits:        c.DiskHits.Load(),
+		Misses:          c.Misses.Load(),
+		Evictions:       c.Evictions.Load(),
+		Retries:         c.Retries.Load(),
+		Panics:          c.Panics.Load(),
+		Resumed:         c.Resumed.Load(),
+		Preempted:       c.Preempted.Load(),
+		Overloaded:      c.Overloaded.Load(),
+		Expired:         c.Expired.Load(),
+		SimEvents:       c.SimEvents.Load(),
+		EventsPerSec:    c.eventsPerSec(),
 		ElapsedSeconds:  time.Since(s.start).Seconds(),
-	}
-	if sec := s.simSeconds.Value(); sec > 0 {
-		p.EventsPerSec = float64(p.SimEvents) / sec
 	}
 	if fin := p.Finished(); fin > 0 && p.TotalJobs > fin && p.ElapsedSeconds > 0 {
 		p.ETASeconds = p.ElapsedSeconds / float64(fin) * float64(p.TotalJobs-fin)
@@ -503,17 +413,12 @@ func (s *Sweep) Progress() Progress {
 	return p
 }
 
-// WriteMetrics refreshes the derived gauges and renders the registry in
-// Prometheus text format. Writing nothing on a disabled surface.
+// WriteMetrics renders the registry in Prometheus text format, the job
+// counter series as the block reads at this moment. It writes nothing on a
+// disabled surface.
 func (s *Sweep) WriteMetrics(w io.Writer) error {
 	if s == nil {
 		return nil
-	}
-	if workers := s.workers.Value(); workers > 0 {
-		s.util.Set(float64(s.running.Value()) / float64(workers))
-	}
-	if sec := s.simSeconds.Value(); sec > 0 {
-		s.eventSec.Set(float64(s.simEvents.Value()) / sec)
 	}
 	return s.reg.WritePrometheus(w)
 }

@@ -20,8 +20,10 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	done := r.Counter("jobs_total", `state="done"`, "Jobs by state.")
 	failed := r.Counter("jobs_total", `state="failed"`, "Jobs by state.")
 	depth := r.Gauge("queue_depth", "", "Jobs waiting.")
-	secs := r.FloatCounter("sim_seconds_total", "", "Seconds simulated.")
-	util := r.FloatGauge("utilization", "", "Busy fraction.")
+	var secs FloatCounter
+	r.Func("sim_seconds_total", "counter", "", "Seconds simulated.", func() string { return formatFloat(secs.Value()) })
+	util := 0.0
+	r.Func("utilization", "gauge", "", "Busy fraction.", func() string { return formatFloat(util) })
 
 	done.Add(3)
 	failed.Inc()
@@ -29,7 +31,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	depth.Add(-2)
 	secs.Add(1.5)
 	secs.Add(0.25)
-	util.Set(0.5)
+	util = 0.5
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -98,7 +100,8 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", "")
-	fc := r.FloatCounter("fc_total", "", "")
+	var fc FloatCounter
+	r.Func("fc_total", "counter", "", "", func() string { return formatFloat(fc.Value()) })
 	g := r.Gauge("g", "", "")
 	h := r.Histogram("h", "", []float64{1, 2})
 
@@ -141,16 +144,14 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var c *Counter
 	var fc *FloatCounter
 	var g *Gauge
-	var fg *FloatGauge
 	var h *Histogram
 	c.Inc()
 	c.Add(2)
 	fc.Add(1)
 	g.Set(1)
 	g.Add(1)
-	fg.Set(1)
 	h.Observe(1)
-	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || fg.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Errorf("nil instruments returned non-zero values")
 	}
 }
@@ -329,18 +330,10 @@ func TestNilSweepIsSafe(t *testing.T) {
 	if s.Enabled() {
 		t.Fatalf("nil sweep reports enabled")
 	}
-	s.Submitted()
-	s.JobDeduped()
-	s.JobQueued()
-	s.JobCached(time.Second)
-	s.Eviction()
-	s.JobResumed()
-	s.JobRunning()
-	s.JobRunDone()
-	s.Retry()
-	s.JobSucceeded(time.Second, 10)
-	s.JobFailed(true, time.Second)
-	s.JobInterrupted(true)
+	if c := s.Counts(); c != nil {
+		t.Errorf("nil sweep returned a counter block")
+	}
+	s.ObserveJob(time.Second)
 	s.SetWorkers(4)
 	if j := s.StartJob("d", "r"); j != nil {
 		t.Errorf("nil sweep returned a non-nil job")
@@ -362,51 +355,72 @@ func TestNilSweepIsSafe(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocates0 asserts the zero-cost contract: the full
-// per-job hook sequence on a disabled (nil) surface allocates nothing.
+// disabledJob is one job's path through a disabled (nil) surface, plus the
+// counts a runner without telemetry bumps in a block of its own.
+func disabledJob(s *Sweep, c *Counts) {
+	c.Requests.Add(1)
+	c.Submitted.Add(1)
+	c.Queued.Add(1)
+	j := s.StartJob("d", "r")
+	j.Begin()
+	c.Queued.Add(-1)
+	c.Running.Add(1)
+	j.AttemptStart()
+	j.AttemptEnd(nil)
+	c.Running.Add(-1)
+	c.Misses.Add(1)
+	c.SimEvents.Add(42)
+	c.SimNanos.Add(int64(time.Millisecond))
+	s.ObserveJob(time.Millisecond)
+	j.Done(OutcomeOK, 42, nil)
+}
+
+// TestDisabledPathAllocates0 asserts the zero-cost contract: a job's whole
+// path on a disabled (nil) surface allocates nothing.
 func TestDisabledPathAllocates0(t *testing.T) {
 	var s *Sweep
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Submitted()
-		s.JobQueued()
-		if s.Enabled() {
-			t.Fatalf("nil sweep enabled")
-		}
-		var j *Job
-		j.Begin()
-		s.JobRunning()
-		j.AttemptStart()
-		j.AttemptEnd(nil)
-		s.JobRunDone()
-		s.JobSucceeded(time.Millisecond, 42)
-		j.Done(OutcomeOK, 42, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled job path allocates %.1f bytes/op, want 0", allocs)
+	if s.Enabled() || s.Counts() != nil {
+		t.Fatalf("nil sweep enabled")
+	}
+	var c Counts
+	if allocs := testing.AllocsPerRun(100, func() { disabledJob(s, &c) }); allocs != 0 {
+		t.Errorf("disabled job path allocates %.1f times per job, want 0", allocs)
 	}
 }
 
 func TestSweepProgress(t *testing.T) {
 	s := NewSweep(SweepOptions{})
 	s.SetWorkers(4)
+	c := s.Counts()
 	for i := 0; i < 10; i++ {
-		s.Submitted()
-		s.JobQueued()
+		c.Requests.Add(1)
+		c.Submitted.Add(1)
+		c.Queued.Add(1)
 	}
-	s.Submitted()
-	s.JobDeduped() // 11th submit hits the in-memory cache
+	c.Requests.Add(1)
+	c.Deduped.Add(1) // 11th submit hits the in-memory cache
 
-	s.JobCached(3 * time.Second) // disk hit
-	for i := 0; i < 4; i++ {     // four simulated successes
-		s.JobRunning()
-		s.JobRunDone()
-		s.JobSucceeded(500*time.Millisecond, 1000)
+	c.Queued.Add(-1) // disk hit
+	c.DiskHits.Add(1)
+	c.SavedNanos.Add(int64(3 * time.Second))
+	for i := 0; i < 4; i++ { // four simulated successes
+		c.Queued.Add(-1)
+		c.Running.Add(1)
+		c.Running.Add(-1)
+		c.Misses.Add(1)
+		c.SimEvents.Add(1000)
+		c.SimNanos.Add(int64(500 * time.Millisecond))
+		s.ObserveJob(500 * time.Millisecond)
 	}
-	s.JobRunning() // one failure, with one retry and a panic
-	s.Retry()
-	s.JobRunDone()
-	s.JobFailed(true, time.Second)
-	s.JobInterrupted(true) // one cancelled in queue
+	c.Queued.Add(-1) // one failure, with one retry and a panic
+	c.Running.Add(1)
+	c.Retries.Add(1)
+	c.Running.Add(-1)
+	c.Failed.Add(1)
+	c.Panics.Add(1)
+	s.ObserveJob(time.Second)
+	c.Queued.Add(-1) // one cancelled in queue
+	c.Interrupted.Add(1)
 
 	p := s.Progress()
 	if p.TotalJobs != 10 || p.DoneJobs != 5 || p.FailedJobs != 1 || p.InterruptedJobs != 1 {
@@ -453,17 +467,205 @@ func TestSweepProgress(t *testing.T) {
 	}
 }
 
+// sweepSeries is every HELP and TYPE line and every series a sweep renders
+// on /metrics, in order and without values. It was captured from the
+// surface that kept a registry counter per count, before the counter
+// block replaced them: the block must not move a family, label or help
+// text.
+const sweepSeries = `# HELP dynamo_runner_preemptions_total Jobs that yielded at a checkpoint boundary to make room for another sweep.
+# TYPE dynamo_runner_preemptions_total counter
+dynamo_runner_preemptions_total
+# HELP dynamo_service_deadline_expired_total Jobs abandoned because their sweep's deadline passed.
+# TYPE dynamo_service_deadline_expired_total counter
+dynamo_service_deadline_expired_total
+# HELP dynamo_service_overloaded_total Sweep submissions rejected by the bounded admission queue.
+# TYPE dynamo_service_overloaded_total counter
+dynamo_service_overloaded_total
+# HELP dynamo_sweep_cache_total Result cache activity.
+# TYPE dynamo_sweep_cache_total counter
+dynamo_sweep_cache_total{event="memory_hit"}
+dynamo_sweep_cache_total{event="disk_hit"}
+dynamo_sweep_cache_total{event="miss"}
+dynamo_sweep_cache_total{event="eviction"}
+# HELP dynamo_sweep_events_per_second Aggregate simulated events per second of simulation wall-clock.
+# TYPE dynamo_sweep_events_per_second gauge
+dynamo_sweep_events_per_second
+# HELP dynamo_sweep_job_duration_seconds Executed-job wall-clock, cache hits excluded.
+# TYPE dynamo_sweep_job_duration_seconds histogram
+dynamo_sweep_job_duration_seconds_bucket{le="0.005"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.01"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.025"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.05"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.1"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.25"}
+dynamo_sweep_job_duration_seconds_bucket{le="0.5"}
+dynamo_sweep_job_duration_seconds_bucket{le="1"}
+dynamo_sweep_job_duration_seconds_bucket{le="2.5"}
+dynamo_sweep_job_duration_seconds_bucket{le="5"}
+dynamo_sweep_job_duration_seconds_bucket{le="10"}
+dynamo_sweep_job_duration_seconds_bucket{le="30"}
+dynamo_sweep_job_duration_seconds_bucket{le="60"}
+dynamo_sweep_job_duration_seconds_bucket{le="120"}
+dynamo_sweep_job_duration_seconds_bucket{le="300"}
+dynamo_sweep_job_duration_seconds_bucket{le="+Inf"}
+dynamo_sweep_job_duration_seconds_sum
+dynamo_sweep_job_duration_seconds_count
+# HELP dynamo_sweep_jobs_queued Jobs submitted but not yet running or finished.
+# TYPE dynamo_sweep_jobs_queued gauge
+dynamo_sweep_jobs_queued
+# HELP dynamo_sweep_jobs_running Jobs currently executing on the worker pool.
+# TYPE dynamo_sweep_jobs_running gauge
+dynamo_sweep_jobs_running
+# HELP dynamo_sweep_jobs_total Jobs by state.
+# TYPE dynamo_sweep_jobs_total counter
+dynamo_sweep_jobs_total{state="deduped"}
+dynamo_sweep_jobs_total{state="submitted"}
+dynamo_sweep_jobs_total{state="done"}
+dynamo_sweep_jobs_total{state="failed"}
+dynamo_sweep_jobs_total{state="interrupted"}
+# HELP dynamo_sweep_panics_total Jobs whose simulation panicked (recovered).
+# TYPE dynamo_sweep_panics_total counter
+dynamo_sweep_panics_total
+# HELP dynamo_sweep_requests_total Submit calls, before dedupe.
+# TYPE dynamo_sweep_requests_total counter
+dynamo_sweep_requests_total
+# HELP dynamo_sweep_resumed_total Jobs restored from a persisted checkpoint.
+# TYPE dynamo_sweep_resumed_total counter
+dynamo_sweep_resumed_total
+# HELP dynamo_sweep_retries_total Re-executions of transiently failed jobs.
+# TYPE dynamo_sweep_retries_total counter
+dynamo_sweep_retries_total
+# HELP dynamo_sweep_saved_seconds_total Recorded simulation time served from the persistent store.
+# TYPE dynamo_sweep_saved_seconds_total counter
+dynamo_sweep_saved_seconds_total
+# HELP dynamo_sweep_sim_events_total Kernel events executed by simulated (non-cached) jobs.
+# TYPE dynamo_sweep_sim_events_total counter
+dynamo_sweep_sim_events_total
+# HELP dynamo_sweep_sim_seconds_total Wall-clock spent simulating jobs.
+# TYPE dynamo_sweep_sim_seconds_total counter
+dynamo_sweep_sim_seconds_total
+# HELP dynamo_sweep_worker_utilization Running jobs over pool size (at scrape).
+# TYPE dynamo_sweep_worker_utilization gauge
+dynamo_sweep_worker_utilization
+# HELP dynamo_sweep_workers Worker-pool size.
+# TYPE dynamo_sweep_workers gauge
+dynamo_sweep_workers
+# HELP dynamo_work_checkpoints_total Checkpoints shipped by workers over heartbeats.
+# TYPE dynamo_work_checkpoints_total counter
+dynamo_work_checkpoints_total
+# HELP dynamo_work_commits_total Worker result commits by outcome.
+# TYPE dynamo_work_commits_total counter
+dynamo_work_commits_total{outcome="ok"}
+dynamo_work_commits_total{outcome="duplicate"}
+dynamo_work_commits_total{outcome="fenced"}
+dynamo_work_commits_total{outcome="failed"}
+# HELP dynamo_work_leases Work leases currently held by workers.
+# TYPE dynamo_work_leases gauge
+dynamo_work_leases
+# HELP dynamo_work_leases_total Work-lease lifecycle events.
+# TYPE dynamo_work_leases_total counter
+dynamo_work_leases_total{event="granted"}
+dynamo_work_leases_total{event="expired"}
+dynamo_work_leases_total{event="released"}
+dynamo_work_leases_total{event="revoked"}
+dynamo_work_leases_total{event="committed"}
+# HELP dynamo_work_workers Distinct workers currently holding at least one lease.
+# TYPE dynamo_work_workers gauge
+dynamo_work_workers
+`
+
+// TestSweepMetricsSeries bumps every field of the counter block once, each
+// by a different amount so that a series reading the wrong field shows,
+// and checks the rendered families, series and values.
+func TestSweepMetricsSeries(t *testing.T) {
+	s := NewSweep(SweepOptions{})
+	s.SetWorkers(4)
+	c := s.Counts()
+	c.Requests.Add(1)
+	c.Submitted.Add(2)
+	c.Deduped.Add(3)
+	c.DiskHits.Add(4)
+	c.Misses.Add(5)
+	c.Failed.Add(6)
+	c.Panics.Add(7)
+	c.Interrupted.Add(8)
+	c.Evictions.Add(9)
+	c.Retries.Add(10)
+	c.Resumed.Add(11)
+	c.Preempted.Add(12)
+	c.Overloaded.Add(13)
+	c.Expired.Add(14)
+	c.SimEvents.Add(15)
+	c.SimNanos.Add(int64(3 * time.Second))
+	c.SavedNanos.Add(int64(1500 * time.Millisecond))
+	c.Queued.Add(16)
+	c.Running.Add(2)
+	s.ObserveJob(time.Second)
+
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatalf("WriteMetrics: %v", err)
+	}
+	var skeleton strings.Builder
+	values := map[string]string{}
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "# ") {
+			skeleton.WriteString(line)
+			continue
+		}
+		series, value, _ := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
+		skeleton.WriteString(series + "\n")
+		values[series] = value
+	}
+	if got := skeleton.String(); got != sweepSeries {
+		t.Errorf("rendered series:\n%s\nwant:\n%s", got, sweepSeries)
+	}
+	for series, want := range map[string]string{
+		"dynamo_sweep_requests_total":                  "1",
+		`dynamo_sweep_jobs_total{state="deduped"}`:     "3",
+		`dynamo_sweep_jobs_total{state="submitted"}`:   "2",
+		`dynamo_sweep_jobs_total{state="done"}`:        "9",
+		`dynamo_sweep_jobs_total{state="failed"}`:      "6",
+		`dynamo_sweep_jobs_total{state="interrupted"}`: "8",
+		`dynamo_sweep_cache_total{event="memory_hit"}`: "3",
+		`dynamo_sweep_cache_total{event="disk_hit"}`:   "4",
+		`dynamo_sweep_cache_total{event="miss"}`:       "5",
+		`dynamo_sweep_cache_total{event="eviction"}`:   "9",
+		"dynamo_sweep_panics_total":                    "7",
+		"dynamo_sweep_retries_total":                   "10",
+		"dynamo_sweep_resumed_total":                   "11",
+		"dynamo_runner_preemptions_total":              "12",
+		"dynamo_service_overloaded_total":              "13",
+		"dynamo_service_deadline_expired_total":        "14",
+		"dynamo_sweep_sim_events_total":                "15",
+		"dynamo_sweep_sim_seconds_total":               "3",
+		"dynamo_sweep_saved_seconds_total":             "1.5",
+		"dynamo_sweep_events_per_second":               "5",
+		"dynamo_sweep_jobs_queued":                     "16",
+		"dynamo_sweep_jobs_running":                    "2",
+		"dynamo_sweep_workers":                         "4",
+		"dynamo_sweep_worker_utilization":              "0.5",
+		"dynamo_sweep_job_duration_seconds_count":      "1",
+	} {
+		if got := values[series]; got != want {
+			t.Errorf("%s = %q, want %q", series, got, want)
+		}
+	}
+}
+
 // --- HTTP server ---
 
 func TestServerEndpoints(t *testing.T) {
 	s := NewSweep(SweepOptions{})
 	s.SetWorkers(2)
-	s.Submitted()
-	s.JobQueued()
+	c := s.Counts()
+	c.Requests.Add(1)
+	c.Submitted.Add(1)
 	s.StartJob("d1", "fig7/mcs/64c").Done(OutcomeOK, 5, nil)
-	s.JobRunning()
-	s.JobRunDone()
-	s.JobSucceeded(10*time.Millisecond, 5)
+	c.Misses.Add(1)
+	c.SimEvents.Add(5)
+	c.SimNanos.Add(int64(10 * time.Millisecond))
+	s.ObserveJob(10 * time.Millisecond)
 
 	srv, err := Serve("127.0.0.1:0", s)
 	if err != nil {
@@ -525,21 +727,13 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledJobPath measures the nil-surface hook sequence; the
-// 0-alloc assertion lives in TestDisabledPathAllocates0.
+// BenchmarkDisabledJobPath measures a job's path on a disabled surface;
+// the 0-alloc assertion lives in TestDisabledPathAllocates0.
 func BenchmarkDisabledJobPath(b *testing.B) {
 	var s *Sweep
+	var c Counts
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Submitted()
-		s.JobQueued()
-		var j *Job
-		j.Begin()
-		s.JobRunning()
-		j.AttemptStart()
-		j.AttemptEnd(nil)
-		s.JobRunDone()
-		s.JobSucceeded(time.Millisecond, 42)
-		j.Done(OutcomeOK, 42, nil)
+		disabledJob(s, &c)
 	}
 }

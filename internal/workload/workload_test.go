@@ -29,14 +29,8 @@ func testMachine(t *testing.T, policy string) *machine.Machine {
 // runInstance executes an instance and validates its functional result.
 func runInstance(t *testing.T, m *machine.Machine, inst *Instance) *machine.Result {
 	t.Helper()
-	if inst.Setup != nil {
-		inst.Setup(m.Sys.Data)
-	}
-	res, err := m.Run(inst.Programs)
+	res, err := inst.Run(m, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Validate(m.Sys.Data); err != nil {
 		t.Fatal(err)
 	}
 	return res

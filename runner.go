@@ -370,7 +370,8 @@ func (r *Runner) Run(req SweepRequest) (*Result, error) {
 // error of the earliest-submitted failed run, if any.
 func (r *Runner) Wait() error { return r.r.Wait() }
 
-// Stats returns a snapshot of the runner's counters.
+// Stats returns a snapshot of the runner's counters: the counts its
+// telemetry surface serves, exact once Wait returns.
 func (r *Runner) Stats() RunnerStats { return r.r.Stats() }
 
 // Telemetry returns the runner's telemetry surface (nil unless enabled

@@ -272,8 +272,8 @@ func (s *Session) RunPrograms(programs []Program) (*Result, func(addr uint64) ui
 
 // run is every run's path. It builds a machine from a copy of the
 // Session's config plus this run's trace recorder, host-perf profiler and
-// contention hook, runs inst from its start (or from ck when non-nil) and
-// validates the result.
+// contention hook, and hands it to inst's run tail, which runs inst from
+// its start (or from ck when non-nil) and validates the result.
 func (s *Session) run(inst *workload.Instance, ck *Checkpoint) (*machine.Machine, *Result, error) {
 	cfg := s.cfg
 	if s.profile != nil {
@@ -294,25 +294,13 @@ func (s *Session) run(inst *workload.Instance, ck *Checkpoint) (*machine.Machine
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, site := range inst.Sites {
-		cfg.Obs.RegisterSite(site)
+	if s.skipValidation {
+		// Every run builds its own instance, so no other run loses it.
+		inst.Validate = nil
 	}
-	if inst.Setup != nil {
-		inst.Setup(m.Sys.Data)
-	}
-	var res *Result
-	if ck != nil {
-		res, err = m.RunFrom(inst.Programs, ck)
-	} else {
-		res, err = m.Run(inst.Programs)
-	}
+	res, err := inst.Run(m, ck)
 	if err != nil {
 		return nil, nil, err
-	}
-	if inst.Validate != nil && !s.skipValidation {
-		if err := inst.Validate(m.Sys.Data); err != nil {
-			return nil, nil, fmt.Errorf("dynamo: functional validation failed: %w", err)
-		}
 	}
 	return m, res, nil
 }
