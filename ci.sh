@@ -73,13 +73,14 @@ done
 go test -run Fuzz ./internal/chaos
 
 # Microbenchmark smoke: one iteration of every kernel, core, cache,
-# mesh, memory, predictor, telemetry, machine, digest and cache-entry
-# codec benchmark, so the bodies the benchmark's per-layer rows mirror
-# keep compiling and running, and of the probe-bus (sanitizer included)
-# and self-profiler overhead benchmarks EXPERIMENTS.md reports.
+# mesh, memory, predictor, telemetry, machine, digest, cache-entry codec
+# and checkpoint read/write benchmark, so the bodies the benchmark's
+# per-layer rows mirror keep compiling and running, and of the probe-bus
+# (sanitizer included) and self-profiler overhead benchmarks
+# EXPERIMENTS.md reports.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache \
 	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine \
-	./internal/runner ./internal/stats
+	./internal/runner ./internal/stats ./internal/checkpoint
 go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.

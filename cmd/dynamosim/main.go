@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -31,6 +32,7 @@ import (
 	"syscall"
 
 	"dynamo"
+	"dynamo/internal/checkpoint"
 	"dynamo/internal/cliflags"
 	"dynamo/internal/faultio"
 )
@@ -39,11 +41,11 @@ import (
 // atomic writer (temp file, fsync, rename, directory fsync), so an
 // interrupt or crash mid-write never leaves a truncated checkpoint.
 func writeCheckpoint(path string, ck *dynamo.Checkpoint) error {
-	data, err := json.Marshal(ck)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, ck); err != nil {
 		return err
 	}
-	return faultio.OS{}.WriteFileAtomic(filepath.Dir(path), path, append(data, '\n'))
+	return faultio.OS{}.WriteFileAtomic(filepath.Dir(path), path, buf.Bytes())
 }
 
 // exitRunError reports a failed or interrupted run and exits non-zero.

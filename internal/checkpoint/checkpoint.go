@@ -14,6 +14,11 @@
 // reservations, HBM channel queues, predictor tables, the functional
 // memory image, sanitizer and observability counters, and the chaos
 // injector's stream positions when the run is chaotic.
+//
+// This package holds the one state encoder. New encodes a captured State
+// once, and those bytes are the checkpoint's only representation of it:
+// the digest covers exactly them, Write copies them out verbatim, and Read
+// hands them back without decoding them.
 package checkpoint
 
 import (
@@ -90,27 +95,53 @@ type Checkpoint struct {
 	Identity string `json:"identity,omitempty"`
 	// Event is the number of executed events at capture time.
 	Event uint64 `json:"event"`
-	// StateDigest is the hex sha256 of the canonical State encoding.
+	// StateDigest is the hex sha256 of exactly the State bytes.
 	StateDigest string `json:"state_digest"`
-	State       State  `json:"state"`
+	// State is the canonical encoding of the captured State, the bytes
+	// New produced and the file holds. Restore never decodes it (the
+	// replay captures and digests its own state), so decode it with
+	// json.Unmarshal only to inspect it.
+	State json.RawMessage `json:"state"`
 }
 
-// DigestState returns the hex sha256 of the canonical JSON encoding of s.
-// Go's encoding/json is deterministic here: struct fields encode in
-// declaration order and every map key is sorted.
-func DigestState(s *State) (string, error) {
+// header is a Checkpoint without its state, the part Write encodes.
+type header struct {
+	Schema      int    `json:"schema"`
+	Identity    string `json:"identity,omitempty"`
+	Event       uint64 `json:"event"`
+	StateDigest string `json:"state_digest"`
+}
+
+// encode returns the canonical JSON encoding of s. Go's encoding/json is
+// deterministic here: struct fields encode in declaration order and every
+// map key is sorted.
+func encode(s *State) ([]byte, error) {
 	raw, err := json.Marshal(s)
 	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode state: %w", err)
+		return nil, fmt.Errorf("checkpoint: encode state: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	return raw, nil
 }
 
-// New builds a checkpoint around a captured state, stamping the schema
-// version and state digest.
+func digest(raw []byte) string {
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// DigestState returns the hex sha256 of the canonical encoding of s: the
+// StateDigest New would stamp on a checkpoint of s.
+func DigestState(s *State) (string, error) {
+	raw, err := encode(s)
+	if err != nil {
+		return "", err
+	}
+	return digest(raw), nil
+}
+
+// New builds a checkpoint around a captured state: it encodes the state
+// once and stamps the schema version and the digest of those bytes.
 func New(identity string, event uint64, st State) (*Checkpoint, error) {
-	digest, err := DigestState(&st)
+	raw, err := encode(&st)
 	if err != nil {
 		return nil, err
 	}
@@ -118,24 +149,40 @@ func New(identity string, event uint64, st State) (*Checkpoint, error) {
 		Schema:      SchemaVersion,
 		Identity:    identity,
 		Event:       event,
-		StateDigest: digest,
-		State:       st,
+		StateDigest: digest(raw),
+		State:       raw,
 	}, nil
 }
 
-// Write serializes the checkpoint.
+// Write serializes the checkpoint as one line of JSON: the header fields,
+// then the state bytes as stored. For a state New encoded, the line is
+// byte-identical to json.Marshal's encoding of ck plus a newline, but
+// json.Marshal would re-scan the state to compact it; Write splices it in.
 func Write(w io.Writer, ck *Checkpoint) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(ck); err != nil {
+	head, err := json.Marshal(header{ck.Schema, ck.Identity, ck.Event, ck.StateDigest})
+	if err != nil {
 		return fmt.Errorf("checkpoint: write: %w", err)
+	}
+	state := []byte(ck.State)
+	if state == nil {
+		state = []byte("null")
+	}
+	head = append(head[:len(head)-1], `,"state":`...)
+	for _, b := range [][]byte{head, state, []byte("}\n")} {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("checkpoint: write: %w", err)
+		}
 	}
 	return nil
 }
 
 // Read parses and structurally validates a checkpoint: parse failures and
 // digest mismatches return ErrCorrupt, schema drift returns
-// ErrIncompatible. Run-identity compatibility is checked separately (see
-// Compatible) because the reader does not know which run it serves.
+// ErrIncompatible. It decodes only the envelope, so the whole file's JSON
+// syntax is checked, but it neither decodes nor re-encodes the state: the
+// state's bytes must hash to StateDigest as they stand. Run-identity
+// compatibility is checked separately (see Compatible) because the reader
+// does not know which run it serves.
 func Read(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -148,11 +195,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if ck.Schema != SchemaVersion {
 		return nil, fmt.Errorf("%w: schema %d, want %d", ErrIncompatible, ck.Schema, SchemaVersion)
 	}
-	digest, err := DigestState(&ck.State)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if digest != ck.StateDigest {
+	if digest(ck.State) != ck.StateDigest {
 		return nil, fmt.Errorf("%w: state digest mismatch", ErrCorrupt)
 	}
 	return &ck, nil

@@ -2,6 +2,8 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -125,6 +127,7 @@ func roundTrip(t *testing.T, name, policy string, chaosSeed int64, level int) {
 		if ck.Event != k {
 			t.Errorf("split %d: checkpoint recorded event %d", k, ck.Event)
 		}
+		checkStateBytes(t, k, ck)
 		inst2 := build()
 		m2 := newMachine(t, policy, inst2, chaosSeed, level)
 		res2, err := m2.RunFrom(inst2.Programs, ck)
@@ -139,6 +142,27 @@ func roundTrip(t *testing.T, name, policy string, chaosSeed int64, level int) {
 				t.Errorf("split %d: restored run functionally invalid: %v", k, err)
 			}
 		}
+	}
+}
+
+// checkStateBytes asserts that the digest covers exactly the state bytes
+// and that those bytes are the canonical encoding: decoding them and
+// encoding the result again gives them back byte for byte.
+func checkStateBytes(t *testing.T, k uint64, ck *checkpoint.Checkpoint) {
+	t.Helper()
+	if sum := sha256.Sum256(ck.State); hex.EncodeToString(sum[:]) != ck.StateDigest {
+		t.Errorf("split %d: sha256 of the state bytes is not the stored digest", k)
+	}
+	var st checkpoint.State
+	if err := json.Unmarshal(ck.State, &st); err != nil {
+		t.Fatalf("split %d: decode state: %v", k, err)
+	}
+	again, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatalf("split %d: re-encode state: %v", k, err)
+	}
+	if !bytes.Equal(again, ck.State) {
+		t.Errorf("split %d: decoded state re-encodes to different bytes", k)
 	}
 }
 

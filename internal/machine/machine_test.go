@@ -396,10 +396,17 @@ func TestChaosConfig(t *testing.T) {
 		}
 		return ck
 	}
-	if extra := capture(0, 0).State.Extra; extra != nil {
+	extra := func(ck *checkpoint.Checkpoint) map[string]json.RawMessage {
+		var st checkpoint.State
+		if err := json.Unmarshal(ck.State, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Extra
+	}
+	if extra := extra(capture(0, 0)); extra != nil {
 		t.Errorf("plain checkpoint carries extra state %v", extra)
 	}
-	raw, ok := capture(5, 0).State.Extra["chaos"]
+	raw, ok := extra(capture(5, 0))["chaos"]
 	if !ok {
 		t.Fatal("chaotic checkpoint carries no chaos state")
 	}

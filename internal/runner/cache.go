@@ -260,11 +260,11 @@ func (s *store) saveCkpt(digest string, ck *checkpoint.Checkpoint) error {
 	if s == nil {
 		return nil
 	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("runner: encoding checkpoint: %w", err)
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, ck); err != nil {
+		return err
 	}
-	return s.writeAtomic(s.ckptPath(digest), append(data, '\n'))
+	return s.writeAtomic(s.ckptPath(digest), buf.Bytes())
 }
 
 // loadCkpt returns the checkpoint persisted under a request digest,

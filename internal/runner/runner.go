@@ -27,6 +27,8 @@ type Options struct {
 	// versions never match.
 	CacheDir string
 	// Log, when non-nil, receives one progress line per completed job.
+	// Jobs finish on their own goroutines, but the runner serializes its
+	// writes, so Log need not be safe for concurrent use.
 	Log io.Writer
 	// Retries bounds how many times a transiently failed job
 	// (ErrJobPanicked, machine.ErrStalled) re-executes before it is
@@ -219,6 +221,8 @@ type Runner struct {
 	tasks  map[string]*Task
 	order  []*Task
 	failed []*JobError
+
+	logMu sync.Mutex // serializes writes to opts.Log
 }
 
 // New builds a runner.
@@ -656,5 +660,8 @@ func (r *Runner) logf(t *Task, format string, args ...any) {
 	c := r.counts
 	done := c.DiskHits.Load() + c.Misses.Load() + c.Failed.Load() + c.Interrupted.Load()
 	total := c.Submitted.Load()
-	fmt.Fprintf(r.opts.Log, "  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
+	line := fmt.Sprintf("  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
+	r.logMu.Lock()
+	io.WriteString(r.opts.Log, line)
+	r.logMu.Unlock()
 }

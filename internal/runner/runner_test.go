@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -230,6 +231,36 @@ func TestLogCountsEveryFinishedJob(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
 	if last := strings.TrimSpace(lines[len(lines)-1]); !strings.HasPrefix(last, "[2/2] interrupted ") {
 		t.Errorf("last log line %q, want [2/2] interrupted; log:\n%s", last, log.String())
+	}
+}
+
+// TestLogSerializesJobs: jobs finish on their own goroutines, and the
+// runner serializes its log writes, so a multi-job sweep can log into a
+// writer that is not safe for concurrent use and get whole lines. Run it
+// under the race detector.
+func TestLogSerializesJobs(t *testing.T) {
+	var log bytes.Buffer
+	r := New(Options{Jobs: 4, Log: &log})
+	const jobs = 8
+	var tasks []*Task
+	for i := 0; i < jobs; i++ {
+		tasks = append(tasks, r.Submit(Request{Policy: "all-near", Threads: 2,
+			Counter: &CounterSpec{Ops: 16 + i, Cells: 8}}))
+	}
+	for _, task := range tasks {
+		if _, err := task.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != jobs {
+		t.Fatalf("%d log lines for %d jobs:\n%s", len(lines), jobs, log.String())
+	}
+	whole := regexp.MustCompile(`^\s*\[\d+/\d+\] ran `)
+	for _, line := range lines {
+		if !whole.MatchString(line) {
+			t.Errorf("log line %q is not one whole progress line", line)
+		}
 	}
 }
 

@@ -472,6 +472,16 @@ func (c *Client) Lease(ctx context.Context, worker string, ttl time.Duration) (*
 	if err := json.Unmarshal(data, &g); err != nil {
 		return nil, fmt.Errorf("service: decoding lease grant: %w", err)
 	}
+	if len(g.Checkpoint) > 0 {
+		// The server indents its replies, the embedded checkpoint too.
+		// Compacting restores the bytes it holds: a checkpoint's digest
+		// covers its state's bytes as written.
+		var ckpt bytes.Buffer
+		if err := json.Compact(&ckpt, g.Checkpoint); err != nil {
+			return nil, fmt.Errorf("service: decoding lease grant: %w", err)
+		}
+		g.Checkpoint = ckpt.Bytes()
+	}
 	return &g, nil
 }
 

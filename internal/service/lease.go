@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -203,9 +202,8 @@ func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Ou
 	if x.Resume != nil {
 		// The runner's resume checkpoint (shipped before a server restart,
 		// or captured by an earlier leaseholder) seeds the first grant, so
-		// the job resumes instead of restarting from event zero; one that
-		// fails to encode only costs that replay.
-		it.ckpt, _ = json.Marshal(x.Resume)
+		// the job resumes instead of restarting from event zero.
+		it.ckpt = encodeCkpt(x.Resume)
 	}
 	t.mu.Lock()
 	if t.closed {
@@ -364,6 +362,19 @@ func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
 // grant and hands it to the runner's sink, and — with release — hands the
 // job back to the queue.
 func (t *leaseTable) Heartbeat(_ context.Context, digest, worker string, fence uint64, ckpt []byte, release bool) (*HeartbeatReply, error) {
+	// Verify a shipped checkpoint before taking the lock: it needs
+	// nothing from the table, and reading a large one takes tens of
+	// milliseconds. A dead lease still outranks a bad checkpoint in the
+	// reply.
+	var (
+		ck    *checkpoint.Checkpoint
+		ckErr error
+	)
+	if len(ckpt) > 0 {
+		if ck, ckErr = checkpoint.Read(bytes.NewReader(ckpt)); ckErr == nil {
+			ckErr = ck.Compatible(digest)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	it := t.items[digest]
@@ -371,17 +382,13 @@ func (t *leaseTable) Heartbeat(_ context.Context, digest, worker string, fence u
 		return nil, fmt.Errorf("%w: no live lease on %s under fence %d for %s",
 			ErrLeaseExpired, short(digest), fence, worker)
 	}
-	if len(ckpt) > 0 {
-		ck, err := checkpoint.Read(bytes.NewReader(ckpt))
-		if err == nil {
-			err = ck.Compatible(digest)
+	if ckErr != nil {
+		return nil, &runner.FieldError{
+			Field: "checkpoint",
+			Err:   fmt.Errorf("%w: %v", runner.ErrBadField, ckErr),
 		}
-		if err != nil {
-			return nil, &runner.FieldError{
-				Field: "checkpoint",
-				Err:   fmt.Errorf("%w: %v", runner.ErrBadField, err),
-			}
-		}
+	}
+	if ck != nil {
 		it.ckpt = append([]byte(nil), ckpt...)
 		// The runner persists it. Called under mu, so no shipped checkpoint
 		// lands after the commit that makes it stale.

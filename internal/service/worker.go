@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -216,12 +215,13 @@ func (w *Worker) work(g *LeaseGrant) {
 		}
 	}
 
-	// latest is the newest unshipped checkpoint; the heartbeat loop ships
-	// it. yielded/lost record why the job was abandoned, set before the
-	// abandon channel closes.
+	// latest is the newest unshipped checkpoint; the heartbeat loop
+	// encodes and ships it, so a checkpoint superseded between two
+	// heartbeats is never encoded. lost records why the job was abandoned,
+	// set before the abandon channel closes.
 	var (
 		jmu    sync.Mutex
-		latest []byte
+		latest *checkpoint.Checkpoint
 		lost   bool
 	)
 	abandon := make(chan struct{})
@@ -277,7 +277,7 @@ func (w *Worker) work(g *LeaseGrant) {
 			latest = nil
 			jmu.Unlock()
 			ctx, cancel := callCtx()
-			hb, err := w.api.Heartbeat(ctx, digest, w.id, g.Fence, ck, false)
+			hb, err := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(ck), false)
 			cancel()
 			if err != nil {
 				if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrStaleCommit) {
@@ -312,12 +312,8 @@ func (w *Worker) work(g *LeaseGrant) {
 	if g.CkptEvery > 0 {
 		x.CkptEvery = g.CkptEvery
 		x.Sink = func(ck *checkpoint.Checkpoint) {
-			data, err := json.Marshal(ck)
-			if err != nil {
-				return
-			}
 			jmu.Lock()
-			latest = append(data, '\n')
+			latest = ck
 			jmu.Unlock()
 		}
 	}
@@ -345,7 +341,7 @@ func (w *Worker) work(g *LeaseGrant) {
 		// Drain or server-requested yield: ship the final checkpoint and
 		// release, so the next leaseholder resumes instead of restarting.
 		ctx, cancel := callCtx()
-		_, rerr := w.api.Heartbeat(ctx, digest, w.id, g.Fence, ck, true)
+		_, rerr := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(ck), true)
 		cancel()
 		if rerr != nil {
 			w.logf("release of %s failed: %v", short(digest), rerr)
@@ -369,6 +365,16 @@ func (w *Worker) work(g *LeaseGrant) {
 		}
 		w.logf("failed %s: %v", short(digest), err)
 	}
+}
+
+// encodeCkpt serializes a checkpoint for a heartbeat; nil ships none.
+func encodeCkpt(ck *checkpoint.Checkpoint) []byte {
+	if ck == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	_ = checkpoint.Write(&buf, ck) // writes to a bytes.Buffer cannot fail
+	return buf.Bytes()
 }
 
 // commit encodes and commits a successful outcome under the lease's

@@ -166,14 +166,20 @@ func TestWorkerRestartsWhenGrantedCheckpointDiverges(t *testing.T) {
 	if err := json.Unmarshal(raw, &ck); err != nil {
 		t.Fatal(err)
 	}
-	ck.State.Engine.Now += 17
-	if ck.StateDigest, err = checkpoint.DigestState(&ck.State); err != nil {
+	var state checkpoint.State
+	if err := json.Unmarshal(ck.State, &state); err != nil {
 		t.Fatal(err)
 	}
-	tampered, err := json.Marshal(&ck)
+	state.Engine.Now += 17
+	redigested, err := checkpoint.New(ck.Identity, ck.Event, state)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tamperedBuf bytes.Buffer
+	if err := checkpoint.Write(&tamperedBuf, redigested); err != nil {
+		t.Fatal(err)
+	}
+	tampered := tamperedBuf.Bytes()
 	cache := t.TempDir()
 	digest := req.Digest()
 	if err := os.WriteFile(filepath.Join(cache, digest+".ckpt.json"), tampered, 0o644); err != nil {

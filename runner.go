@@ -41,7 +41,8 @@ func WithCacheDir(dir string) RunnerOption {
 	return func(o *runner.Options) { o.CacheDir = dir }
 }
 
-// WithRunnerLog sends one progress line per completed run to w.
+// WithRunnerLog sends one progress line per completed run to w. The
+// Runner serializes its writes, so w need not be safe for concurrent use.
 func WithRunnerLog(w io.Writer) RunnerOption {
 	return func(o *runner.Options) { o.Log = w }
 }

@@ -63,11 +63,17 @@ var (
 // stream to the checkpoint's event index and cross-validates the
 // reconstructed state against the stored digest bit-exactly, so a
 // resumed run is byte-identical to one that was never interrupted.
+// State holds the state's canonical encoding, the bytes the digest
+// covers; decode it with json.Unmarshal to inspect it.
 type Checkpoint = checkpoint.Checkpoint
 
 // ReadCheckpoint parses and structurally validates a serialized
 // checkpoint: parse failures and digest mismatches return
 // ErrCheckpointCorrupt, schema drift returns ErrCheckpointIncompatible.
+// The digest covers the state's bytes as written, so a file whose state
+// was reformatted reads as ErrCheckpointCorrupt. The state is not
+// decoded here: a crafted state that matches its digest but is no
+// machine image fails in Session.Resume, as ErrCheckpointDiverged.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return machine.Restore(r)
 }
