@@ -73,14 +73,14 @@ done
 go test -run Fuzz ./internal/chaos
 
 # Microbenchmark smoke: one iteration of every kernel, core, cache,
-# mesh, memory, predictor, telemetry, machine, digest, cache-entry codec
-# and checkpoint read/write benchmark, so the bodies the benchmark's
-# per-layer rows mirror keep compiling and running, and of the probe-bus
-# (sanitizer included) and self-profiler overhead benchmarks
-# EXPERIMENTS.md reports.
+# mesh, memory, predictor, telemetry, machine, digest, cache-entry codec,
+# checkpoint read/write and remote-job (HTTP/lease round trip) benchmark,
+# so the bodies the benchmark's per-layer rows mirror keep compiling and
+# running, and of the probe-bus (sanitizer included) and self-profiler
+# overhead benchmarks EXPERIMENTS.md reports.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache \
 	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine \
-	./internal/runner ./internal/stats ./internal/checkpoint
+	./internal/runner ./internal/stats ./internal/checkpoint ./internal/service
 go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.
@@ -336,7 +336,9 @@ done
 ksweep=$!
 cycles=0
 while [ "$cycles" -lt 3 ]; do
-	sleep 1
+	# A quick fig7 sweep through a server takes about a second, so kill
+	# well inside it.
+	sleep 0.25
 	if ! kill -0 "$ksweep" 2>/dev/null; then
 		echo "ci: soak sweep finished after $cycles kill cycle(s)"
 		break
@@ -409,7 +411,7 @@ fsweep=$!
 kills=0
 gen=0
 while :; do
-	sleep 1.5
+	sleep 0.3
 	if ! kill -0 "$fsweep" 2>/dev/null; then
 		break
 	fi

@@ -34,7 +34,7 @@
 // SIGTERM drains gracefully — in-flight jobs checkpoint (with
 // -ckpt-every) and stop, accepted sweeps stay persisted — and a restart
 // with -resume re-admits the unfinished work, restoring interrupted jobs
-// from their checkpoints, so clients polling across the restart see
+// from their checkpoints, so clients waiting across the restart see
 // their sweeps complete with byte-identical results.
 package main
 

@@ -21,6 +21,7 @@ package perf
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/metrics"
 	"sort"
@@ -77,6 +78,39 @@ func (k Kind) String() string {
 // time while still collecting thousands of samples per second per kind.
 const DefaultSampleStride = 64
 
+// Each kind's sampled durations are also counted in a fixed log-scale
+// histogram, histSub buckets to a power of two, so the report can read a
+// kind's median without keeping its samples: exactly below 2*histSub ns
+// and to within 1/(2*histSub) above. Durations clamp below 2^histBits ns
+// (18 minutes), far longer than any one event.
+const (
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+	histBits    = 40
+	histBuckets = (histBits - histSubBits + 1) * histSub
+)
+
+// histBucket maps a duration to its histogram bucket.
+func histBucket(ns uint64) int {
+	if ns < histSub {
+		return int(ns)
+	}
+	ns = min(ns, 1<<histBits-1)
+	shift := bits.Len64(ns) - histSubBits - 1
+	return shift*histSub + int(ns>>shift)
+}
+
+// histValue is the middle of bucket b's durations, the inverse of
+// histBucket up to the bucket's width.
+func histValue(b int) float64 {
+	if b < histSub {
+		return float64(b)
+	}
+	shift := b/histSub - 1
+	lo := uint64(b-shift*histSub) << shift
+	return float64(lo) + float64(uint64(1)<<shift-1)/2
+}
+
 // heapMetrics are the runtime/metrics samples the profiler reads at Start
 // and Report to compute allocation and GC deltas.
 var heapMetrics = [...]string{
@@ -123,6 +157,8 @@ type Profiler struct {
 	counts  [NumKinds]uint64
 	sampled [NumKinds]uint64 // events timed per kind
 	nanos   [NumKinds]uint64 // sampled wall-clock per kind
+	// hist counts each kind's sampled durations by histBucket.
+	hist [NumKinds][histBuckets]uint64
 
 	depthMax     int
 	depthSum     uint64
@@ -172,8 +208,22 @@ func (p *Profiler) Exec(kind Kind, depth int, fn func()) {
 	p.depthSamples++
 	t0 := time.Now()
 	fn()
-	p.nanos[kind] += uint64(time.Since(t0))
+	d := uint64(time.Since(t0))
+	p.nanos[kind] += d
 	p.sampled[kind]++
+	p.hist[kind][histBucket(d)]++
+}
+
+// median is kind k's median sampled duration, read from its histogram.
+func (p *Profiler) median(k Kind) float64 {
+	half := (p.sampled[k] + 1) / 2
+	seen := uint64(0)
+	for b, n := range p.hist[k] {
+		if seen += n; seen >= half {
+			return histValue(b)
+		}
+	}
+	return 0
 }
 
 // Events returns the number of events observed so far.
@@ -194,8 +244,11 @@ type KindStat struct {
 	// summed wall-clock of SampledEvents individually timed events.
 	SampledEvents uint64 `json:"sampled_events"`
 	SampledNS     uint64 `json:"sampled_ns"`
-	// EstNS extrapolates the sampled mean cost over all Events of this
-	// kind; EstShare normalizes EstNS over every kind.
+	// EstNS estimates the wall-clock of all Events of this kind: the
+	// median of the kind's sampled durations times Events. The median,
+	// not the mean, so that one slow sample (a GC pause or a preemption
+	// landing inside a timed event) cannot swamp its kind. EstShare
+	// normalizes EstNS over every kind.
 	EstNS    float64 `json:"est_ns"`
 	EstShare float64 `json:"est_share"`
 }
@@ -267,7 +320,7 @@ func (p *Profiler) Report() *Report {
 			SampledNS:     p.nanos[k],
 		}
 		if p.sampled[k] > 0 {
-			ks.EstNS = float64(p.nanos[k]) / float64(p.sampled[k]) * float64(p.counts[k])
+			ks.EstNS = p.median(k) * float64(p.counts[k])
 		}
 		totalEst += ks.EstNS
 		r.Kinds = append(r.Kinds, ks)

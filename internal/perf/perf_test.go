@@ -2,8 +2,10 @@ package perf
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestNilProfilerIsFree asserts the disabled path's contract: a nil
@@ -112,6 +114,64 @@ func TestReportSharesNormalize(t *testing.T) {
 	}
 	if r.EventsPerSec <= 0 || r.NSPerEvent <= 0 {
 		t.Fatalf("derived rates not positive: %v events/s, %v ns/event", r.EventsPerSec, r.NSPerEvent)
+	}
+}
+
+// TestSlowSampleDoesNotSwampItsKind: one slow sample (a GC pause or a
+// preemption landing inside a timed event) must not make its kind look
+// like the whole run. Two kinds of identical no-op events must share the
+// attribution about evenly although one timed B event sleeps 5 ms; a
+// sampled mean put B at about 0.99.
+func TestSlowSampleDoesNotSwampItsKind(t *testing.T) {
+	p := New(3) // odd, so both kinds, alternating, are sampled
+	p.Start()
+	noop := func() {}
+	slow := func() { time.Sleep(5 * time.Millisecond) }
+	for i := 0; i < 3000; i++ {
+		p.Exec(KindCPU, 1, noop)
+		fn := noop
+		if i == 1502 {
+			if (p.Events()+1)%p.stride != 0 {
+				t.Fatal("the slow event would not be sampled")
+			}
+			fn = slow
+		}
+		p.Exec(KindNoC, 1, fn)
+	}
+	r := p.Report()
+	for _, k := range r.Kinds {
+		if k.Kind == "noc" {
+			if k.SampledNS < uint64(5*time.Millisecond) {
+				t.Fatalf("noc's samples sum to %v, want the slow event's 5ms in them", time.Duration(k.SampledNS))
+			}
+			if k.EstShare >= 0.75 {
+				t.Errorf("noc EstShare = %.3f with one slow sample, want under 0.75", k.EstShare)
+			}
+		}
+	}
+}
+
+// TestHistogramBuckets: a duration's bucket reads back exactly below
+// 2*histSub ns and to within 1/(2*histSub) of it above, buckets are
+// monotone in the duration, and the largest durations clamp into range.
+func TestHistogramBuckets(t *testing.T) {
+	prev := -1
+	for ns := uint64(0); ns < 1<<20; ns += 1 + ns/64 {
+		b := histBucket(ns)
+		if b < prev || b >= histBuckets {
+			t.Fatalf("histBucket(%d) = %d after %d, want monotone in [0, %d)", ns, b, prev, histBuckets)
+		}
+		prev = b
+		got := histValue(b)
+		if ns < 2*histSub && got != float64(ns) {
+			t.Fatalf("histValue(histBucket(%d)) = %v, want exact", ns, got)
+		}
+		if rel := math.Abs(got-float64(ns)) / float64(ns); ns > 0 && rel > 1.0/(2*histSub) {
+			t.Fatalf("histValue(histBucket(%d)) = %v, %.3f off", ns, got, rel)
+		}
+	}
+	if b := histBucket(math.MaxUint64); b != histBuckets-1 {
+		t.Fatalf("histBucket(max) = %d, want the last bucket %d", b, histBuckets-1)
 	}
 }
 

@@ -221,8 +221,6 @@ type Runner struct {
 	tasks  map[string]*Task
 	order  []*Task
 	failed []*JobError
-
-	logMu sync.Mutex // serializes writes to opts.Log
 }
 
 // New builds a runner.
@@ -230,6 +228,7 @@ func New(opts Options) *Runner {
 	if opts.Jobs <= 0 {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
+	opts.Log = SerializeWriter(opts.Log)
 	r := &Runner{
 		opts:  opts,
 		store: newStore(opts.CacheDir, opts.FS),
@@ -660,8 +659,28 @@ func (r *Runner) logf(t *Task, format string, args ...any) {
 	c := r.counts
 	done := c.DiskHits.Load() + c.Misses.Load() + c.Failed.Load() + c.Interrupted.Load()
 	total := c.Submitted.Load()
-	line := fmt.Sprintf("  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
-	r.logMu.Lock()
-	io.WriteString(r.opts.Log, line)
-	r.logMu.Unlock()
+	fmt.Fprintf(r.opts.Log, "  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
+}
+
+// syncWriter serializes writes to a writer shared by concurrent loggers.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
+// SerializeWriter makes w safe to share between concurrent loggers that
+// each write whole lines: their writes take turns. nil, and a writer it
+// already serialized, pass through.
+func SerializeWriter(w io.Writer) io.Writer {
+	switch w.(type) {
+	case nil, *syncWriter:
+		return w
+	}
+	return &syncWriter{w: w}
 }

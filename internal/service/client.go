@@ -45,7 +45,10 @@ type Client struct {
 	// re-stampede in phase, and capped at MaxBackoff.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Poll is the status-poll interval for Wait and Execute.
+	// Poll is the minimum spacing between two status calls of Wait and
+	// Execute. The server holds each call until the sweep turns terminal
+	// (for at most half a second), so Poll paces only a server that
+	// answers at once.
 	Poll time.Duration
 	// Deadline, when positive, bounds every Wait and Execute call
 	// (ErrWaitTimeout past it) and is stamped on submitted sweeps as the
@@ -289,9 +292,9 @@ func (c *Client) CancelContext(ctx context.Context, id string) (*SweepStatus, er
 	return &st, nil
 }
 
-// Wait polls a sweep until it reaches a terminal state, bounded by the
+// Wait blocks until a sweep reaches a terminal state, bounded by the
 // client's Deadline when one is set: past it, Wait returns a typed
-// ErrWaitTimeout instead of polling a stalled service forever.
+// ErrWaitTimeout instead of waiting on a stalled service forever.
 func (c *Client) Wait(id string) (*SweepStatus, error) {
 	ctx := context.Background()
 	if c.Deadline > 0 {
@@ -302,25 +305,29 @@ func (c *Client) Wait(id string) (*SweepStatus, error) {
 	return c.WaitContext(ctx, id)
 }
 
-// WaitContext polls a sweep until it turns terminal or ctx ends
-// (ErrWaitTimeout).
+// WaitContext waits for a sweep to turn terminal or ctx to end
+// (ErrWaitTimeout). Each status call is held server-side until the sweep
+// turns terminal, so the terminal state arrives as soon as it is reached.
+// A held reply that is not terminal is asked again at once; only a server
+// that answers at once is asked again after the rest of Poll.
 func (c *Client) WaitContext(ctx context.Context, id string) (*SweepStatus, error) {
+	poll := c.Poll
+	if poll <= 0 {
+		poll = 25 * time.Millisecond
+	}
 	for {
-		st, err := c.StatusContext(ctx, id)
-		if err != nil {
+		asked := time.Now()
+		var st SweepStatus
+		if err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"?wait=1", nil, &st); err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("%w: sweep %s: %v", ErrWaitTimeout, id, ctx.Err())
 			}
 			return nil, err
 		}
 		if st.Terminal() {
-			return st, nil
+			return &st, nil
 		}
-		poll := c.Poll
-		if poll <= 0 {
-			poll = 25 * time.Millisecond
-		}
-		if !sleepCtx(ctx, poll) {
+		if rest := poll - time.Since(asked); rest > 0 && !sleepCtx(ctx, rest) {
 			return nil, fmt.Errorf("%w: sweep %s: %v", ErrWaitTimeout, id, ctx.Err())
 		}
 	}
@@ -350,15 +357,16 @@ func (c *Client) Span(digest string) (*Span, error) {
 	return &sp, nil
 }
 
-// Execute runs one request remotely and blocks for its outcome. Its shape
-// is runner.Options.Execute's, so a local runner keeps its pool, dedupe,
-// stats and telemetry while every simulation happens on the server, which
-// owns the job's checkpoints: of x, only Interrupt is honoured. Closing it
-// aborts the remote wait promptly (between poll sleeps, not after one),
-// best-effort cancels the sweep server-side so the fleet stops burning
-// cycles on work nobody will collect, and reports an error wrapping
-// machine.ErrInterrupted — what the runner's cancellation classification
-// expects.
+// Execute runs one request remotely and blocks for its outcome: it
+// submits a one-request sweep, waits for it as WaitContext does and
+// fetches the result. Its shape is runner.Options.Execute's, so a local
+// runner keeps its pool, dedupe, stats and telemetry while every
+// simulation happens on the server, which owns the job's checkpoints: of
+// x, only Interrupt is honoured. Closing it aborts the remote wait at
+// once (the held status call is cancelled with it), best-effort cancels
+// the sweep server-side so the fleet stops burning cycles on work nobody
+// will collect, and reports an error wrapping machine.ErrInterrupted —
+// what the runner's cancellation classification expects.
 //
 // Execute self-heals across whole-sweep loss: when the server crashed
 // between admitting the sweep and persisting its result — the sweep id

@@ -141,9 +141,11 @@ type leaseTable struct {
 // one tick for its preemption victim to be picked.
 const scanTick = 25 * time.Millisecond
 
-// leaseHold bounds how long a lease call waits for work before returning
-// empty (204 on the wire). An idle worker slot costs one call per hold,
-// and queued work is granted the moment it arrives.
+// leaseHold bounds a held call: how long a lease call waits for work
+// before returning empty (204 on the wire), and how long a held status
+// call waits for its sweep to turn terminal. An idle worker slot or a
+// waiting client costs one call per hold, and queued work is granted, and
+// a settled sweep reported, the moment it happens.
 const leaseHold = 500 * time.Millisecond
 
 func newLeaseTable(o leaseTableOptions) *leaseTable {

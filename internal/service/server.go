@@ -26,8 +26,9 @@ type Server struct {
 	svc  *Service
 	ln   net.Listener
 	http *http.Server
-	// closing ends when Close begins, so held lease calls return at once
-	// instead of holding up Shutdown for the rest of their hold.
+	// closing ends when Close begins, so held lease and status calls
+	// return at once instead of holding up Shutdown for the rest of their
+	// hold.
 	closing context.Context
 	close   context.CancelFunc
 }
@@ -81,6 +82,17 @@ func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return s.http.Shutdown(ctx)
+}
+
+// held is the context of a held call: it ends when the caller hangs up
+// or the server closes.
+func (s *Server) held(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.closing, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
 }
 
 // kindOf classifies an error into the stable WireError.Kind vocabulary.
@@ -178,7 +190,17 @@ func (s *Server) postSweeps(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.svc.Status(r.PathValue("id"))
+	var st *SweepStatus
+	var err error
+	if r.URL.Query().Get("wait") == "1" {
+		// Held until the sweep turns terminal, the client hangs up or the
+		// server closes, for at most the hold a lease call gets.
+		ctx, cancel := s.held(r)
+		defer cancel()
+		st, err = s.svc.heldStatus(ctx, r.PathValue("id"))
+	} else {
+		st, err = s.svc.Status(r.PathValue("id"))
+	}
 	if err != nil {
 		writeError(w, err)
 		return
@@ -246,10 +268,8 @@ func (s *Server) postLease(w http.ResponseWriter, r *http.Request) {
 	}
 	// The call is held until work arrives, the worker hangs up or the
 	// server closes, for at most the lease hold.
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := s.held(r)
 	defer cancel()
-	stop := context.AfterFunc(s.closing, cancel)
-	defer stop()
 	g, err := s.svc.lt.Lease(ctx, req.Worker, time.Duration(req.TTLSeconds*float64(time.Second)))
 	if err != nil {
 		writeError(w, err)
@@ -308,7 +328,7 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `dynamo sweep service
 
 POST   /v1/sweeps               submit a sweep (JSON batch of requests)
-GET    /v1/sweeps/{id}          sweep status
+GET    /v1/sweeps/{id}          sweep status (?wait=1: held until terminal)
 DELETE /v1/sweeps/{id}          cancel a sweep
 GET    /v1/jobs/{digest}        cached result document
 GET    /v1/jobs/{digest}/span   job trace span

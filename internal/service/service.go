@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -55,7 +56,8 @@ type Options struct {
 	// Telemetry, when non-nil, is the caller's surface; otherwise the
 	// service creates (and closes) a journal-less one.
 	Telemetry *telemetry.Sweep
-	// Log, when non-nil, receives progress lines.
+	// Log, when non-nil, receives progress lines. The service serializes
+	// its writes, so Log need not be safe for concurrent use.
 	Log io.Writer
 	// MaxQueued bounds admitted-but-unfinished jobs across live sweeps —
 	// the admission queue. A submission that would push past it is
@@ -144,8 +146,10 @@ type Service struct {
 	lt     *leaseTable
 	local  *Worker // in-process slots; nil with Options.Workers
 
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu sync.Mutex
+	// wake is closed, and replaced, whenever a job settles or a sweep is
+	// cancelled or expires: Wait and held status calls wait on it.
+	wake     chan struct{}
 	sweeps   map[string]*sweepState
 	ctl      map[string]*jobCtl
 	draining bool
@@ -175,15 +179,18 @@ func New(o Options) (*Service, error) {
 	if fs == nil {
 		fs = faultio.OS{}
 	}
+	// The lease table, the slots, the runner and the service all log to
+	// one writer: they take turns.
+	o.Log = runner.SerializeWriter(o.Log)
 	s := &Service{
 		opts:   o,
 		fs:     fs,
 		tel:    tel,
 		ownTel: ownTel,
+		wake:   make(chan struct{}),
 		sweeps: make(map[string]*sweepState),
 		ctl:    make(map[string]*jobCtl),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.lt = newLeaseTable(leaseTableOptions{
 		Telemetry:    tel,
 		Log:          o.Log,
@@ -485,7 +492,7 @@ func (s *Service) expire(id string) {
 	s.tel.Counts().Expired.Add(s.settleQueuedLocked(sw, JobExpired))
 	s.releaseOwnersLocked(id)
 	s.persistLocked(sw)
-	s.cond.Broadcast()
+	s.wakeLocked()
 }
 
 // settleQueuedLocked moves a sweep's live jobs that hold no lease to a
@@ -528,6 +535,26 @@ func (s *Service) Status(id string) (*SweepStatus, error) {
 	return s.statusLocked(sw), nil
 }
 
+// heldStatus is Status held until the sweep turns terminal: it answers
+// at the first of that, ctx ending and leaseHold elapsing, with the
+// sweep's standing then.
+func (s *Service) heldStatus(ctx context.Context, id string) (*SweepStatus, error) {
+	hold, cancel := context.WithTimeout(ctx, leaseHold)
+	defer cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		sw := s.sweeps[id]
+		if sw == nil {
+			return nil, fmt.Errorf("%w: sweep %s", ErrNotFound, id)
+		}
+		if sw.cancelled || sw.expired || sw.settled() || hold.Err() != nil {
+			return s.statusLocked(sw), nil
+		}
+		s.waitLocked(hold.Done())
+	}
+}
+
 // Cancel cancels a sweep: queued jobs never run, leased jobs are
 // interrupted (capturing a final checkpoint when checkpointing is on) —
 // unless another live sweep also owns them, in which case they keep
@@ -548,7 +575,7 @@ func (s *Service) Cancel(id string) (*SweepStatus, error) {
 		s.settleQueuedLocked(sw, JobCancelled)
 		s.releaseOwnersLocked(id)
 		s.persistLocked(sw)
-		s.cond.Broadcast()
+		s.wakeLocked()
 	}
 	return s.statusLocked(sw), nil
 }
@@ -680,7 +707,13 @@ func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
 	if len(ctl.owners) == 0 && s.ctl[j.digest] == ctl {
 		delete(s.ctl, j.digest)
 	}
-	s.cond.Broadcast()
+	s.wakeLocked()
+}
+
+// wakeLocked wakes every Wait and held status call (mu held).
+func (s *Service) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // Wait blocks until every admitted job has settled: nothing queued,
@@ -689,16 +722,36 @@ func (s *Service) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.idleLocked() {
-		s.cond.Wait()
+		s.waitLocked(nil)
+	}
+}
+
+// waitLocked releases mu until the next wake or until done closes (mu
+// held on entry and return).
+func (s *Service) waitLocked(done <-chan struct{}) {
+	wake := s.wake
+	s.mu.Unlock()
+	defer s.mu.Lock()
+	select {
+	case <-wake:
+	case <-done:
 	}
 }
 
 func (s *Service) idleLocked() bool {
 	for _, sw := range s.sweeps {
-		for _, j := range sw.jobs {
-			if j.state == JobQueued {
-				return false
-			}
+		if !sw.settled() {
+			return false
+		}
+	}
+	return true
+}
+
+// settled reports whether every job of the sweep has settled (mu held).
+func (sw *sweepState) settled() bool {
+	for _, j := range sw.jobs {
+		if j.state == JobQueued {
+			return false
 		}
 	}
 	return true

@@ -669,3 +669,46 @@ func TestSweepIDStability(t *testing.T) {
 		t.Errorf("first sweep seq = %d", seq)
 	}
 }
+
+// TestSharedLogIsSerialized: the lease table, the in-process slots, the
+// runner and the service all write Options.Log, and the service makes
+// them take turns, so a writer that is not safe for concurrent use (a
+// bytes.Buffer) receives whole lines and the race detector sees no race.
+func TestSharedLogIsSerialized(t *testing.T) {
+	var buf bytes.Buffer
+	svc, err := New(Options{CacheDir: t.TempDir(), Jobs: 2, Log: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Submit([]runner.Request{counterReq(641), counterReq(642), counterReq(643), counterReq(644)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st = mustStatus(t, svc, st.ID); st.Done != 4 {
+		t.Fatalf("sweep = %+v, want 4 jobs done", st)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	counts := map[string]int{}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "  ") {
+			t.Errorf("log line %q is not whole", line)
+		}
+		for _, what := range []string{" to local (fence ", "[local] leased ", " from local (fence ", "[local] committed ", "] ran "} {
+			if strings.Contains(line, what) {
+				counts[what]++
+			}
+		}
+	}
+	for what, n := range counts {
+		if n != 4 {
+			t.Errorf("%d log lines contain %q, want 4 (one per job)", n, what)
+		}
+	}
+	if len(counts) != 5 {
+		t.Errorf("log lacks a writer's lines; counts %v in\n%s", counts, buf.String())
+	}
+}

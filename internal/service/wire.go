@@ -15,7 +15,7 @@
 // Routes (all under /v1):
 //
 //	POST   /v1/sweeps             submit a batch of requests → sweep id + per-job digests
-//	GET    /v1/sweeps/{id}        sweep status: per-job states, counts, ETA
+//	GET    /v1/sweeps/{id}        sweep status: per-job states, counts, ETA (?wait=1: held)
 //	DELETE /v1/sweeps/{id}        cancel the sweep (idempotent)
 //	GET    /v1/jobs/{digest}      the raw cache document for a finished job
 //	GET    /v1/jobs/{digest}/span the job's trace span, while retained
@@ -29,8 +29,10 @@
 //	POST /v1/work/{digest}/heartbeat  extend the lease, ship a checkpoint, or release
 //	POST /v1/work/{digest}/result     commit the outcome (fenced, at-most-once)
 //
-// A lease call on an empty queue is held until work arrives (for a
-// bounded hold), so an idle worker picks up new work at once.
+// A lease call on an empty queue is held until work arrives, and a status
+// call with ?wait=1 until its sweep turns terminal, each for a bounded
+// hold (leaseHold, 500 ms): an idle worker picks up new work at once, and
+// a waiting client learns of its result at once, without polling.
 //
 // The telemetry endpoints (/metrics, /progress, /jobs) mount on the same
 // listener via telemetry.Mount.

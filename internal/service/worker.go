@@ -38,6 +38,8 @@ type WorkerOptions struct {
 	// injectable.
 	Transport http.RoundTripper
 	// Log, when non-nil, receives one line per lease/commit/release event.
+	// The worker's slots take turns, so Log need not be safe for
+	// concurrent use.
 	Log io.Writer
 }
 
@@ -113,6 +115,7 @@ func newWorker(o WorkerOptions, api workAPI, delay func(int) time.Duration) *Wor
 	if o.Slots <= 0 {
 		o.Slots = 1
 	}
+	o.Log = runner.SerializeWriter(o.Log)
 	if o.ID == "" {
 		host, _ := os.Hostname()
 		if host == "" {

@@ -193,7 +193,9 @@ func ServiceResume() ServiceOption {
 	return func(c *serviceConfig) { c.resume = true }
 }
 
-// ServiceLog sends progress lines to w.
+// ServiceLog sends progress lines to w. The service's lease table,
+// worker slots and runner take turns writing them, so w need not be safe
+// for concurrent use.
 func ServiceLog(w io.Writer) ServiceOption {
 	return func(c *serviceConfig) { c.log = w }
 }
