@@ -74,7 +74,8 @@ go test -run Fuzz ./internal/chaos
 
 # Microbenchmark smoke: one iteration of every kernel, core, cache,
 # mesh, memory, predictor, telemetry, machine, digest, cache-entry codec,
-# checkpoint read/write and remote-job (HTTP/lease round trip) benchmark,
+# checkpoint read/write, remote-job (HTTP/lease round trip) and
+# local-job (BenchmarkExecuteLocal, new machine or slot arena) benchmark,
 # so the bodies the benchmark's per-layer rows mirror keep compiling and
 # running, and of the probe-bus (sanitizer included) and self-profiler
 # overhead benchmarks EXPERIMENTS.md reports.

@@ -233,3 +233,64 @@ func (c *SetAssoc[V]) Range(fn func(key uint64, v *V) bool) {
 		}
 	}
 }
+
+// Arena keeps the arrays that finished simulations hand back, so that a
+// later array of the same element type and geometry reuses one: its
+// header table, its blocks and the array itself. An arena belongs to one
+// simulation slot (a sweep runner's or a fleet worker's) and serves one
+// simulation at a time; it is not safe for concurrent use, and nothing in
+// this package keeps one, so concurrent simulations share no storage.
+type Arena struct {
+	spare map[geometry][]any // *SetAssoc[V] for any V, each cleared
+}
+
+// geometry is an array's shape, the first key a handed-back array is
+// matched by; the element type is the second.
+type geometry struct{ sets, ways int }
+
+// NewSetAssocIn returns a sets x ways array: one that a holds with this
+// element type and geometry, or else a new one from NewSetAssoc. Either
+// way it starts with every set empty and its counters at zero. A nil
+// arena always builds a new array.
+func NewSetAssocIn[V any](a *Arena, sets, ways int) *SetAssoc[V] {
+	if a != nil {
+		g := geometry{sets, ways}
+		s := a.spare[g]
+		for i := len(s) - 1; i >= 0; i-- {
+			if c, ok := s[i].(*SetAssoc[V]); ok {
+				last := len(s) - 1
+				s[i], s[last] = s[last], nil
+				a.spare[g] = s[:last]
+				return c
+			}
+		}
+	}
+	return NewSetAssoc[V](sets, ways)
+}
+
+// Recycle clears c and hands it to a for a later NewSetAssocIn; c must
+// not be used afterwards. Clearing zeroes the header table (2 bytes a
+// set) and the counters and empties the backing slice, keeping its
+// capacity: Insert zeroes each block as it hands the block to a set, so
+// no way of the last simulation is ever read again.
+func (c *SetAssoc[V]) Recycle(a *Arena) {
+	clear(c.hdr)
+	c.data = c.data[:0]
+	c.hits, c.misses, c.evictions = 0, 0, 0
+	if a.spare == nil {
+		a.spare = make(map[geometry][]any)
+	}
+	g := geometry{c.sets, c.ways}
+	a.spare[g] = append(a.spare[g], c)
+}
+
+// Trim drops every array that a holds, so that the collector can take
+// them. A simulation built from a calls it once it has taken its arrays:
+// an arena then holds no storage while its simulation runs, and between
+// simulations only the arrays the last one handed back.
+func (a *Arena) Trim() {
+	for g, s := range a.spare {
+		clear(s)
+		a.spare[g] = s[:0]
+	}
+}

@@ -261,97 +261,128 @@ func TestLRUReferenceModelSparseSetsProperty(t *testing.T) {
 }
 
 // checkLRUReference checks the reference-model property on a sets x ways
-// array over random operation streams whose keys key draws.
+// array over random operation streams whose keys key draws: on a new
+// array, and on one built from an arena out of the storage of a
+// same-shape array that held other entries first.
 func checkLRUReference(t *testing.T, sets, ways int, key func(*rand.Rand) uint64) {
 	t.Helper()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewSetAssoc[int](sets, ways)
-		ref := make([][]refEntry, sets) // MRU-first
-		pos := func(k uint64) int {
-			for j, e := range ref[k%uint64(sets)] {
-				if e.key == k {
-					return j
-				}
-			}
-			return -1
+		if !matchesLRUReference(NewSetAssoc[int](sets, ways), key, rng) {
+			return false
 		}
-		promote := func(set, j int) {
-			e := ref[set][j]
-			ref[set] = append(ref[set][:j], ref[set][j+1:]...)
-			ref[set] = append([]refEntry{e}, ref[set]...)
-		}
-		for i := 0; i < 3000; i++ {
+		var a Arena
+		old := NewSetAssocIn[int](&a, sets, ways)
+		for i := 0; i < 4*sets*ways; i++ {
 			k := key(rng)
-			set := int(k % uint64(sets))
-			j := pos(k)
-			switch rng.Intn(5) {
-			case 0: // Lookup promotes a hit.
-				v, hit := c.Lookup(k)
-				if hit != (j >= 0) || hit && *v != ref[set][j].val {
-					return false
-				}
-				if hit {
-					promote(set, j)
-				}
-			case 1: // Insert replaces a hit or evicts the LRU way of a full set.
-				vk, vv, ev := c.Insert(k, i)
-				switch {
-				case j >= 0:
-					ref[set][j].val = i
-					promote(set, j)
-					if ev {
-						return false
-					}
-				case len(ref[set]) == ways:
-					lru := ref[set][ways-1]
-					if !ev || vk != lru.key || vv != lru.val {
-						return false
-					}
-					ref[set] = append([]refEntry{{k, i}}, ref[set][:ways-1]...)
-				default:
-					if ev {
-						return false
-					}
-					ref[set] = append([]refEntry{{k, i}}, ref[set]...)
-				}
-			case 2:
-				v, ok := c.Remove(k)
-				if ok != (j >= 0) || ok && v != ref[set][j].val {
-					return false
-				}
-				if ok {
-					ref[set] = append(ref[set][:j], ref[set][j+1:]...)
-				}
-			case 3: // Peek never promotes.
-				v, ok := c.Peek(k)
-				if ok != (j >= 0) || ok && *v != ref[set][j].val {
-					return false
-				}
-			case 4:
-				vk, would := c.Victim(k)
-				full := j < 0 && len(ref[set]) == ways
-				if would != full || full && vk != ref[set][ways-1].key {
-					return false
-				}
+			if i%2 == 1 {
+				k += 1 << 40 // a tag no operation stream draws
 			}
-			var want, got []refEntry
-			for _, s := range ref {
-				want = append(want, s...)
-			}
-			c.Range(func(k uint64, v *int) bool {
-				got = append(got, refEntry{k, *v})
-				return true
-			})
-			if !slices.Equal(got, want) || c.Len() != len(want) {
-				return false
-			}
+			old.Insert(k, -1-i)
+			old.Lookup(key(rng))
 		}
-		return true
+		old.Recycle(&a)
+		c := NewSetAssocIn[int](&a, sets, ways)
+		if c != old {
+			t.Log("the arena built a new array instead of reusing the handed-back one")
+			return false
+		}
+		return matchesLRUReference(c, key, rng)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// matchesLRUReference runs a random operation stream on the empty array
+// c against the reference model and reports whether they agree
+// throughout.
+func matchesLRUReference(c *SetAssoc[int], key func(*rand.Rand) uint64, rng *rand.Rand) bool {
+	sets, ways := c.Sets(), c.Ways()
+	if h, m, e := c.Stats(); h+m+e != 0 {
+		return false
+	}
+	ref := make([][]refEntry, sets) // MRU-first
+	pos := func(k uint64) int {
+		for j, e := range ref[k%uint64(sets)] {
+			if e.key == k {
+				return j
+			}
+		}
+		return -1
+	}
+	promote := func(set, j int) {
+		e := ref[set][j]
+		ref[set] = append(ref[set][:j], ref[set][j+1:]...)
+		ref[set] = append([]refEntry{e}, ref[set]...)
+	}
+	for i := 0; i < 3000; i++ {
+		k := key(rng)
+		set := int(k % uint64(sets))
+		j := pos(k)
+		switch rng.Intn(5) {
+		case 0: // Lookup promotes a hit.
+			v, hit := c.Lookup(k)
+			if hit != (j >= 0) || hit && *v != ref[set][j].val {
+				return false
+			}
+			if hit {
+				promote(set, j)
+			}
+		case 1: // Insert replaces a hit or evicts the LRU way of a full set.
+			vk, vv, ev := c.Insert(k, i)
+			switch {
+			case j >= 0:
+				ref[set][j].val = i
+				promote(set, j)
+				if ev {
+					return false
+				}
+			case len(ref[set]) == ways:
+				lru := ref[set][ways-1]
+				if !ev || vk != lru.key || vv != lru.val {
+					return false
+				}
+				ref[set] = append([]refEntry{{k, i}}, ref[set][:ways-1]...)
+			default:
+				if ev {
+					return false
+				}
+				ref[set] = append([]refEntry{{k, i}}, ref[set]...)
+			}
+		case 2:
+			v, ok := c.Remove(k)
+			if ok != (j >= 0) || ok && v != ref[set][j].val {
+				return false
+			}
+			if ok {
+				ref[set] = append(ref[set][:j], ref[set][j+1:]...)
+			}
+		case 3: // Peek never promotes.
+			v, ok := c.Peek(k)
+			if ok != (j >= 0) || ok && *v != ref[set][j].val {
+				return false
+			}
+		case 4:
+			vk, would := c.Victim(k)
+			full := j < 0 && len(ref[set]) == ways
+			if would != full || full && vk != ref[set][ways-1].key {
+				return false
+			}
+		}
+		var want, got []refEntry
+		for _, s := range ref {
+			want = append(want, s...)
+		}
+		c.Range(func(k uint64, v *int) bool {
+			got = append(got, refEntry{k, *v})
+			return true
+		})
+		if !slices.Equal(got, want) || c.Len() != len(want) {
+			return false
+		}
+	}
+	return true
 }
 
 // raceEnabled is set under the race detector, which turns off the
@@ -416,6 +447,59 @@ func TestEmptyArrayAllocatesOnlyItsHeader(t *testing.T) {
 		if (h != 0) != (set%hnSlices == slice) {
 			t.Fatalf("set %d has header %d", set, h)
 		}
+	}
+}
+
+// An array built from an arena reuses the header table and blocks a
+// same-shape array handed back, so a Table II LLC slice that refills the
+// 64 sets its predecessor reached allocates nothing, from its first
+// Insert on, and handing it back allocates nothing either.
+func TestArenaArrayAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates each new block as a temporary")
+	}
+	type line struct{ dirty bool }
+	const slice, hnSlices, sets, ways = 5, 32, 2048, 8
+	fill := func(c *SetAssoc[line]) {
+		for k := uint64(slice); k < ways*sets; k += hnSlices {
+			c.Insert(k, line{dirty: true})
+		}
+	}
+	var a Arena
+	first := NewSetAssocIn[line](&a, sets, ways)
+	fill(first)
+	first.Recycle(&a)
+	n := testing.AllocsPerRun(10, func() {
+		c := NewSetAssocIn[line](&a, sets, ways)
+		c.Insert(slice, line{})
+		fill(c)
+		c.Recycle(&a)
+	})
+	if n != 0 {
+		t.Fatalf("building, filling and handing back an arena array made %v allocations, want 0", n)
+	}
+}
+
+// An arena hands an array back only to a request for its element type
+// and geometry; Trim drops what it holds.
+func TestArenaMatchesTypeAndGeometry(t *testing.T) {
+	var a Arena
+	c := NewSetAssocIn[int](&a, 8, 4)
+	c.Insert(3, 3)
+	c.Recycle(&a)
+	NewSetAssocIn[uint64](&a, 8, 4)
+	NewSetAssocIn[int](&a, 16, 4)
+	NewSetAssocIn[int](&a, 8, 2)
+	if NewSetAssocIn[int](&a, 8, 4) != c {
+		t.Fatal("a request of another element type or geometry took the handed-back array")
+	}
+	if NewSetAssocIn[int](&a, 8, 4) == c {
+		t.Fatal("the arena handed one array out twice")
+	}
+	c.Recycle(&a)
+	a.Trim()
+	if NewSetAssocIn[int](&a, 8, 4) == c {
+		t.Fatal("Trim kept a handed-back array")
 	}
 }
 

@@ -16,6 +16,7 @@ package chi
 import (
 	"fmt"
 
+	"dynamo/internal/cache"
 	"dynamo/internal/check"
 	"dynamo/internal/hbm"
 	"dynamo/internal/memory"
@@ -175,6 +176,31 @@ type System struct {
 	freeSnoops freeList[snoop]
 	freeMSHRs  freeList[mshr]
 	freeDirs   freeList[dirEntry]
+
+	// arena is where Recycle hands the system's storage; nil when the
+	// system was built without one or has handed it back.
+	arena *Arena
+}
+
+// Arena is the storage one simulation slot (a sweep runner's or a fleet
+// worker's) recycles across the systems it builds, one at a time: cache
+// arrays, the policy's included, and the functional memory image. A
+// system built from an arena takes what the last one handed back and
+// hands its own back on Recycle. Like the record free lists, an arena is
+// never package-level: each belongs to one slot, so concurrent
+// simulations share nothing. The zero value is empty and ready to use.
+type Arena struct {
+	arrays cache.Arena
+	data   *memory.Store
+}
+
+// Arrays returns the arena's cache arrays, from which the policy of a
+// system built from a takes its tables (nil for a nil arena).
+func (a *Arena) Arrays() *cache.Arena {
+	if a == nil {
+		return nil
+	}
+	return &a.arrays
 }
 
 // freeList is a stack of records kept for reuse.
@@ -198,6 +224,15 @@ func (l *freeList[T]) push(r *T) { *l = append(*l, r) }
 // mesh nodes where (x+y) is even in row-major order; HN slices occupy odd
 // nodes, mirroring the distributed-slice placement of CMN-style meshes.
 func NewSystem(cfg Config, policy Policy) (*System, error) {
+	return NewSystemIn(cfg, policy, nil)
+}
+
+// NewSystemIn is NewSystem with its cache arrays and memory image taken
+// from a, where the last system built from it handed them back; a nil
+// arena allocates them. Build the policy from a.Arrays() first: the
+// system then drops whatever storage of the arena it did not take, so an
+// arena holds nothing while its system runs.
+func NewSystemIn(cfg Config, policy Policy, a *Arena) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,9 +254,14 @@ func NewSystem(cfg Config, policy Policy) (*System, error) {
 		Engine: sim.NewEngine(),
 		Mesh:   mesh,
 		Mem:    mem,
-		Data:   memory.NewStore(),
 		Policy: policy,
 		Obs:    cfg.Obs,
+		arena:  a,
+	}
+	if a != nil && a.data != nil {
+		s.Data, a.data = a.data, nil
+	} else {
+		s.Data = memory.NewStore()
 	}
 	var even, odd []int
 	for id := 0; id < mesh.Nodes(); id++ {
@@ -242,7 +282,38 @@ func NewSystem(cfg Config, policy Policy) (*System, error) {
 	for i := 0; i < cfg.HNSlices; i++ {
 		s.HNs = append(s.HNs, newHN(s, i, odd[i]))
 	}
+	if a != nil {
+		a.arrays.Trim()
+	}
 	return s, nil
+}
+
+// Recycle hands the system's cache arrays, its policy's tables (when the
+// policy has a Recycle method, as the DynAMO predictors do) and its
+// memory image back to the arena it was built from, cleared, for the
+// next system built from it; a system built without an arena keeps them.
+// The system and its policy must not be used afterwards, and whatever
+// must outlive them (results, checkpoints, the validator's reading of
+// Data) must have been taken before. A second call does nothing.
+func (s *System) Recycle() {
+	a := s.arena
+	if a == nil {
+		return
+	}
+	s.arena = nil
+	if p, ok := s.Policy.(interface{ Recycle(*cache.Arena) }); ok {
+		p.Recycle(&a.arrays)
+	}
+	for _, rn := range s.RNs {
+		rn.l1.Recycle(&a.arrays)
+		rn.l2.Recycle(&a.arrays)
+	}
+	for _, hn := range s.HNs {
+		hn.llc.Recycle(&a.arrays)
+		hn.amoBuf.Recycle(&a.arrays)
+	}
+	s.Data.Reset()
+	a.data = s.Data
 }
 
 // HomeOf returns the HN slice owning a line (address interleaved).

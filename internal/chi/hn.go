@@ -228,8 +228,8 @@ func newHN(s *System, idx, node int) *HN {
 		idx:    idx,
 		node:   node,
 		dir:    make(map[memory.Line]*dirEntry),
-		llc:    cache.NewSetAssoc[llcEntry](s.Cfg.LLCSets, s.Cfg.LLCWays),
-		amoBuf: cache.NewSetAssoc[struct{}](1, s.Cfg.AMOBufEntries),
+		llc:    cache.NewSetAssocIn[llcEntry](s.arena.Arrays(), s.Cfg.LLCSets, s.Cfg.LLCWays),
+		amoBuf: cache.NewSetAssocIn[struct{}](s.arena.Arrays(), 1, s.Cfg.AMOBufEntries),
 		busy:   make(map[memory.Line]waitQueue),
 	}
 }

@@ -129,8 +129,8 @@ func newRN(s *System, id, node int) *RN {
 		sys:   s,
 		id:    id,
 		node:  node,
-		l1:    cache.NewSetAssoc[l1Entry](s.Cfg.L1Sets, s.Cfg.L1Ways),
-		l2:    cache.NewSetAssoc[l2Entry](s.Cfg.L2Sets, s.Cfg.L2Ways),
+		l1:    cache.NewSetAssocIn[l1Entry](s.arena.Arrays(), s.Cfg.L1Sets, s.Cfg.L1Ways),
+		l2:    cache.NewSetAssocIn[l2Entry](s.arena.Arrays(), s.Cfg.L2Sets, s.Cfg.L2Ways),
 		mshrs: make(map[memory.Line]*mshr),
 	}
 }

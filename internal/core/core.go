@@ -17,6 +17,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"dynamo/internal/cache"
 	"dynamo/internal/chi"
 	"dynamo/internal/memory"
 )
@@ -80,18 +81,25 @@ func CostOf(cfg AMTConfig) AMTCost {
 	}
 }
 
-// Builder constructs a policy for a system with the given core count.
-type Builder func(cores int, amt AMTConfig) chi.Policy
+// Builder constructs a policy for a system with the given core count,
+// taking its AMTs from arrays (nil: new ones).
+type Builder func(cores int, amt AMTConfig, arrays *cache.Arena) chi.Policy
 
 var registry = map[string]Builder{
-	"all-near":        func(int, AMTConfig) chi.Policy { return AllNear() },
-	"unique-near":     func(int, AMTConfig) chi.Policy { return UniqueNear() },
-	"present-near":    func(int, AMTConfig) chi.Policy { return PresentNear() },
-	"dirty-near":      func(int, AMTConfig) chi.Policy { return DirtyNear() },
-	"shared-far":      func(int, AMTConfig) chi.Policy { return SharedFar() },
-	"dynamo-metric":   func(c int, a AMTConfig) chi.Policy { return NewMetric(c, a) },
-	"dynamo-reuse-un": func(c int, a AMTConfig) chi.Policy { return NewReuse(c, a, FallbackUniqueNear) },
-	"dynamo-reuse-pn": func(c int, a AMTConfig) chi.Policy { return NewReuse(c, a, FallbackPresentNear) },
+	"all-near":     func(int, AMTConfig, *cache.Arena) chi.Policy { return AllNear() },
+	"unique-near":  func(int, AMTConfig, *cache.Arena) chi.Policy { return UniqueNear() },
+	"present-near": func(int, AMTConfig, *cache.Arena) chi.Policy { return PresentNear() },
+	"dirty-near":   func(int, AMTConfig, *cache.Arena) chi.Policy { return DirtyNear() },
+	"shared-far":   func(int, AMTConfig, *cache.Arena) chi.Policy { return SharedFar() },
+	"dynamo-metric": func(c int, a AMTConfig, arrays *cache.Arena) chi.Policy {
+		return newMetric(c, a, arrays)
+	},
+	"dynamo-reuse-un": func(c int, a AMTConfig, arrays *cache.Arena) chi.Policy {
+		return newReuse(c, a, FallbackUniqueNear, arrays)
+	},
+	"dynamo-reuse-pn": func(c int, a AMTConfig, arrays *cache.Arena) chi.Policy {
+		return newReuse(c, a, FallbackPresentNear, arrays)
+	},
 }
 
 // Names returns the registered policy names, sorted.
@@ -121,17 +129,31 @@ var ErrUnknownPolicy = errors.New("unknown policy")
 // New builds the named policy for a system with cores cores. It returns an
 // error for unknown names or invalid AMT configurations.
 func New(name string, cores int, amt AMTConfig) (chi.Policy, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("core: %w %q (have %v)", ErrUnknownPolicy, name, Names())
-	}
-	if err := amt.Validate(); err != nil {
+	return NewIn(name, cores, amt, nil)
+}
+
+// NewIn is New with the policy's AMTs, if it has any, taken from arrays,
+// where a finished simulation's predictor handed them back (Recycle).
+func NewIn(name string, cores int, amt AMTConfig, arrays *cache.Arena) (chi.Policy, error) {
+	if err := Check(name, cores, amt); err != nil {
 		return nil, err
 	}
-	if cores <= 0 {
-		return nil, fmt.Errorf("core: %d cores", cores)
+	return registry[name](cores, amt, arrays), nil
+}
+
+// Check returns the error New would return for these arguments, without
+// building the policy.
+func Check(name string, cores int, amt AMTConfig) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("core: %w %q (have %v)", ErrUnknownPolicy, name, Names())
 	}
-	return b(cores, amt), nil
+	if err := amt.Validate(); err != nil {
+		return err
+	}
+	if cores <= 0 {
+		return fmt.Errorf("core: %d cores", cores)
+	}
+	return nil
 }
 
 // stateIndex maps a coherence state to its Table I column.

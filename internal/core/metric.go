@@ -30,12 +30,23 @@ var _ chi.Policy = (*Metric)(nil)
 
 // NewMetric builds the metric-based predictor for a system with the given
 // core count.
-func NewMetric(cores int, cfg AMTConfig) *Metric {
+func NewMetric(cores int, cfg AMTConfig) *Metric { return newMetric(cores, cfg, nil) }
+
+func newMetric(cores int, cfg AMTConfig, arrays *cache.Arena) *Metric {
 	m := &Metric{cfg: cfg}
 	for i := 0; i < cores; i++ {
-		m.tables = append(m.tables, cache.NewSetAssoc[metricEntry](cfg.Entries/cfg.Ways, cfg.Ways))
+		m.tables = append(m.tables, cache.NewSetAssocIn[metricEntry](arrays, cfg.Entries/cfg.Ways, cfg.Ways))
 	}
 	return m
+}
+
+// Recycle hands the predictor's AMTs to arrays for a later predictor
+// built from them; the predictor must not be used afterwards.
+func (m *Metric) Recycle(arrays *cache.Arena) {
+	for _, t := range m.tables {
+		t.Recycle(arrays)
+	}
+	m.tables = nil
 }
 
 // AttachObs points the predictor at an observability bus, which then

@@ -60,13 +60,26 @@ var _ chi.Policy = (*Reuse)(nil)
 // NewReuse builds a reuse-pattern predictor for a system with the given
 // core count.
 func NewReuse(cores int, cfg AMTConfig, fb Fallback) *Reuse {
+	return newReuse(cores, cfg, fb, nil)
+}
+
+func newReuse(cores int, cfg AMTConfig, fb Fallback, arrays *cache.Arena) *Reuse {
 	r := &Reuse{cfg: cfg, fallback: fb, un: UniqueNear(), pn: PresentNear()}
 	for i := 0; i < cores; i++ {
 		r.cores = append(r.cores, reuseCore{
-			amt: cache.NewSetAssoc[reuseEntry](cfg.Entries/cfg.Ways, cfg.Ways),
+			amt: cache.NewSetAssocIn[reuseEntry](arrays, cfg.Entries/cfg.Ways, cfg.Ways),
 		})
 	}
 	return r
+}
+
+// Recycle hands the predictor's AMTs to arrays for a later predictor
+// built from them; the predictor must not be used afterwards.
+func (r *Reuse) Recycle(arrays *cache.Arena) {
+	for _, c := range r.cores {
+		c.amt.Recycle(arrays)
+	}
+	r.cores = nil
 }
 
 // AttachObs points the predictor at an observability bus, which then

@@ -80,6 +80,13 @@ type Config struct {
 	// final checkpoint of an interrupted run. Capture is read-only, so a
 	// sink never perturbs the simulation.
 	CkptSink func(*checkpoint.Checkpoint)
+	// CkptDue, when non-nil, gates periodic capture: at each CkptEvery
+	// boundary the run captures only if CkptDue returns true. A fleet
+	// worker arms it at each heartbeat, so it captures only checkpoints a
+	// heartbeat will ship. Nil captures at every boundary. The boundaries
+	// themselves, and the final checkpoint of an interrupted run, do not
+	// depend on it.
+	CkptDue func() bool
 	// CkptIdentity names the run in captured checkpoints (the runner uses
 	// the request digest); RunFrom rejects a checkpoint whose identity
 	// differs.
@@ -146,7 +153,7 @@ func (c Config) Validate() error {
 	if err := c.AMT.Validate(); err != nil {
 		return err
 	}
-	if _, err := core.New(c.Policy, c.Chi.Cores, c.AMT); err != nil {
+	if err := core.Check(c.Policy, c.Chi.Cores, c.AMT); err != nil {
 		return err
 	}
 	if c.ChaosLevel < 0 || c.ChaosLevel > chaos.MaxLevel {
@@ -206,6 +213,12 @@ type Result struct {
 	Detail *stats.Group
 }
 
+// Arena is the storage one runner or fleet-worker slot recycles across
+// the machines it builds, one at a time: cache arrays, the predictor's
+// AMTs and the functional memory image. A machine built from an arena
+// (NewIn) hands them back with m.Sys.Recycle (see chi.Arena).
+type Arena = chi.Arena
+
 // Machine is a built system ready to run one set of programs.
 type Machine struct {
 	Cfg    Config
@@ -253,16 +266,7 @@ type runState struct {
 
 // New builds a machine from cfg, constructing the policy from its
 // registered name.
-func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	policy, err := core.New(cfg.Policy, cfg.Chi.Cores, cfg.AMT)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithPolicy(cfg, policy)
-}
+func New(cfg Config) (*Machine, error) { return NewIn(cfg, nil, nil) }
 
 // NewWithPolicy builds a machine around an explicit policy object,
 // bypassing the name registry — used by the design-space exploration,
@@ -270,6 +274,28 @@ func New(cfg Config) (*Machine, error) {
 func NewWithPolicy(cfg Config, policy chi.Policy) (*Machine, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("machine: nil policy")
+	}
+	return NewIn(cfg, policy, nil)
+}
+
+// NewIn builds a machine around policy or, when policy is nil, around
+// cfg.Policy from the registry. Its cache arrays, a registry predictor's
+// AMTs included, and its memory image come from a, where the last
+// machine built from a handed them back (chi.System.Recycle); a nil
+// arena allocates them. A machine built from an arena starts exactly as
+// a new one does. What its runs return (results, checkpoints,
+// diagnostics) holds copies, never arena storage, so it outlives
+// m.Sys.Recycle.
+func NewIn(cfg Config, policy chi.Policy, a *Arena) (*Machine, error) {
+	if policy == nil {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		p, err := core.NewIn(cfg.Policy, cfg.Chi.Cores, cfg.AMT, a.Arrays())
+		if err != nil {
+			return nil, err
+		}
+		policy = p
 	}
 	cfg.Policy = policy.Name()
 	cfg.Chi.Obs = cfg.Obs
@@ -279,7 +305,7 @@ func NewWithPolicy(cfg Config, policy chi.Policy) (*Machine, error) {
 			ao.AttachObs(cfg.Obs)
 		}
 	}
-	sys, err := chi.NewSystem(cfg.Chi, policy)
+	sys, err := chi.NewSystemIn(cfg.Chi, policy, a)
 	if err != nil {
 		return nil, err
 	}
@@ -558,8 +584,10 @@ func (m *Machine) drive() (*Result, error) {
 		// read-only, so it cannot perturb the replayed event stream.
 		if m.Cfg.CkptEvery > 0 && m.Cfg.CkptSink != nil && !rs.replaying && x >= rs.nextCkpt {
 			rs.nextCkpt = x + m.Cfg.CkptEvery
-			if ck, err := m.captureCheckpoint(); err == nil {
-				m.Cfg.CkptSink(ck)
+			if m.Cfg.CkptDue == nil || m.Cfg.CkptDue() {
+				if ck, err := m.captureCheckpoint(); err == nil {
+					m.Cfg.CkptSink(ck)
+				}
 			}
 		}
 		if x < rs.nextCheck {

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,74 @@ func TestStoreMatchesMapProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a reset store reads zero at every address the store wrote
+// before, holds no words, and then behaves exactly as a new store: the
+// same writes leave it with the same Words and Loads. Rewriting no more
+// pages than it held allocates nothing.
+func TestResetStoreMatchesNewProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		addr := func() Addr { return Addr(rng.Intn(1 << 16)) }
+		s := NewStore()
+		var written []Addr
+		for range 300 {
+			a := addr()
+			s.StoreWord(a, rng.Uint64()|1)
+			s.AMO(AMOAdd, addr(), 1, 0)
+			written = append(written, a)
+		}
+		pages := len(s.pages)
+		s.Reset()
+		if len(s.spare) != pages || len(s.Words()) != 0 {
+			t.Logf("a reset store holds %d words and %d spare pages; its image had %d pages", len(s.Words()), len(s.spare), pages)
+			return false
+		}
+		for _, a := range written {
+			if s.Load(a) != 0 {
+				t.Logf("a reset store reads %d at %#x", s.Load(a), a)
+				return false
+			}
+		}
+		fresh := NewStore()
+		for range 300 {
+			a, v := addr(), uint64(rng.Intn(4))
+			s.StoreWord(a, v)
+			fresh.StoreWord(a, v)
+			a = addr()
+			if s.AMO(AMOAdd, a, 5, 0) != fresh.AMO(AMOAdd, a, 5, 0) {
+				return false
+			}
+		}
+		for _, a := range written {
+			if s.Load(a) != fresh.Load(a) {
+				return false
+			}
+		}
+		got, want := s.Words(), fresh.Words()
+		if !slices.Equal(got, want) {
+			t.Logf("after the same writes a reset store holds %d words, a new one %d", len(got), len(want))
+			return false
+		}
+		// Spare pages the second image did not take are dropped.
+		pages = len(s.pages)
+		s.Reset()
+		if len(s.spare) != pages {
+			t.Logf("the store kept %d pages, its last image had %d", len(s.spare), pages)
+			return false
+		}
+		n := testing.AllocsPerRun(1, func() {
+			for p := range s.spare {
+				s.StoreWord(Addr(p)<<pageShift, 1)
+			}
+			s.Reset()
+		})
+		return n == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

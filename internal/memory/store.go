@@ -33,6 +33,8 @@ type Store struct {
 	// page has never been written.
 	lastKey uint64
 	last    *page
+	// spare holds cleared pages a Reset kept, taken before new ones.
+	spare []*page
 }
 
 // NewStore returns an empty store; unwritten memory reads as zero.
@@ -58,7 +60,13 @@ func (s *Store) lookup(key uint64) *page {
 func (s *Store) writable(key uint64) *page {
 	p := s.lookup(key)
 	if p == nil {
-		p = new(page)
+		if n := len(s.spare); n > 0 {
+			p = s.spare[n-1]
+			s.spare[n-1] = nil
+			s.spare = s.spare[:n-1]
+		} else {
+			p = new(page)
+		}
 		s.pages[key] = p
 		s.last = p
 	}
@@ -101,6 +109,23 @@ func (s *Store) AMO(op AMOOp, a Addr, operand, compare uint64) (old uint64) {
 		p[w] = stored
 	}
 	return old
+}
+
+// Reset empties the store for a later simulation, which then reads zero
+// everywhere, as from NewStore, but writes into the pages this one made
+// instead of allocating its own. Only the pages the image used are
+// cleared, and only they are kept: spare pages it did not take are
+// dropped, so a reset store holds exactly the pages of the image it just
+// emptied. The page map keeps its capacity.
+func (s *Store) Reset() {
+	clear(s.spare)
+	s.spare = s.spare[:0]
+	for _, p := range s.pages {
+		*p = page{}
+		s.spare = append(s.spare, p)
+	}
+	clear(s.pages)
+	s.lastKey, s.last = noPage, nil
 }
 
 // Word is one (address, value) pair of the functional image.

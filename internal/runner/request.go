@@ -17,6 +17,7 @@ import (
 	"dynamo/internal/chaos"
 	"dynamo/internal/check"
 	"dynamo/internal/checkpoint"
+	"dynamo/internal/chi"
 	"dynamo/internal/core"
 	"dynamo/internal/machine"
 	"dynamo/internal/obs"
@@ -368,16 +369,19 @@ func dsePolicy(decisions string) (*core.Static, error) {
 	return nil, fmt.Errorf("runner: unknown design-space policy %q", decisions)
 }
 
-// ExecOptions carries a job's robustness wiring into an executor:
-// periodic checkpoint capture, resume from a checkpoint, and cooperative
-// interruption. The runner fills it for every job it executes; the zero
-// value runs the request plainly.
+// ExecOptions carries a job's wiring into an executor: periodic
+// checkpoint capture, resume from a checkpoint, cooperative interruption
+// and the slot's arena. The runner fills it for every job it executes;
+// the zero value runs the request plainly.
 type ExecOptions struct {
 	// CkptEvery, when nonzero, captures a checkpoint into Sink roughly
 	// every CkptEvery simulation events.
 	CkptEvery uint64
 	// Sink receives captured checkpoints (required when CkptEvery > 0).
 	Sink func(*checkpoint.Checkpoint)
+	// CkptDue, when non-nil, gates the periodic captures (see
+	// machine.Config.CkptDue); nil captures at every boundary.
+	CkptDue func() bool
 	// Resume, when non-nil, restores the run from this checkpoint via the
 	// machine's verified deterministic replay. Its identity must be the
 	// request's digest.
@@ -386,6 +390,11 @@ type ExecOptions struct {
 	// machine.ErrInterrupted (after a final Sink capture when
 	// checkpointing is on).
 	Interrupt <-chan struct{}
+	// Arena, when non-nil, is the executing slot's: ExecuteLocal builds
+	// the machine from the storage the slot's last job handed back and
+	// hands its own back when the run returns. It serves one job at a
+	// time; executors that simulate nothing here ignore it.
+	Arena *machine.Arena
 }
 
 // ExecuteLocal simulates one request in this process: its own machine,
@@ -407,6 +416,7 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 	cfg.CkptEvery = x.CkptEvery
 	cfg.CkptIdentity = q.Digest()
 	cfg.CkptSink = x.Sink
+	cfg.CkptDue = x.CkptDue
 	cfg.Interrupt = x.Interrupt
 	var bus *obs.Bus
 	var prof *profile.Profiler
@@ -439,30 +449,31 @@ func ExecuteLocal(q Request, x ExecOptions) (*Outcome, error) {
 		return nil, err
 	}
 
-	var m *machine.Machine
+	// A nil policy builds q.Policy from the registry.
+	var policy chi.Policy
 	if q.DSE != "" {
-		p, err := dsePolicy(q.DSE)
-		if err != nil {
-			return nil, err
-		}
-		m, err = machine.NewWithPolicy(cfg, p)
-		if err != nil {
+		if policy, err = dsePolicy(q.DSE); err != nil {
 			return nil, err
 		}
 	} else {
 		cfg.Policy = q.Policy
-		m, err = machine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
 	}
-	res, err := inst.Run(m, x.Resume)
+	m, err := machine.NewIn(cfg, policy, x.Arena)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Result: res}
-	if prof != nil {
-		out.Hot = prof.Report(bus.SiteOf)
+	// The machine's storage goes back to the slot's arena once the run
+	// (and with it the validator) has returned and the hot-line report is
+	// taken, on success and failure alike. A panic skips this, and the
+	// collector takes the storage instead.
+	res, err := inst.Run(m, x.Resume)
+	var out *Outcome
+	if err == nil {
+		out = &Outcome{Result: res}
+		if prof != nil {
+			out.Hot = prof.Report(bus.SiteOf)
+		}
 	}
-	return out, nil
+	m.Sys.Recycle()
+	return out, err
 }

@@ -221,6 +221,10 @@ type Runner struct {
 	tasks  map[string]*Task
 	order  []*Task
 	failed []*JobError
+	// arenas holds the arenas of the idle pool slots. A job takes one
+	// with its slot and puts it back when it frees the slot, so no two
+	// running jobs share an arena and there are never more than Jobs.
+	arenas []*machine.Arena
 }
 
 // New builds a runner.
@@ -531,6 +535,8 @@ func (r *Runner) run(t *Task) {
 	}
 	r.counts.Queued.Add(-1)
 	r.counts.Running.Add(1)
+	// Every attempt, retries included, builds from the slot's arena.
+	x.Arena = r.takeArena()
 	t.jt.Begin()
 	start := time.Now()
 	var runErr error
@@ -553,6 +559,7 @@ func (r *Runner) run(t *Task) {
 		}
 	}
 	elapsed = time.Since(start)
+	r.putArena(x.Arena)
 	<-r.sem
 	r.counts.Running.Add(-1)
 
@@ -594,6 +601,27 @@ func (r *Runner) run(t *Task) {
 		r.logf(t, "cache write failed: %v", err)
 	}
 	r.logf(t, "ran %s: %d cycles (%s)", t.req, out.Result.Cycles, elapsed.Round(time.Millisecond))
+}
+
+// takeArena returns an idle slot's arena, or a new one for a slot that
+// has not run a job yet.
+func (r *Runner) takeArena() *machine.Arena {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.arenas)
+	if n == 0 {
+		return new(machine.Arena)
+	}
+	a := r.arenas[n-1]
+	r.arenas = r.arenas[:n-1]
+	return a
+}
+
+// putArena returns a finished job's arena to the idle slots.
+func (r *Runner) putArena(a *machine.Arena) {
+	r.mu.Lock()
+	r.arenas = append(r.arenas, a)
+	r.mu.Unlock()
 }
 
 // finishInterrupted records a cancelled job: it reports

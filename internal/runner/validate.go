@@ -91,7 +91,7 @@ func (q Request) Validate() error {
 		if _, err := dsePolicy(q.DSE); err != nil {
 			return &FieldError{Field: "dse", Value: q.DSE, Err: err}
 		}
-	} else if _, err := core.New(q.Policy, cfg.Chi.Cores, cfg.AMT); err != nil {
+	} else if err := core.Check(q.Policy, cfg.Chi.Cores, cfg.AMT); err != nil {
 		return &FieldError{Field: "policy", Value: q.Policy, Err: err}
 	}
 	if q.Threads < 1 || q.Threads > cfg.Chi.Cores {

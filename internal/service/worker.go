@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynamo/internal/checkpoint"
@@ -163,9 +164,12 @@ func (w *Worker) Drain() {
 }
 
 // slot is one lease→execute→commit loop. The server holds a lease call
-// open until work arrives, so an empty reply is simply asked again.
+// open until work arrives, so an empty reply is simply asked again. The
+// slot owns one arena, which each job it executes builds its machine
+// from and hands back to.
 func (w *Worker) slot() {
 	defer w.wg.Done()
+	arena := new(machine.Arena)
 	fails := 0
 	for {
 		select {
@@ -190,7 +194,7 @@ func (w *Worker) slot() {
 		fails = 0
 		if g != nil {
 			w.count(func(s *WorkerStats) { s.Leases++ })
-			w.work(g)
+			w.work(g, arena)
 		}
 	}
 }
@@ -201,8 +205,8 @@ func callCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 15*time.Second)
 }
 
-// work executes one granted job under its lease.
-func (w *Worker) work(g *LeaseGrant) {
+// work executes one granted job under its lease, on the slot's arena.
+func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 	digest := g.Digest
 	w.logf("leased %s (fence %d, attempt %d)", short(digest), g.Fence, g.Attempt)
 
@@ -219,13 +223,16 @@ func (w *Worker) work(g *LeaseGrant) {
 	}
 
 	// latest is the newest unshipped checkpoint; the heartbeat loop
-	// encodes and ships it, so a checkpoint superseded between two
-	// heartbeats is never encoded. lost records why the job was abandoned,
-	// set before the abandon channel closes.
+	// encodes and ships it. due gates periodic capture: each heartbeat
+	// arms it and a capture disarms it, so the run captures at the first
+	// checkpoint boundary after each heartbeat, and only checkpoints the
+	// next heartbeat ships. lost records why the job was abandoned, set
+	// before the abandon channel closes.
 	var (
 		jmu    sync.Mutex
 		latest *checkpoint.Checkpoint
 		lost   bool
+		due    atomic.Bool
 	)
 	abandon := make(chan struct{})
 	var abandonOnce sync.Once
@@ -279,6 +286,7 @@ func (w *Worker) work(g *LeaseGrant) {
 			ck := latest
 			latest = nil
 			jmu.Unlock()
+			due.Store(true)
 			ctx, cancel := callCtx()
 			hb, err := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(ck), false)
 			cancel()
@@ -311,9 +319,10 @@ func (w *Worker) work(g *LeaseGrant) {
 	// Execute locally. Checkpoints flow into latest for the heartbeat
 	// loop; CkptEvery comes from the grant so the server's cadence policy
 	// holds fleet-wide.
-	x := runner.ExecOptions{Resume: resume, Interrupt: intr}
+	x := runner.ExecOptions{Resume: resume, Interrupt: intr, Arena: arena}
 	if g.CkptEvery > 0 {
 		x.CkptEvery = g.CkptEvery
+		x.CkptDue = func() bool { return due.Swap(false) }
 		x.Sink = func(ck *checkpoint.Checkpoint) {
 			jmu.Lock()
 			latest = ck

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -312,4 +313,92 @@ func TestWorkerPanicReportsTransient(t *testing.T) {
 		s := w.Stats()
 		return s.Failed == 1 && s.Committed == 1
 	})
+}
+
+// gateAPI grants one job, then holds lease calls until the worker
+// drains; it counts heartbeats and acknowledges everything.
+type gateAPI struct {
+	grant     *LeaseGrant
+	granted   atomic.Bool
+	beats     atomic.Int32
+	committed chan struct{}
+}
+
+func (f *gateAPI) Lease(ctx context.Context, _ string, _ time.Duration) (*LeaseGrant, error) {
+	if f.granted.CompareAndSwap(false, true) {
+		return f.grant, nil
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (f *gateAPI) Heartbeat(context.Context, string, string, uint64, []byte, bool) (*HeartbeatReply, error) {
+	f.beats.Add(1)
+	return &HeartbeatReply{Schema: runner.WireSchema}, nil
+}
+
+func (f *gateAPI) Commit(context.Context, string, string, uint64, []byte, string, string) (*CommitReply, error) {
+	close(f.committed)
+	return &CommitReply{Schema: runner.WireSchema, Committed: true}, nil
+}
+
+// runGated executes one leased job with a checkpoint boundary every 500
+// events, each stretched by pace, under heartbeats every hb. It returns
+// the boundaries the run reached, the checkpoints it captured and the
+// heartbeats sent.
+func runGated(t *testing.T, pace, hb time.Duration) (boundaries, captures, beats int32) {
+	t.Helper()
+	req := slowReq(451)
+	api := &gateAPI{committed: make(chan struct{}), grant: &LeaseGrant{
+		Schema: runner.WireSchema, Digest: req.Digest(), Request: req, Fence: 1, Attempt: 1,
+		ExpiresUnixNano: time.Now().Add(time.Hour).UnixNano(), CkptEvery: 500,
+	}}
+	var nb, nc atomic.Int32
+	w := newWorker(WorkerOptions{ID: "gated", Heartbeat: hb,
+		Execute: func(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
+			due, sink := x.CkptDue, x.Sink
+			if due == nil {
+				t.Error("a leased job with a checkpoint cadence got no capture gate")
+				return runner.ExecuteLocal(q, x)
+			}
+			x.CkptDue = func() bool {
+				nb.Add(1)
+				time.Sleep(pace)
+				return due()
+			}
+			x.Sink = func(ck *checkpoint.Checkpoint) {
+				nc.Add(1)
+				sink(ck)
+			}
+			return runner.ExecuteLocal(q, x)
+		},
+	}, api, func(int) time.Duration { return time.Millisecond })
+	w.Start()
+	defer w.Drain()
+	select {
+	case <-api.committed:
+	case <-time.After(time.Minute):
+		t.Fatal("the gated job never committed")
+	}
+	return nb.Load(), nc.Load(), api.beats.Load()
+}
+
+// TestWorkerCapturesOnlyWhatHeartbeatsShip: a fleet job captures a
+// periodic checkpoint only at the first boundary after a heartbeat, so
+// over many boundaries and several heartbeats it captures at most one a
+// heartbeat (plus one), and a job shorter than one heartbeat none.
+func TestWorkerCapturesOnlyWhatHeartbeatsShip(t *testing.T) {
+	boundaries, captures, beats := runGated(t, 2*time.Millisecond, 10*time.Millisecond)
+	if boundaries < 20 || beats < 3 {
+		t.Fatalf("the job reached %d boundaries under %d heartbeats; the test needs many of both", boundaries, beats)
+	}
+	t.Logf("%d captures over %d boundaries and %d heartbeats", captures, boundaries, beats)
+	if captures == 0 || captures > beats+1 {
+		t.Errorf("%d captures over %d boundaries and %d heartbeats, want 1..%d", captures, boundaries, beats, beats+1)
+	}
+	boundaries, captures, beats = runGated(t, 0, time.Hour)
+	if boundaries == 0 || beats != 0 || captures != 0 {
+		t.Errorf("a job shorter than one heartbeat: %d captures over %d boundaries and %d heartbeats, want none",
+			captures, boundaries, beats)
+	}
 }
