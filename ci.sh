@@ -11,9 +11,10 @@
 # gate reruns it over its own cache: same tables, no simulation, no
 # eviction.
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
-# -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
-# soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
-# under deterministic storage/network fault injection, asserting the
+# rerun with the same flags reproduces the uninterrupted tables
+# byte-for-byte, and the soak gate repeatedly SIGKILLs and
+# -resume-restarts the sweep *server* under deterministic
+# storage/network fault injection, asserting the
 # remote tables still come out byte-identical with no quarantine leaks.
 # The worker-fleet soak gate runs the same sweep through a fleet of
 # dynamo-worker processes under repeated worker SIGKILLs: lease expiry
@@ -166,10 +167,11 @@ grep '^runner: ' "$stats/warm.err" | grep ' 0 simulated,' | grep ' 503 disk hits
 }
 echo "ci: warm quick suite served 503 disk hits with no simulation or eviction"
 
-# Crash-recovery gate: a sweep SIGKILLed mid-run must complete under
-# -resume with tables byte-identical to an uninterrupted sweep. If the
-# sweep wins the race and finishes before the kill, the rerun is a pure
-# warm-cache pass and the byte-identity assertion still holds.
+# Crash-recovery gate: a sweep SIGKILLed mid-run, rerun with the same
+# flags, must resume from its checkpoints and complete with tables
+# byte-identical to an uninterrupted sweep. If the sweep wins the race and
+# finishes before the kill, the rerun is a pure warm-cache pass and the
+# byte-identity assertion still holds.
 rcache="$stats/recovery-cache"
 "$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
 	fig7 >"$stats/fig7-want.txt" 2>/dev/null
@@ -182,7 +184,7 @@ kill -9 "$sweep" 2>/dev/null || echo "ci: recovery sweep finished before the kil
 wait "$sweep" 2>/dev/null || true
 echo "ci: resuming killed sweep"
 "$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
-	-ckpt-every 20000 -resume fig7 >"$stats/fig7-got.txt" 2>"$stats/fig7-resume.err"
+	-ckpt-every 20000 fig7 >"$stats/fig7-got.txt" 2>"$stats/fig7-resume.err"
 grep -o '[0-9]* resumed' "$stats/fig7-resume.err" || true
 cmp "$stats/fig7-want.txt" "$stats/fig7-got.txt"
 echo "ci: killed sweep resumed to byte-identical tables"
@@ -243,7 +245,8 @@ line_disk=$(echo "$runner_line" | sed -n 's/.* \([0-9]*\) disk hits.*/\1/p')
 curl -fsS "http://$addr/metrics" >"$stats/metrics.txt"
 for family in \
 	dynamo_sweep_requests_total dynamo_sweep_jobs_total \
-	dynamo_sweep_cache_total dynamo_sweep_job_duration_seconds_bucket; do
+	dynamo_sweep_cache_total dynamo_sweep_job_duration_seconds_bucket \
+	dynamo_sweep_workers; do
 	grep -q "^$family" "$stats/metrics.txt" || {
 		echo "ci: /metrics missing family $family" >&2
 		exit 1
@@ -252,6 +255,11 @@ done
 metric_done=$(sed -n 's/^dynamo_sweep_jobs_total{state="done"} \([0-9]*\)$/\1/p' "$stats/metrics.txt")
 [ "$metric_done" = "$done_jobs" ] || {
 	echo "ci: /metrics done count $metric_done != /progress $done_jobs" >&2
+	exit 1
+}
+metric_workers=$(sed -n 's/^dynamo_sweep_workers \([0-9]*\)$/\1/p' "$stats/metrics.txt")
+[ "$metric_workers" = 4 ] || {
+	echo "ci: /metrics dynamo_sweep_workers = $metric_workers, want the 4 of -jobs 4" >&2
 	exit 1
 }
 curl -fsS "http://$addr/jobs?n=4" | grep -q '"digest"' || {

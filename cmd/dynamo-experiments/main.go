@@ -31,7 +31,7 @@
 // A sweep is crash-safe: with -ckpt-every, running jobs periodically
 // checkpoint into the cache directory, and SIGINT/SIGTERM stop the sweep
 // gracefully (in-flight jobs checkpoint, finished results stay cached).
-// Re-invoking with -resume restores the unfinished jobs from their
+// Re-invoking with the same flags restores the unfinished jobs from their
 // checkpoints and completes the sweep with byte-identical tables.
 // Transiently failed jobs (a recovered panic, a watchdog stall) are
 // retried up to -retries times before quarantine.
@@ -65,7 +65,6 @@ func main() {
 	verbose, quiet := cliflags.Verbosity(flag.CommandLine)
 	csvDir := flag.String("csv", "", "also write each experiment's table as CSV into this directory")
 	ckptEvery := cliflags.CkptEvery(flag.CommandLine)
-	resume := cliflags.Resume(flag.CommandLine)
 	retries := cliflags.Retries(flag.CommandLine)
 	remote := flag.String("remote", "", "run simulations on a dynamo-serve sweep service at this address instead of locally")
 	remoteDeadline := flag.Duration("remote-deadline", 0, "with -remote, bound each remote job's wait and stamp sweeps with this wire deadline (0 = none)")
@@ -123,7 +122,6 @@ func main() {
 		CacheDir:       *cacheDir,
 		Retries:        *retries,
 		CkptEvery:      *ckptEvery,
-		Resume:         *resume,
 		Interrupt:      interrupt,
 		Log:            log.DebugWriter(),
 		Remote:         *remote,
@@ -133,7 +131,7 @@ func main() {
 		// The server owns the durable cache and the checkpoints; keeping a
 		// local result cache on top is allowed (-cache-dir), but local
 		// checkpointing of remote jobs is meaningless.
-		opts.CkptEvery, opts.Resume = 0, false
+		opts.CkptEvery = 0
 		log.Infof("dynamo-experiments: running simulations on %s", *remote)
 	}
 
@@ -201,7 +199,7 @@ func main() {
 				st := suite.Runner().Stats()
 				log.Errorf("dynamo-experiments: interrupted during %s (%d jobs cancelled, %d results cached)",
 					e.ID, st.Interrupted, st.Misses+st.DiskHits)
-				log.Errorf("dynamo-experiments: re-run with -resume (same flags) to continue from the checkpoints in %s",
+				log.Errorf("dynamo-experiments: re-run with the same flags to continue from the checkpoints in %s",
 					*cacheDir)
 				os.Exit(130)
 			}

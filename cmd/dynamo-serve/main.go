@@ -60,7 +60,7 @@ func main() {
 	jobs := cliflags.Jobs(flag.CommandLine)
 	retries := cliflags.Retries(flag.CommandLine)
 	ckptEvery := cliflags.CkptEvery(flag.CommandLine)
-	resume := cliflags.Resume(flag.CommandLine)
+	resume := flag.Bool("resume", false, "reload persisted sweeps; their interrupted jobs resume from their checkpoints")
 	preempt := flag.Bool("preempt", false, "time-slice long jobs across sweeps at checkpoint boundaries (use with -ckpt-every)")
 	maxQueued := flag.Int("max-queued", 0, "bound the admission queue: reject sweeps past this many pending jobs with HTTP 429 (0 = unbounded)")
 	workers := flag.Bool("workers", false, "start no in-process worker slots: external dynamo-worker processes execute every job via /v1/work leases")

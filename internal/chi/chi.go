@@ -220,16 +220,11 @@ func (l *freeList[T]) pop() *T {
 // push puts a record on the list.
 func (l *freeList[T]) push(r *T) { *l = append(*l, r) }
 
-// NewSystem wires cores, home nodes, interconnect and memory. RNs occupy
+// NewSystemIn wires cores, home nodes, interconnect and memory. RNs occupy
 // mesh nodes where (x+y) is even in row-major order; HN slices occupy odd
 // nodes, mirroring the distributed-slice placement of CMN-style meshes.
-func NewSystem(cfg Config, policy Policy) (*System, error) {
-	return NewSystemIn(cfg, policy, nil)
-}
-
-// NewSystemIn is NewSystem with its cache arrays and memory image taken
-// from a, where the last system built from it handed them back; a nil
-// arena allocates them. Build the policy from a.Arrays() first: the
+// Its cache arrays and memory image come from a, where the last system
+// built from it handed them back; a nil arena allocates them. Build the policy from a.Arrays() first: the
 // system then drops whatever storage of the arena it did not take, so an
 // arena holds nothing while its system runs.
 func NewSystemIn(cfg Config, policy Policy, a *Arena) (*System, error) {

@@ -47,7 +47,7 @@ func testConfig() Config {
 
 func newTestSystem(t testing.TB, p Policy) *System {
 	t.Helper()
-	s, err := NewSystem(testConfig(), p)
+	s, err := NewSystemIn(testConfig(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
-	if _, err := NewSystem(good, nil); err == nil {
+	if _, err := NewSystemIn(good, nil, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
 }
@@ -528,7 +528,7 @@ func TestRandomTrafficCoherenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		placement := Placement(rng.Intn(2))
-		s, err := NewSystem(testConfig(), fixedPolicy{placement})
+		s, err := NewSystemIn(testConfig(), fixedPolicy{placement}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +609,7 @@ func TestDeterminism(t *testing.T) {
 func TestPrefetchLatencyStartsWhenMade(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchDegree = 4
-	s, err := NewSystem(cfg, fixedPolicy{Near})
+	s, err := NewSystemIn(cfg, fixedPolicy{Near}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,9 +234,6 @@ func newHN(s *System, idx, node int) *HN {
 	}
 }
 
-// Node returns the mesh node of this slice.
-func (hn *HN) Node() int { return hn.node }
-
 // Directory returns the sharer set and owner for a line (tests only).
 func (hn *HN) Directory(line memory.Line) (owner int, sharers uint64) {
 	if e, ok := hn.dir[line]; ok {

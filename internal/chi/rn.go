@@ -138,9 +138,6 @@ func newRN(s *System, id, node int) *RN {
 // ID returns the core index of this RN.
 func (rn *RN) ID() int { return rn.id }
 
-// Node returns the mesh node of this RN.
-func (rn *RN) Node() int { return rn.node }
-
 // State returns the line's current state in this RN's private hierarchy
 // (L1 or L2), without perturbing LRU order.
 func (rn *RN) State(line memory.Line) memory.State {

@@ -81,12 +81,6 @@ func CkptEvery(fs *flag.FlagSet) *uint64 {
 	return fs.Uint64("ckpt-every", 0, "checkpoint every N simulation events (0 = off)")
 }
 
-// Resume registers -resume: restore interrupted work from persisted
-// checkpoints.
-func Resume(fs *flag.FlagSet) *bool {
-	return fs.Bool("resume", false, "resume interrupted runs from their checkpoints")
-}
-
 // Retries registers -retries: bounded re-execution of transiently failed
 // sweep jobs before quarantine.
 func Retries(fs *flag.FlagSet) *int {

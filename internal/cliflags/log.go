@@ -18,12 +18,12 @@ func Verbosity(fs *flag.FlagSet) (verbose, quiet *bool) {
 // Logger is the leveled stderr logger shared by every dynamo command, so
 // -v and -quiet mean the same thing everywhere. Three levels:
 //
-//	Debugf — per-run detail, only with -v
-//	Infof  — progress, timing, summaries, unless -quiet
-//	Errorf — always
+//	DebugWriter — per-run detail, only with -v
+//	Infof       — progress, timing, summaries, unless -quiet
+//	Errorf      — always
 //
-// Every method appends a newline. Tables and results go to stdout and are
-// never routed through the logger.
+// Every logging method appends a newline. Tables and results go to stdout
+// and are never routed through the logger.
 type Logger struct {
 	out     io.Writer
 	verbose bool
@@ -33,17 +33,6 @@ type Logger struct {
 // NewLogger builds a stderr logger; -v wins over -quiet when both are set.
 func NewLogger(verbose, quiet bool) *Logger {
 	return &Logger{out: os.Stderr, verbose: verbose, quiet: quiet && !verbose}
-}
-
-// Verbose reports whether -v detail is enabled.
-func (l *Logger) Verbose() bool { return l.verbose }
-
-// Debugf logs per-run detail, only with -v.
-func (l *Logger) Debugf(format string, args ...any) {
-	if !l.verbose {
-		return
-	}
-	fmt.Fprintf(l.out, format+"\n", args...)
 }
 
 // Infof logs progress and summaries, unless -quiet.

@@ -126,14 +126,10 @@ func DynamicNames() []string {
 // re-exported at the package dynamo surface; match with errors.Is.
 var ErrUnknownPolicy = errors.New("unknown policy")
 
-// New builds the named policy for a system with cores cores. It returns an
-// error for unknown names or invalid AMT configurations.
-func New(name string, cores int, amt AMTConfig) (chi.Policy, error) {
-	return NewIn(name, cores, amt, nil)
-}
-
-// NewIn is New with the policy's AMTs, if it has any, taken from arrays,
-// where a finished simulation's predictor handed them back (Recycle).
+// NewIn builds the named policy for a system with cores cores. It returns
+// an error for unknown names or invalid AMT configurations. The policy's
+// AMTs, if it has any, come from arrays, where a finished simulation's
+// predictor handed them back (Recycle); nil arrays allocate them.
 func NewIn(name string, cores int, amt AMTConfig, arrays *cache.Arena) (chi.Policy, error) {
 	if err := Check(name, cores, amt); err != nil {
 		return nil, err
@@ -141,7 +137,7 @@ func NewIn(name string, cores int, amt AMTConfig, arrays *cache.Arena) (chi.Poli
 	return registry[name](cores, amt, arrays), nil
 }
 
-// Check returns the error New would return for these arguments, without
+// Check returns the error NewIn would return for these arguments, without
 // building the policy.
 func Check(name string, cores int, amt AMTConfig) error {
 	if _, ok := registry[name]; !ok {

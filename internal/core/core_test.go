@@ -39,21 +39,21 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("registry has %d policies, want 8: %v", len(Names()), Names())
 	}
 	for _, name := range Names() {
-		p, err := New(name, 4, DefaultAMTConfig())
+		p, err := NewIn(name, 4, DefaultAMTConfig(), nil)
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewIn(%q): %v", name, err)
 		}
 		if p.Name() != name {
 			t.Errorf("policy %q reports name %q", name, p.Name())
 		}
 	}
-	if _, err := New("bogus", 4, DefaultAMTConfig()); err == nil {
+	if _, err := NewIn("bogus", 4, DefaultAMTConfig(), nil); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New("all-near", 0, DefaultAMTConfig()); err == nil {
+	if _, err := NewIn("all-near", 0, DefaultAMTConfig(), nil); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if _, err := New("dynamo-metric", 4, AMTConfig{Entries: 100, Ways: 3, CounterMax: 32}); err == nil {
+	if _, err := NewIn("dynamo-metric", 4, AMTConfig{Entries: 100, Ways: 3, CounterMax: 32}, nil); err == nil {
 		t.Error("bad AMT geometry accepted")
 	}
 	if len(StaticNames())+len(DynamicNames()) != 8 {

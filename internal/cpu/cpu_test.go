@@ -41,7 +41,7 @@ func testSystemWith(t testing.TB, p chi.Policy) *chi.System {
 		Mesh: noc.Config{Width: 4, Height: 4, RouteLatency: 1, LinkLatency: 1},
 		Mem:  hbm.Config{Channels: 8, Latency: 100, LineOccupancy: 2},
 	}
-	s, err := chi.NewSystem(cfg, p)
+	s, err := chi.NewSystemIn(cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

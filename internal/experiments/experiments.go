@@ -47,10 +47,8 @@ type Options struct {
 	// runner.Options.Retries).
 	Retries int
 	// CkptEvery, with a cache directory, checkpoints running jobs every
-	// CkptEvery events so a killed suite run can resume.
+	// CkptEvery events so a killed suite run resumes when run again.
 	CkptEvery uint64
-	// Resume restores interrupted jobs from their persisted checkpoints.
-	Resume bool
 	// Interrupt, when non-nil, cancels the suite once signaled or closed.
 	Interrupt <-chan struct{}
 	// Telemetry, when non-nil, receives sweep metrics and per-job trace
@@ -111,7 +109,6 @@ func NewSuite(o Options) *Suite {
 		Log:       o.Log,
 		Retries:   o.Retries,
 		CkptEvery: o.CkptEvery,
-		Resume:    o.Resume,
 		Interrupt: o.Interrupt,
 		Telemetry: o.Telemetry,
 	}

@@ -28,6 +28,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -202,8 +203,6 @@ type Injector struct {
 	net    *stream
 	budget int // remaining; -1 = unlimited
 	counts map[string]uint64
-
-	telemetry map[string]*telemetry.Counter // nil until Register
 }
 
 // New builds an injector from opts.
@@ -225,29 +224,22 @@ func New(opts Options) *Injector {
 }
 
 // Register exports the injector's per-class tallies on reg as
-// dynamo_faultio_injected_total{plane,kind}. Counts injected before
-// Register are replayed into the new counters.
+// dynamo_faultio_injected_total{plane,kind}, read at scrape time, so
+// injections made before Register count too.
 func (in *Injector) Register(reg *telemetry.Registry) {
 	if in == nil || reg == nil {
 		return
 	}
-	const help = "Deterministically injected control-plane faults."
-	mk := func(plane, kind string) *telemetry.Counter {
-		return reg.Counter("dynamo_faultio_injected_total",
-			fmt.Sprintf("plane=%q,kind=%q", plane, kind), help)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.telemetry = map[string]*telemetry.Counter{
-		KindENOSPC:  mk("disk", KindENOSPC),
-		KindTorn:    mk("disk", KindTorn),
-		KindCorrupt: mk("disk", KindCorrupt),
-		KindDelay:   mk("net", KindDelay),
-		KindDrop:    mk("net", KindDrop),
-		KindDup:     mk("net", KindDup),
-	}
-	for kind, n := range in.counts {
-		in.telemetry[kind].Add(n)
+	for _, c := range []struct{ plane, kind string }{
+		{"disk", KindENOSPC}, {"disk", KindTorn}, {"disk", KindCorrupt},
+		{"net", KindDelay}, {"net", KindDrop}, {"net", KindDup},
+	} {
+		reg.Func("dynamo_faultio_injected_total", "counter", fmt.Sprintf("plane=%q,kind=%q", c.plane, c.kind),
+			"Deterministically injected control-plane faults.", func() string {
+				in.mu.Lock()
+				defer in.mu.Unlock()
+				return strconv.FormatUint(in.counts[c.kind], 10)
+			})
 	}
 }
 
@@ -296,9 +288,6 @@ func (in *Injector) draw(s *stream, permille int, kind string) bool {
 		in.budget--
 	}
 	in.counts[kind]++
-	if c := in.telemetry[kind]; c != nil {
-		c.Inc()
-	}
 	return true
 }
 

@@ -1,6 +1,7 @@
 package faultio
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dynamo/internal/telemetry"
 )
 
 func TestOSWriteFileAtomic(t *testing.T) {
@@ -177,5 +180,46 @@ func TestWrapHandlerDelayBounded(t *testing.T) {
 	}
 	if in.Counts()[KindDelay] == 0 {
 		t.Fatal("no delays recorded")
+	}
+}
+
+// TestRegisterRendersInjections pins the dynamo_faultio_injected_total
+// text. Register renders the injector's own tallies, so injections made
+// before it count as well as those after.
+func TestRegisterRendersInjections(t *testing.T) {
+	in := New(Options{Seed: 1, TornPermille: 1000, CorruptPermille: 1000})
+	fs := in.WrapFS(OS{})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x")
+	inject := func() {
+		if err := fs.WriteFileAtomic(dir, path, []byte("a complete json document")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inject()
+	reg := telemetry.NewRegistry()
+	in.Register(reg)
+	inject()
+	if err := fs.WriteFileAtomic(dir, path, []byte("another document")); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP dynamo_faultio_injected_total Deterministically injected control-plane faults.
+# TYPE dynamo_faultio_injected_total counter
+dynamo_faultio_injected_total{plane="disk",kind="enospc"} 0
+dynamo_faultio_injected_total{plane="disk",kind="torn"} 3
+dynamo_faultio_injected_total{plane="disk",kind="corrupt"} 2
+dynamo_faultio_injected_total{plane="net",kind="delay"} 0
+dynamo_faultio_injected_total{plane="net",kind="drop"} 0
+dynamo_faultio_injected_total{plane="net",kind="dup"} 0
+`
+	if got := buf.String(); got != want {
+		t.Errorf("rendered injections:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -268,16 +268,6 @@ type runState struct {
 // registered name.
 func New(cfg Config) (*Machine, error) { return NewIn(cfg, nil, nil) }
 
-// NewWithPolicy builds a machine around an explicit policy object,
-// bypassing the name registry — used by the design-space exploration,
-// which evaluates unregistered Section IV candidates.
-func NewWithPolicy(cfg Config, policy chi.Policy) (*Machine, error) {
-	if policy == nil {
-		return nil, fmt.Errorf("machine: nil policy")
-	}
-	return NewIn(cfg, policy, nil)
-}
-
 // NewIn builds a machine around policy or, when policy is nil, around
 // cfg.Policy from the registry. Its cache arrays, a registry predictor's
 // AMTs included, and its memory image come from a, where the last

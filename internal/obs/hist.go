@@ -206,9 +206,6 @@ func (h *Histograms) Class(c Class) *Hist { return &h.classes[c] }
 // ClassPhase returns the duration histogram of one phase of one class.
 func (h *Histograms) ClassPhase(c Class, p Phase) *Hist { return &h.phases[c][p] }
 
-// Counter returns the value of a free-form counter (0 if absent).
-func (h *Histograms) Counter(name string) uint64 { return h.counter[name] }
-
 // Counters returns every free-form counter sorted by name.
 func (h *Histograms) Counters() []stats.Counter {
 	names := make([]string, 0, len(h.counter))

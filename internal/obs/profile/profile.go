@@ -69,9 +69,6 @@ func NewProfiler(k int) *Profiler {
 	return &Profiler{k: k, index: make(map[memory.Addr]int, k)}
 }
 
-// K returns the table bound.
-func (p *Profiler) K() int { return p.k }
-
 // track returns the entry index for line, admitting it via space-saving
 // replacement if necessary. ok is false when the line is not tracked and
 // admit is false.

@@ -178,6 +178,3 @@ func (tl *Timeline) write(w io.Writer) error {
 
 	return te.Close()
 }
-
-// Events reports how many transactions and spans the timeline holds.
-func (tl *Timeline) Events() (txns, spans int) { return len(tl.order), len(tl.spans) }

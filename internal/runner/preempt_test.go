@@ -52,7 +52,7 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 	}
 
 	tel := telemetry.NewSweep(telemetry.SweepOptions{})
-	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Resume: true, Telemetry: tel, Execute: exec})
+	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Telemetry: tel, Execute: exec})
 	task := r.SubmitInterruptible(q, yield)
 	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
 		t.Fatalf("yielded task err = %v, want ErrInterrupted", err)

@@ -186,7 +186,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Resume: true})
+	r := New(Options{Jobs: 1, CacheDir: dir})
 	out, err := r.Run(q)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestResumeEvictsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{ not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := New(Options{Jobs: 1, CacheDir: dir, Resume: true})
+	r := New(Options{Jobs: 1, CacheDir: dir})
 	out, err := r.Run(q)
 	if err != nil || out == nil {
 		t.Fatalf("run after corrupt checkpoint: %v", err)
@@ -250,7 +250,7 @@ func TestResumeFallsBackWhenReplayDiverges(t *testing.T) {
 		return ExecuteLocal(q, ExecOptions{})
 	}
 
-	r := New(Options{Jobs: 1, CacheDir: dir, Resume: true, Execute: exec})
+	r := New(Options{Jobs: 1, CacheDir: dir, Execute: exec})
 	out, err := r.Run(q)
 	if err != nil || out == nil {
 		t.Fatalf("fallback run failed: %v", err)

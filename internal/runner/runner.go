@@ -41,11 +41,10 @@ type Options struct {
 	// CkptEvery, when nonzero with a cache directory, checkpoints every
 	// running job roughly every CkptEvery simulation events to
 	// <digest>.ckpt.json, so a killed sweep resumes instead of restarting.
+	// With a cache directory, a cache-missing job always restores from its
+	// persisted checkpoint when one exists and verifies; an unusable one
+	// is evicted and the job restarts from event zero.
 	CkptEvery uint64
-	// Resume makes jobs restore from their persisted checkpoint when one
-	// exists and verifies; unusable checkpoints are evicted and the job
-	// restarts from event zero.
-	Resume bool
 	// Interrupt, when non-nil, cancels the sweep once signaled or closed:
 	// queued jobs abort immediately, running jobs checkpoint and stop,
 	// and every cancelled job reports machine.ErrInterrupted.
@@ -247,7 +246,7 @@ func New(opts Options) *Runner {
 	if r.counts = r.tel.Counts(); r.counts == nil {
 		r.counts = new(telemetry.Counts)
 	}
-	r.tel.SetWorkers(opts.Jobs)
+	r.counts.Workers.Store(int64(opts.Jobs))
 	if opts.ServeAddr != "" {
 		// A bind failure degrades observability, never the sweep; it is
 		// reported through TelemetryAddr's error.
@@ -503,17 +502,15 @@ func (r *Runner) run(t *Task) {
 				}
 			}
 		}
-		if r.opts.Resume {
-			switch ck, err := r.store.loadCkpt(t.digest); {
-			case err == nil:
-				x.Resume = ck
-				r.counts.Resumed.Add(1)
-				t.jt.MarkResumed()
-				r.logf(t, "resuming %s from event %d", t.req, ck.Event)
-			case !errors.Is(err, os.ErrNotExist):
-				r.counts.Evictions.Add(1)
-				r.logf(t, "checkpoint evicted: %v", err)
-			}
+		switch ck, err := r.store.loadCkpt(t.digest); {
+		case err == nil:
+			x.Resume = ck
+			r.counts.Resumed.Add(1)
+			t.jt.MarkResumed()
+			r.logf(t, "resuming %s from event %d", t.req, ck.Event)
+		case !errors.Is(err, os.ErrNotExist):
+			r.counts.Evictions.Add(1)
+			r.logf(t, "checkpoint evicted: %v", err)
 		}
 	}
 	// Claim any stale quarantine marker before re-running: the rename

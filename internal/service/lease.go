@@ -90,9 +90,11 @@ type workItem struct {
 
 // leaseTableOptions configures a leaseTable.
 type leaseTableOptions struct {
-	Telemetry *telemetry.Sweep
-	Log       io.Writer
-	TTL       time.Duration // default lease TTL
+	// Counts is the block the table counts into; nil gives the table a
+	// block of its own.
+	Counts *telemetry.Counts
+	Log    io.Writer
+	TTL    time.Duration // default lease TTL
 	// Preempt and PreemptSlice: see Options.
 	Preempt      bool
 	PreemptSlice time.Duration
@@ -111,8 +113,8 @@ type leaseTableOptions struct {
 // at-most-once per digest: idempotent for byte-identical duplicates, a
 // structured ErrStaleCommit otherwise.
 type leaseTable struct {
-	opts leaseTableOptions
-	tel  *telemetry.Sweep
+	opts   leaseTableOptions
+	counts *telemetry.Counts
 
 	mu    sync.Mutex
 	items map[string]*workItem
@@ -126,7 +128,9 @@ type leaseTable struct {
 	queues   map[string][]string
 	served   map[string]uint64
 	fence    uint64 // global monotone fencing-token source
-	workers  map[string]int
+	// workers holds each worker's lease count; counts.FleetWorkers
+	// mirrors its length.
+	workers map[string]int
 	// waiting counts lease calls parked for work; wake is closed (and
 	// replaced) whenever work is queued or the table closes.
 	waiting int
@@ -152,9 +156,12 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 	if o.TTL <= 0 {
 		o.TTL = 10 * time.Second
 	}
+	if o.Counts == nil {
+		o.Counts = new(telemetry.Counts)
+	}
 	t := &leaseTable{
 		opts:    o,
-		tel:     o.Telemetry,
+		counts:  o.Counts,
 		items:   make(map[string]*workItem),
 		laneOf:  make(map[string]admission),
 		queues:  make(map[string][]string),
@@ -337,8 +344,8 @@ func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
 	it.expires = now.Add(ttl)
 	it.attempt++
 	t.workers[worker]++
-	t.tel.SetFleetWorkers(int64(len(t.workers)))
-	t.tel.LeaseGranted()
+	t.counts.FleetWorkers.Store(int64(len(t.workers)))
+	t.counts.LeaseGranted.Add(1)
 	t.logf("leased %s to %s (fence %d, attempt %d)", short(it.digest), worker, it.fence, it.attempt)
 	g := &LeaseGrant{
 		Schema:          runner.WireSchema,
@@ -354,7 +361,7 @@ func (t *leaseTable) grantLocked(worker string, ttl time.Duration) *LeaseGrant {
 		// The runner counted the resume checkpoint it handed over; only a
 		// re-grant resumes anew.
 		if it.attempt > 1 {
-			t.tel.Counts().Resumed.Add(1)
+			t.counts.Resumed.Add(1)
 		}
 	}
 	return g
@@ -397,14 +404,14 @@ func (t *leaseTable) Heartbeat(_ context.Context, digest, worker string, fence u
 		if it.sink != nil {
 			it.sink(ck)
 		}
-		t.tel.WorkCheckpointShipped()
+		t.counts.Shipped.Add(1)
 	}
 	if release {
 		if it.yield && !it.withdrawn {
-			t.tel.Counts().Preempted.Add(1)
+			t.counts.Preempted.Add(1)
 		}
 		t.endLeaseLocked(it)
-		t.tel.LeaseReleased()
+		t.counts.LeaseReleased.Add(1)
 		t.logf("released %s (fence %d)", short(digest), fence)
 		t.returnLocked(it)
 		return &HeartbeatReply{Schema: runner.WireSchema, Released: true}, nil
@@ -430,20 +437,20 @@ func (t *leaseTable) Commit(_ context.Context, digest, worker string, fence uint
 	}
 	if it.state == workDone {
 		if it.committed && len(entry) > 0 && sha256.Sum256(entry) == it.entryHash {
-			t.tel.WorkCommitDuplicate()
+			t.counts.CommitDuplicate.Add(1)
 			return &CommitReply{Schema: runner.WireSchema, Committed: true, Duplicate: true}, nil
 		}
-		t.tel.WorkCommitFenced()
+		t.counts.CommitFenced.Add(1)
 		return nil, fmt.Errorf("%w: job %s already settled (fence %d)", ErrStaleCommit, short(digest), it.fence)
 	}
 	if it.state != workLeased || it.fence != fence {
-		t.tel.WorkCommitFenced()
+		t.counts.CommitFenced.Add(1)
 		return nil, fmt.Errorf("%w: fence %d is not the live lease on %s", ErrStaleCommit, fence, short(digest))
 	}
 	if errMsg != "" {
 		t.endLeaseLocked(it)
-		t.tel.LeaseCommitted()
-		t.tel.WorkCommitFailed()
+		t.counts.LeaseCommitted.Add(1)
+		t.counts.CommitFailed.Add(1)
 		t.finishLocked(it, nil, commitError(errMsg, errKind))
 		t.logf("job %s failed on %s: %s", short(digest), worker, errMsg)
 		return &CommitReply{Schema: runner.WireSchema, Committed: true}, nil
@@ -463,8 +470,8 @@ func (t *leaseTable) Commit(_ context.Context, digest, worker string, fence uint
 	it.entryHash = sha256.Sum256(entry)
 	it.ckpt = nil
 	t.endLeaseLocked(it)
-	t.tel.LeaseCommitted()
-	t.tel.WorkCommitOK()
+	t.counts.LeaseCommitted.Add(1)
+	t.counts.CommitOK.Add(1)
 	t.finishLocked(it, out, nil)
 	t.logf("committed %s from %s (fence %d)", short(digest), worker, fence)
 	return &CommitReply{Schema: runner.WireSchema, Committed: true}, nil
@@ -486,7 +493,7 @@ func (t *leaseTable) expireLeases(now time.Time) {
 		}
 		t.logf("lease on %s expired (worker %s, fence %d)", short(digest), it.worker, it.fence)
 		t.endLeaseLocked(it)
-		t.tel.LeaseExpired()
+		t.counts.LeaseExpired.Add(1)
 		t.returnLocked(it)
 	}
 	if t.opts.Preempt {
@@ -551,8 +558,8 @@ func (t *leaseTable) scan() {
 
 // close stops the table: every unfinished item — pending or leased —
 // finishes with machine.ErrInterrupted so blocked execute calls return,
-// held lease calls return, and the gauges drain to zero. Late worker
-// calls get ErrLeaseExpired.
+// held lease calls return, and the lease levels drain to zero. Late
+// worker calls get ErrLeaseExpired.
 func (t *leaseTable) close() {
 	t.mu.Lock()
 	if t.closed {
@@ -568,14 +575,14 @@ func (t *leaseTable) close() {
 		switch it.state {
 		case workLeased:
 			t.endLeaseLocked(it)
-			t.tel.LeaseRevoked()
+			t.counts.LeaseRevoked.Add(1)
 			t.finishLocked(it, nil, stopped)
 		case workPending:
 			t.finishLocked(it, nil, stopped)
 		}
 	}
 	t.workers = make(map[string]int)
-	t.tel.SetFleetWorkers(0)
+	t.counts.FleetWorkers.Store(0)
 	t.mu.Unlock()
 	t.wg.Wait()
 }
@@ -588,9 +595,9 @@ func (t *leaseTable) finishLocked(it *workItem, out *runner.Outcome, err error) 
 }
 
 // endLeaseLocked retires a lease's worker accounting and any pending
-// yield (mu held). Exactly one lease-end event (expired/released/
-// revoked/committed) follows each grant, keeping the dynamo_work_leases
-// gauge balanced.
+// yield (mu held). Its caller counts the lease's one end (expired,
+// released, revoked or committed), from which dynamo_work_leases derives
+// the leases held.
 func (t *leaseTable) endLeaseLocked(it *workItem) {
 	if n := t.workers[it.worker]; n > 1 {
 		t.workers[it.worker] = n - 1
@@ -598,7 +605,7 @@ func (t *leaseTable) endLeaseLocked(it *workItem) {
 		delete(t.workers, it.worker)
 	}
 	it.yield = false
-	t.tel.SetFleetWorkers(int64(len(t.workers)))
+	t.counts.FleetWorkers.Store(int64(len(t.workers)))
 }
 
 // returnLocked settles the item of a released or expired lease (mu

@@ -192,7 +192,7 @@ func New(o Options) (*Service, error) {
 		ctl:    make(map[string]*jobCtl),
 	}
 	s.lt = newLeaseTable(leaseTableOptions{
-		Telemetry:    tel,
+		Counts:       tel.Counts(),
 		Log:          o.Log,
 		TTL:          o.LeaseTTL,
 		Preempt:      o.Preempt,
@@ -207,12 +207,11 @@ func New(o Options) (*Service, error) {
 		Log:       o.Log,
 		Retries:   o.Retries,
 		CkptEvery: o.CkptEvery,
-		Resume:    true,
 		Telemetry: tel,
 		FS:        o.FS,
 		Execute:   s.lt.execute,
 	})
-	tel.SetWorkers(o.Jobs)
+	tel.Counts().Workers.Store(int64(o.Jobs))
 	if !o.Workers {
 		// A zero Client backs off at Dial's defaults.
 		s.local = newWorker(WorkerOptions{
@@ -657,14 +656,7 @@ func (s *Service) statusLocked(sw *sweepState) *SweepStatus {
 		st.State = SweepDone
 	}
 	if remaining := st.Queued + st.Running; remaining > 0 {
-		p := s.tel.Progress()
-		if fin := p.Finished(); fin > 0 && p.ElapsedSeconds > 0 {
-			workers := p.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			st.ETASeconds = p.ElapsedSeconds / float64(fin) * float64(remaining) / float64(workers)
-		}
+		st.ETASeconds = s.tel.Progress().ETA(uint64(remaining))
 	}
 	return st
 }

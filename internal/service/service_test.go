@@ -643,6 +643,42 @@ func TestStatusETA(t *testing.T) {
 	}
 }
 
+// TestStatusETAIsThePoolsPace: a sweep's ETA is its remaining jobs at the
+// pace jobs have finished so far. That pace already counts every slot's
+// completions, so it is not divided by the pool size again, nor, with no
+// in-process slots, by the Jobs of a pool that does not exist.
+func TestStatusETAIsThePoolsPace(t *testing.T) {
+	svc, srv, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 4, Workers: true})
+	w := startWorker(t, srv, WorkerOptions{ID: "w"})
+	st, err := c.Submit(counterReq(631))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	w.Drain()
+	// With no worker left, both jobs of the second sweep wait.
+	st, err = c.Submit(counterReq(632), counterReq(633))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pace := func() float64 {
+		p := svc.Telemetry().Progress()
+		if p.Finished() != 1 {
+			t.Fatalf("%d jobs finished, want 1", p.Finished())
+		}
+		return p.ElapsedSeconds
+	}
+	before := pace()
+	got := mustStatus(t, svc, st.ID)
+	after := pace()
+	if got.Queued+got.Running != 2 || got.ETASeconds < 2*before || got.ETASeconds > 2*after {
+		t.Errorf("ETA = %gs for %d jobs left, want 2 jobs at %g-%gs each",
+			got.ETASeconds, got.Queued+got.Running, before, after)
+	}
+}
+
 func mustStatus(t *testing.T, svc *Service, id string) *SweepStatus {
 	t.Helper()
 	st, err := svc.Status(id)

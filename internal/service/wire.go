@@ -45,9 +45,6 @@ import (
 	"dynamo/internal/telemetry"
 )
 
-// APIVersion prefixes every control-plane route.
-const APIVersion = "v1"
-
 // Job states, as reported in JobStatus.State. "queued" and "running" are
 // transient; the rest are terminal.
 const (

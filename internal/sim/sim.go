@@ -226,10 +226,6 @@ func (e *Engine) AtKind(t Tick, kind perf.Kind, fn func()) {
 // Stop makes Run or RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called since the last Run/RunUntil
-// began.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // wheelFirst returns the bucket holding the wheel's earliest event, or -1
 // when the wheel is empty. Buckets are searched in rotation order from
 // now's, which is time order because every wheel event lies in

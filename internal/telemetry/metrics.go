@@ -4,13 +4,13 @@
 // to the Chrome trace-event format, and an HTTP server exposing both as
 // /metrics, /progress and /jobs while a sweep runs.
 //
-// One block of atomic job counters (Counts) is always on: the runner and
-// the sweep service bump it, and Runner.Stats, /progress and /metrics read
-// it. Like the probe bus (package obs) and the host self-profiler (package
-// perf), everything else is designed to cost nothing when off: the runner
-// holds a plain *Sweep (nil by default), every method is safe on a nil
-// receiver, and the disabled job path allocates zero bytes (asserted in
-// tests). Telemetry only observes the sweep — it never touches simulated
+// One block of atomic counters (Counts) is always on: the runner, the
+// sweep service and its lease table bump it, and Runner.Stats, /progress
+// and /metrics read it. Like the probe bus (package obs) and the host
+// self-profiler (package perf), everything else is designed to cost
+// nothing when off: the runner holds a plain *Sweep (nil by default),
+// every method is safe on a nil receiver, and the disabled job path
+// allocates zero bytes (asserted in tests). Telemetry only observes the sweep — it never touches simulated
 // state, so results, cache digests and experiment tables are
 // byte-identical with it on or off.
 package telemetry
@@ -25,10 +25,12 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds named instruments and renders them in Prometheus text
-// exposition format. Instruments are registered once (typically at
-// construction, single-threaded) and updated concurrently with pure
-// atomics; registration and scraping take a mutex, updates never do.
+// Registry holds named series and renders them in Prometheus text
+// exposition format. A series is a Func, whose value renders at scrape
+// time from counts kept outside the registry, or a Histogram updated with
+// pure atomics. Series are registered once (typically at construction,
+// single-threaded); registration and scraping take a mutex, updates never
+// do.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -41,10 +43,9 @@ type family struct {
 	series          []series
 }
 
-// series is one labeled instrument inside a family.
+// series is one labeled series inside a family.
 type series interface {
-	labels() string
-	write(w *bufio.Writer, name, labels string)
+	write(w *bufio.Writer, name string)
 }
 
 // NewRegistry builds an empty registry.
@@ -67,24 +68,10 @@ func (r *Registry) register(name, typ, help string, s series) {
 	f.series = append(f.series, s)
 }
 
-// Counter registers a monotonically increasing uint64 series. labels is a
-// literal Prometheus label body such as `state="done"` ("" for none).
-func (r *Registry) Counter(name, labels, help string) *Counter {
-	c := &Counter{lbl: labels}
-	r.register(name, "counter", help, c)
-	return c
-}
-
-// Gauge registers an int64 series that can move both ways.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	g := &Gauge{lbl: labels}
-	r.register(name, "gauge", help, g)
-	return g
-}
-
 // Func registers a series of type typ ("counter" or "gauge") whose value
 // f renders at scrape time: a count kept outside the registry, or a rate
-// derived from counts.
+// derived from counts. labels is a literal Prometheus label body such as
+// `state="done"` ("" for none).
 func (r *Registry) Func(name, typ, labels, help string, f func() string) {
 	r.register(name, typ, help, funcSeries{lbl: labels, f: f})
 }
@@ -113,7 +100,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString("# HELP " + f.name + " " + f.help + "\n")
 		bw.WriteString("# TYPE " + f.name + " " + f.typ + "\n")
 		for _, s := range f.series {
-			s.write(bw, f.name, s.labels())
+			s.write(bw, f.name)
 		}
 	}
 	return bw.Flush()
@@ -129,36 +116,6 @@ func writeSample(w *bufio.Writer, name, labels, value string) {
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Counter is a monotonically increasing uint64. All methods are nil-safe.
-type Counter struct {
-	v   atomic.Uint64
-	lbl string
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-func (c *Counter) labels() string { return c.lbl }
-func (c *Counter) write(w *bufio.Writer, name, labels string) {
-	writeSample(w, name, labels, strconv.FormatUint(c.v.Load(), 10))
-}
 
 // FloatCounter is a monotonically increasing float64, updated with a CAS
 // loop so concurrent Adds never lose increments: a histogram's sum.
@@ -188,50 +145,14 @@ func (c *FloatCounter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is an int64 level: queue depth, running workers.
-type Gauge struct {
-	v   atomic.Int64
-	lbl string
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-func (g *Gauge) labels() string { return g.lbl }
-func (g *Gauge) write(w *bufio.Writer, name, labels string) {
-	writeSample(w, name, labels, strconv.FormatInt(g.v.Load(), 10))
-}
-
 // funcSeries is a series rendered by a function at scrape time.
 type funcSeries struct {
 	lbl string
 	f   func() string
 }
 
-func (s funcSeries) labels() string { return s.lbl }
-func (s funcSeries) write(w *bufio.Writer, name, labels string) {
-	writeSample(w, name, labels, s.f())
+func (s funcSeries) write(w *bufio.Writer, name string) {
+	writeSample(w, name, s.lbl, s.f())
 }
 
 // Histogram is a cumulative histogram: per-bucket counts plus sum and
@@ -262,8 +183,7 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-func (h *Histogram) labels() string { return "" }
-func (h *Histogram) write(w *bufio.Writer, name, _ string) {
+func (h *Histogram) write(w *bufio.Writer, name string) {
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()

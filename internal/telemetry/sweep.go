@@ -24,9 +24,10 @@ type SweepOptions struct {
 	JobTail int
 }
 
-// Counts is a sweep's one block of job counters. The runner and the sweep
-// service bump it directly, and Runner.Stats, Progress and /metrics all
-// read it, so no two copies of a count can drift apart. Every field is an
+// Counts is a sweep's one block of counters, its jobs' and its leases'.
+// The runner and the sweep service bump it directly, and Runner.Stats,
+// Progress and /metrics all read it, so no two copies of a count can drift
+// apart. Every field is an
 // atomic and the zero value is ready to use. Each field loads atomically,
 // but a reader loading several sees each at its own instant.
 type Counts struct {
@@ -53,34 +54,32 @@ type Counts struct {
 	// Queued and Running are levels: jobs submitted but not yet on the
 	// worker pool or finished, and jobs executing on it.
 	Queued, Running atomic.Int64
+	// LeaseGranted counts work leases handed to workers. Each grant ends
+	// once, and is counted before its end: as LeaseExpired (its holder
+	// missed a heartbeat), LeaseReleased (its holder gave it back),
+	// LeaseRevoked (the server withdrew it) or LeaseCommitted.
+	LeaseGranted, LeaseExpired, LeaseReleased, LeaseRevoked, LeaseCommitted atomic.Uint64
+	// Worker commits by outcome: accepted, acknowledged as a byte-identical
+	// duplicate, fenced as stale, or reporting a job failure. Shipped
+	// counts checkpoints workers shipped over heartbeats. Only the lease
+	// table bumps the lease and commit counts.
+	CommitOK, CommitDuplicate, CommitFenced, CommitFailed, Shipped atomic.Uint64
+	// Workers is the worker-pool size and FleetWorkers the number of
+	// distinct workers holding at least one lease: levels, stored whole.
+	Workers, FleetWorkers atomic.Int64
 }
 
 // Sweep is the runner's telemetry surface: the job counter block, a
-// metrics registry whose sweep series read it at scrape time, and the
-// per-job tracer. A nil *Sweep is a valid, permanently disabled surface:
-// every method short-circuits with zero allocations, and a runner without
-// one counts into a block of its own.
+// metrics registry whose series read it at scrape time, the job-duration
+// histogram and the per-job tracer. A nil *Sweep is a valid, permanently
+// disabled surface: every method short-circuits with zero allocations,
+// and a runner without one counts into a block of its own.
 type Sweep struct {
 	reg    *Registry
 	tracer *Tracer
 	start  time.Time
 	counts Counts
-
-	leaseGranted   *Counter
-	leaseExpired   *Counter
-	leaseReleased  *Counter
-	leaseRevoked   *Counter
-	leaseCommitted *Counter
-	commitOK       *Counter
-	commitDup      *Counter
-	commitFenced   *Counter
-	commitFailed   *Counter
-	ckptShipped    *Counter
-	leases         *Gauge
-	fleetWorkers   *Gauge
-
-	workers *Gauge
-	jobDur  *Histogram
+	jobDur *Histogram
 }
 
 // NewSweep builds an enabled telemetry surface.
@@ -90,25 +89,10 @@ func NewSweep(o SweepOptions) *Sweep {
 		reg:    reg,
 		tracer: NewTracer(o.Journal, o.JobTail),
 		start:  time.Now(),
-
-		leaseGranted:   reg.Counter("dynamo_work_leases_total", `event="granted"`, "Work-lease lifecycle events."),
-		leaseExpired:   reg.Counter("dynamo_work_leases_total", `event="expired"`, "Work-lease lifecycle events."),
-		leaseReleased:  reg.Counter("dynamo_work_leases_total", `event="released"`, "Work-lease lifecycle events."),
-		leaseRevoked:   reg.Counter("dynamo_work_leases_total", `event="revoked"`, "Work-lease lifecycle events."),
-		leaseCommitted: reg.Counter("dynamo_work_leases_total", `event="committed"`, "Work-lease lifecycle events."),
-		commitOK:       reg.Counter("dynamo_work_commits_total", `outcome="ok"`, "Worker result commits by outcome."),
-		commitDup:      reg.Counter("dynamo_work_commits_total", `outcome="duplicate"`, "Worker result commits by outcome."),
-		commitFenced:   reg.Counter("dynamo_work_commits_total", `outcome="fenced"`, "Worker result commits by outcome."),
-		commitFailed:   reg.Counter("dynamo_work_commits_total", `outcome="failed"`, "Worker result commits by outcome."),
-		ckptShipped:    reg.Counter("dynamo_work_checkpoints_total", "", "Checkpoints shipped by workers over heartbeats."),
-		leases:         reg.Gauge("dynamo_work_leases", "", "Work leases currently held by workers."),
-		fleetWorkers:   reg.Gauge("dynamo_work_workers", "", "Distinct workers currently holding at least one lease."),
-
-		workers: reg.Gauge("dynamo_sweep_workers", "", "Worker-pool size."),
-		jobDur:  reg.Histogram("dynamo_sweep_job_duration_seconds", "Executed-job wall-clock, cache hits excluded.", jobDurationBounds),
+		jobDur: reg.Histogram("dynamo_sweep_job_duration_seconds", "Executed-job wall-clock, cache hits excluded.", jobDurationBounds),
 	}
 
-	// The job counter series render the block at scrape time.
+	// Every other series renders the block at scrape time.
 	c := &s.counts
 	const jobs, cache = "Jobs by state.", "Result cache activity."
 	reg.Func("dynamo_sweep_requests_total", "counter", "", "Submit calls, before dedupe.", uintText(&c.Requests))
@@ -133,9 +117,10 @@ func NewSweep(o SweepOptions) *Sweep {
 
 	reg.Func("dynamo_sweep_jobs_queued", "gauge", "", "Jobs submitted but not yet running or finished.", intText(&c.Queued))
 	reg.Func("dynamo_sweep_jobs_running", "gauge", "", "Jobs currently executing on the worker pool.", intText(&c.Running))
+	reg.Func("dynamo_sweep_workers", "gauge", "", "Worker-pool size.", intText(&c.Workers))
 	reg.Func("dynamo_sweep_worker_utilization", "gauge", "", "Running jobs over pool size (at scrape).", func() string {
 		var util float64
-		if workers := s.workers.Value(); workers > 0 {
+		if workers := c.Workers.Load(); workers > 0 {
 			util = float64(c.Running.Load()) / float64(workers)
 		}
 		return formatFloat(util)
@@ -147,6 +132,25 @@ func NewSweep(o SweepOptions) *Sweep {
 	reg.Func("dynamo_sweep_sim_events_total", "counter", "", "Kernel events executed by simulated (non-cached) jobs.", uintText(&c.SimEvents))
 	reg.Func("dynamo_sweep_sim_seconds_total", "counter", "", "Wall-clock spent simulating jobs.", secondsText(&c.SimNanos))
 	reg.Func("dynamo_sweep_saved_seconds_total", "counter", "", "Recorded simulation time served from the persistent store.", secondsText(&c.SavedNanos))
+
+	const leases, commits = "Work-lease lifecycle events.", "Worker result commits by outcome."
+	reg.Func("dynamo_work_leases_total", "counter", `event="granted"`, leases, uintText(&c.LeaseGranted))
+	reg.Func("dynamo_work_leases_total", "counter", `event="expired"`, leases, uintText(&c.LeaseExpired))
+	reg.Func("dynamo_work_leases_total", "counter", `event="released"`, leases, uintText(&c.LeaseReleased))
+	reg.Func("dynamo_work_leases_total", "counter", `event="revoked"`, leases, uintText(&c.LeaseRevoked))
+	reg.Func("dynamo_work_leases_total", "counter", `event="committed"`, leases, uintText(&c.LeaseCommitted))
+	reg.Func("dynamo_work_commits_total", "counter", `outcome="ok"`, commits, uintText(&c.CommitOK))
+	reg.Func("dynamo_work_commits_total", "counter", `outcome="duplicate"`, commits, uintText(&c.CommitDuplicate))
+	reg.Func("dynamo_work_commits_total", "counter", `outcome="fenced"`, commits, uintText(&c.CommitFenced))
+	reg.Func("dynamo_work_commits_total", "counter", `outcome="failed"`, commits, uintText(&c.CommitFailed))
+	reg.Func("dynamo_work_checkpoints_total", "counter", "", "Checkpoints shipped by workers over heartbeats.", uintText(&c.Shipped))
+	reg.Func("dynamo_work_leases", "gauge", "", "Work leases currently held by workers.", func() string {
+		// Load the ends first: each is counted after its grant, so the
+		// difference cannot go negative.
+		ended := c.LeaseExpired.Load() + c.LeaseReleased.Load() + c.LeaseRevoked.Load() + c.LeaseCommitted.Load()
+		return strconv.FormatUint(c.LeaseGranted.Load()-ended, 10)
+	})
+	reg.Func("dynamo_work_workers", "gauge", "", "Distinct workers currently holding at least one lease.", intText(&c.FleetWorkers))
 	return s
 }
 
@@ -211,14 +215,6 @@ func (s *Sweep) Close() error {
 	return s.tracer.Close()
 }
 
-// SetWorkers records the worker-pool size.
-func (s *Sweep) SetWorkers(n int) {
-	if s == nil {
-		return
-	}
-	s.workers.Set(int64(n))
-}
-
 // Counts returns the surface's job counter block (nil on a disabled
 // surface; a runner without telemetry keeps a block of its own).
 func (s *Sweep) Counts() *Counts {
@@ -235,110 +231,6 @@ func (s *Sweep) ObserveJob(elapsed time.Duration) {
 		return
 	}
 	s.jobDur.Observe(elapsed.Seconds())
-}
-
-// LeaseGranted counts a work lease handed to a worker and takes its slot
-// on the lease gauge. The gauge drains through exactly one of
-// LeaseExpired, LeaseReleased, LeaseRevoked or LeaseCommitted.
-func (s *Sweep) LeaseGranted() {
-	if s == nil {
-		return
-	}
-	s.leaseGranted.Inc()
-	s.leases.Add(1)
-}
-
-// LeaseExpired counts a lease revoked by the expiry scanner after its
-// holder missed a heartbeat (worker death, hang or partition).
-func (s *Sweep) LeaseExpired() {
-	if s == nil {
-		return
-	}
-	s.leaseExpired.Inc()
-	s.leases.Add(-1)
-}
-
-// LeaseReleased counts a lease its holder gave back voluntarily (a
-// draining worker checkpointed and released).
-func (s *Sweep) LeaseReleased() {
-	if s == nil {
-		return
-	}
-	s.leaseReleased.Inc()
-	s.leases.Add(-1)
-}
-
-// LeaseRevoked counts a lease the server itself withdrew (job cancelled,
-// sweep expired, or the lease table shut down).
-func (s *Sweep) LeaseRevoked() {
-	if s == nil {
-		return
-	}
-	s.leaseRevoked.Inc()
-	s.leases.Add(-1)
-}
-
-// LeaseCommitted counts a lease ended by its holder's accepted commit.
-func (s *Sweep) LeaseCommitted() {
-	if s == nil {
-		return
-	}
-	s.leaseCommitted.Inc()
-	s.leases.Add(-1)
-}
-
-// WorkCommitOK counts an accepted worker result commit.
-func (s *Sweep) WorkCommitOK() {
-	if s == nil {
-		return
-	}
-	s.commitOK.Inc()
-}
-
-// WorkCommitDuplicate counts a byte-identical duplicate commit accepted
-// idempotently (a retried send whose first copy already landed).
-func (s *Sweep) WorkCommitDuplicate() {
-	if s == nil {
-		return
-	}
-	s.commitDup.Inc()
-}
-
-// WorkCommitFenced counts a commit rejected because its fencing token was
-// stale — the at-most-once guarantee turning a zombie worker's late result
-// away.
-func (s *Sweep) WorkCommitFenced() {
-	if s == nil {
-		return
-	}
-	s.commitFenced.Inc()
-}
-
-// WorkCommitFailed counts a commit that reported a job failure from the
-// worker rather than a result.
-func (s *Sweep) WorkCommitFailed() {
-	if s == nil {
-		return
-	}
-	s.commitFailed.Inc()
-}
-
-// WorkCheckpointShipped counts a checkpoint a worker shipped over a
-// heartbeat.
-func (s *Sweep) WorkCheckpointShipped() {
-	if s == nil {
-		return
-	}
-	s.ckptShipped.Inc()
-}
-
-// SetFleetWorkers records how many distinct workers currently hold at
-// least one lease.
-func (s *Sweep) SetFleetWorkers(n int64) {
-	if s == nil {
-		return
-	}
-	s.fleetWorkers.Set(n)
 }
 
 // Progress is the point-in-time sweep snapshot served by /progress and
@@ -379,6 +271,17 @@ type Progress struct {
 // Finished counts jobs in any terminal state.
 func (p Progress) Finished() uint64 { return p.DoneJobs + p.FailedJobs + p.InterruptedJobs }
 
+// ETA extrapolates how long remaining jobs take at the pace jobs have
+// finished so far: elapsed time per finished job, with every slot's
+// completions counted, is already the pool's pace (0 before any job
+// finished).
+func (p Progress) ETA(remaining uint64) float64 {
+	if fin := p.Finished(); fin > 0 && p.ElapsedSeconds > 0 {
+		return p.ElapsedSeconds / float64(fin) * float64(remaining)
+	}
+	return 0
+}
+
 // Progress snapshots the job counter block into a derived view.
 func (s *Sweep) Progress() Progress {
 	if s == nil {
@@ -386,7 +289,7 @@ func (s *Sweep) Progress() Progress {
 	}
 	c := &s.counts
 	p := Progress{
-		Workers:         s.workers.Value(),
+		Workers:         c.Workers.Load(),
 		TotalJobs:       c.Submitted.Load(),
 		DoneJobs:        c.done(),
 		FailedJobs:      c.Failed.Load(),
@@ -407,8 +310,8 @@ func (s *Sweep) Progress() Progress {
 		EventsPerSec:    c.eventsPerSec(),
 		ElapsedSeconds:  time.Since(s.start).Seconds(),
 	}
-	if fin := p.Finished(); fin > 0 && p.TotalJobs > fin && p.ElapsedSeconds > 0 {
-		p.ETASeconds = p.ElapsedSeconds / float64(fin) * float64(p.TotalJobs-fin)
+	if fin := p.Finished(); p.TotalJobs > fin {
+		p.ETASeconds = p.ETA(p.TotalJobs - fin)
 	}
 	return p
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,17 +18,19 @@ import (
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	done := r.Counter("jobs_total", `state="done"`, "Jobs by state.")
-	failed := r.Counter("jobs_total", `state="failed"`, "Jobs by state.")
-	depth := r.Gauge("queue_depth", "", "Jobs waiting.")
+	var done, failed atomic.Uint64
+	var depth atomic.Int64
+	r.Func("jobs_total", "counter", `state="done"`, "Jobs by state.", uintText(&done))
+	r.Func("jobs_total", "counter", `state="failed"`, "Jobs by state.", uintText(&failed))
+	r.Func("queue_depth", "gauge", "", "Jobs waiting.", intText(&depth))
 	var secs FloatCounter
 	r.Func("sim_seconds_total", "counter", "", "Seconds simulated.", func() string { return formatFloat(secs.Value()) })
 	util := 0.0
 	r.Func("utilization", "gauge", "", "Busy fraction.", func() string { return formatFloat(util) })
 
 	done.Add(3)
-	failed.Inc()
-	depth.Set(7)
+	failed.Add(1)
+	depth.Store(7)
 	depth.Add(-2)
 	secs.Add(1.5)
 	secs.Add(0.25)
@@ -85,24 +88,27 @@ dur_seconds_count 5
 
 func TestRegistryTypeConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "", "")
+	zero := func() string { return "0" }
+	r.Func("x_total", "counter", "", "", zero)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("registering x_total as gauge after counter did not panic")
 		}
 	}()
-	r.Gauge("x_total", "", "")
+	r.Func("x_total", "gauge", "", "", zero)
 }
 
-// TestRegistryConcurrent exercises every instrument from many goroutines
-// while scraping; run under -race this verifies the lock-cheap update
-// paths are clean.
+// TestRegistryConcurrent updates every kind of series from many
+// goroutines while scraping; run under -race this verifies the lock-cheap
+// update paths are clean.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "", "")
+	var c atomic.Uint64
+	r.Func("c_total", "counter", "", "", uintText(&c))
 	var fc FloatCounter
 	r.Func("fc_total", "counter", "", "", func() string { return formatFloat(fc.Value()) })
-	g := r.Gauge("g", "", "")
+	var g atomic.Int64
+	r.Func("g", "gauge", "", "", intText(&g))
 	h := r.Histogram("h", "", []float64{1, 2})
 
 	const workers, iters = 8, 200
@@ -112,7 +118,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
+				c.Add(1)
 				fc.Add(0.5)
 				g.Add(1)
 				g.Add(-1)
@@ -126,13 +132,13 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*iters {
+	if got := c.Load(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
 	if got := fc.Value(); got != workers*iters*0.5 {
 		t.Errorf("float counter = %g, want %g", got, workers*iters*0.5)
 	}
-	if got := g.Value(); got != 0 {
+	if got := g.Load(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
 	if got := h.Count(); got != workers*iters {
@@ -141,17 +147,11 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestNilInstrumentsAreSafe(t *testing.T) {
-	var c *Counter
 	var fc *FloatCounter
-	var g *Gauge
 	var h *Histogram
-	c.Inc()
-	c.Add(2)
 	fc.Add(1)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if fc.Value() != 0 || h.Count() != 0 {
 		t.Errorf("nil instruments returned non-zero values")
 	}
 }
@@ -334,7 +334,6 @@ func TestNilSweepIsSafe(t *testing.T) {
 		t.Errorf("nil sweep returned a counter block")
 	}
 	s.ObserveJob(time.Second)
-	s.SetWorkers(4)
 	if j := s.StartJob("d", "r"); j != nil {
 		t.Errorf("nil sweep returned a non-nil job")
 	}
@@ -390,8 +389,8 @@ func TestDisabledPathAllocates0(t *testing.T) {
 
 func TestSweepProgress(t *testing.T) {
 	s := NewSweep(SweepOptions{})
-	s.SetWorkers(4)
 	c := s.Counts()
+	c.Workers.Store(4)
 	for i := 0; i < 10; i++ {
 		c.Requests.Add(1)
 		c.Submitted.Add(1)
@@ -579,7 +578,6 @@ dynamo_work_workers
 // and checks the rendered families, series and values.
 func TestSweepMetricsSeries(t *testing.T) {
 	s := NewSweep(SweepOptions{})
-	s.SetWorkers(4)
 	c := s.Counts()
 	c.Requests.Add(1)
 	c.Submitted.Add(2)
@@ -600,6 +598,18 @@ func TestSweepMetricsSeries(t *testing.T) {
 	c.SavedNanos.Add(int64(1500 * time.Millisecond))
 	c.Queued.Add(16)
 	c.Running.Add(2)
+	c.LeaseGranted.Add(100)
+	c.LeaseExpired.Add(17)
+	c.LeaseReleased.Add(18)
+	c.LeaseRevoked.Add(19)
+	c.LeaseCommitted.Add(20)
+	c.CommitOK.Add(21)
+	c.CommitDuplicate.Add(22)
+	c.CommitFenced.Add(23)
+	c.CommitFailed.Add(24)
+	c.Shipped.Add(25)
+	c.FleetWorkers.Store(27)
+	c.Workers.Store(32)
 	s.ObserveJob(time.Second)
 
 	var buf bytes.Buffer
@@ -621,31 +631,44 @@ func TestSweepMetricsSeries(t *testing.T) {
 		t.Errorf("rendered series:\n%s\nwant:\n%s", got, sweepSeries)
 	}
 	for series, want := range map[string]string{
-		"dynamo_sweep_requests_total":                  "1",
-		`dynamo_sweep_jobs_total{state="deduped"}`:     "3",
-		`dynamo_sweep_jobs_total{state="submitted"}`:   "2",
-		`dynamo_sweep_jobs_total{state="done"}`:        "9",
-		`dynamo_sweep_jobs_total{state="failed"}`:      "6",
-		`dynamo_sweep_jobs_total{state="interrupted"}`: "8",
-		`dynamo_sweep_cache_total{event="memory_hit"}`: "3",
-		`dynamo_sweep_cache_total{event="disk_hit"}`:   "4",
-		`dynamo_sweep_cache_total{event="miss"}`:       "5",
-		`dynamo_sweep_cache_total{event="eviction"}`:   "9",
-		"dynamo_sweep_panics_total":                    "7",
-		"dynamo_sweep_retries_total":                   "10",
-		"dynamo_sweep_resumed_total":                   "11",
-		"dynamo_runner_preemptions_total":              "12",
-		"dynamo_service_overloaded_total":              "13",
-		"dynamo_service_deadline_expired_total":        "14",
-		"dynamo_sweep_sim_events_total":                "15",
-		"dynamo_sweep_sim_seconds_total":               "3",
-		"dynamo_sweep_saved_seconds_total":             "1.5",
-		"dynamo_sweep_events_per_second":               "5",
-		"dynamo_sweep_jobs_queued":                     "16",
-		"dynamo_sweep_jobs_running":                    "2",
-		"dynamo_sweep_workers":                         "4",
-		"dynamo_sweep_worker_utilization":              "0.5",
-		"dynamo_sweep_job_duration_seconds_count":      "1",
+		"dynamo_sweep_requests_total":                    "1",
+		`dynamo_sweep_jobs_total{state="deduped"}`:       "3",
+		`dynamo_sweep_jobs_total{state="submitted"}`:     "2",
+		`dynamo_sweep_jobs_total{state="done"}`:          "9",
+		`dynamo_sweep_jobs_total{state="failed"}`:        "6",
+		`dynamo_sweep_jobs_total{state="interrupted"}`:   "8",
+		`dynamo_sweep_cache_total{event="memory_hit"}`:   "3",
+		`dynamo_sweep_cache_total{event="disk_hit"}`:     "4",
+		`dynamo_sweep_cache_total{event="miss"}`:         "5",
+		`dynamo_sweep_cache_total{event="eviction"}`:     "9",
+		"dynamo_sweep_panics_total":                      "7",
+		"dynamo_sweep_retries_total":                     "10",
+		"dynamo_sweep_resumed_total":                     "11",
+		"dynamo_runner_preemptions_total":                "12",
+		"dynamo_service_overloaded_total":                "13",
+		"dynamo_service_deadline_expired_total":          "14",
+		"dynamo_sweep_sim_events_total":                  "15",
+		"dynamo_sweep_sim_seconds_total":                 "3",
+		"dynamo_sweep_saved_seconds_total":               "1.5",
+		"dynamo_sweep_events_per_second":                 "5",
+		"dynamo_sweep_jobs_queued":                       "16",
+		"dynamo_sweep_jobs_running":                      "2",
+		"dynamo_sweep_workers":                           "32",
+		"dynamo_sweep_worker_utilization":                "0.0625",
+		"dynamo_sweep_job_duration_seconds_count":        "1",
+		`dynamo_work_leases_total{event="granted"}`:      "100",
+		`dynamo_work_leases_total{event="expired"}`:      "17",
+		`dynamo_work_leases_total{event="released"}`:     "18",
+		`dynamo_work_leases_total{event="revoked"}`:      "19",
+		`dynamo_work_leases_total{event="committed"}`:    "20",
+		`dynamo_work_commits_total{outcome="ok"}`:        "21",
+		`dynamo_work_commits_total{outcome="duplicate"}`: "22",
+		`dynamo_work_commits_total{outcome="fenced"}`:    "23",
+		`dynamo_work_commits_total{outcome="failed"}`:    "24",
+		"dynamo_work_checkpoints_total":                  "25",
+		// Granted minus the four ends: 100 - (17+18+19+20).
+		"dynamo_work_leases":  "26",
+		"dynamo_work_workers": "27",
 	} {
 		if got := values[series]; got != want {
 			t.Errorf("%s = %q, want %q", series, got, want)
@@ -657,8 +680,8 @@ func TestSweepMetricsSeries(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	s := NewSweep(SweepOptions{})
-	s.SetWorkers(2)
 	c := s.Counts()
+	c.Workers.Store(2)
 	c.Requests.Add(1)
 	c.Submitted.Add(1)
 	s.StartJob("d1", "fig7/mcs/64c").Done(OutcomeOK, 5, nil)

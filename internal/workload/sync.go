@@ -31,9 +31,6 @@ func NewNamedMutex(a *Alloc, name string) Mutex {
 	return Mutex{base: a.NamedLines(name, 1)}
 }
 
-// NewMutexes allocates n mutexes on consecutive lines.
-func NewMutexes(a *Alloc, n int) []Mutex { return NewNamedMutexes(a, "mutexes", n) }
-
 // NewNamedMutexes allocates n mutexes on consecutive lines, tagging the
 // whole array as one named site.
 func NewNamedMutexes(a *Alloc, name string, n int) []Mutex {
@@ -82,11 +79,6 @@ func NewSpinLock(a *Alloc) SpinLock { return NewNamedSpinLock(a, "spinlock") }
 // NewNamedSpinLock allocates a spinlock tagged with a site name.
 func NewNamedSpinLock(a *Alloc, name string) SpinLock {
 	return SpinLock{addr: a.NamedLines(name, 1)}
-}
-
-// NewSpinLocks allocates n spinlocks on consecutive lines.
-func NewSpinLocks(a *Alloc, n int) []SpinLock {
-	return NewNamedSpinLocks(a, "spinlocks", n)
 }
 
 // NewNamedSpinLocks allocates n spinlocks, tagging the array as one site.
@@ -165,20 +157,6 @@ func NewFarMutex(a *Alloc) FarMutex {
 		lock: a.NamedLines("far-mutex.lock", 1),
 		meta: a.NamedLines("far-mutex.meta", 1),
 	}
-}
-
-// NewFarMutexes allocates n far-friendly mutexes.
-func NewFarMutexes(a *Alloc, n int) []FarMutex {
-	locks := a.NamedLines("far-mutex.locks", n)
-	metas := a.NamedLines("far-mutex.metas", n)
-	ms := make([]FarMutex, n)
-	for i := range ms {
-		ms[i] = FarMutex{
-			lock: locks + memory.Addr(i)*memory.LineSize,
-			meta: metas + memory.Addr(i)*memory.LineSize,
-		}
-	}
-	return ms
 }
 
 // Lock acquires the mutex with the same logical sequence as Mutex.Lock,

@@ -57,16 +57,12 @@ func WithRetries(n int) RunnerOption {
 
 // WithRunnerCheckpoints checkpoints every running job roughly every
 // `every` simulation events into the cache directory (requires
-// WithCacheDir), so a killed sweep resumes instead of restarting.
+// WithCacheDir), so a killed sweep resumes instead of restarting. A
+// runner with a cache directory always restores an unfinished run from
+// its persisted checkpoint; one that fails verification is evicted and
+// the run restarts from event zero.
 func WithRunnerCheckpoints(every uint64) RunnerOption {
 	return func(o *runner.Options) { o.CkptEvery = every }
-}
-
-// WithResume restores unfinished runs from their persisted checkpoints
-// (requires WithCacheDir). Checkpoints that fail verification are
-// evicted and the run restarts from event zero.
-func WithResume() RunnerOption {
-	return func(o *runner.Options) { o.Resume = true }
 }
 
 // WithRunnerInterrupt cancels the sweep once ch is signaled or closed:
@@ -187,8 +183,9 @@ func ServiceCheckpoints(every uint64) ServiceOption {
 	return func(c *serviceConfig) { c.ckptEvery = every }
 }
 
-// ServiceResume restores persisted sweeps and job checkpoints on start
-// (see WithResume; for Serve it additionally reloads the sweep queue).
+// ServiceResume makes Serve reload its persisted sweeps on start. Job
+// checkpoints restore either way (see WithRunnerCheckpoints). Only Serve
+// honors it — a local runner has no sweep queue.
 func ServiceResume() ServiceOption {
 	return func(c *serviceConfig) { c.resume = true }
 }
@@ -237,17 +234,19 @@ func ServiceWorkers(ttl time.Duration) ServiceOption {
 }
 
 // fill resolves the options, opening a journal-backed telemetry surface
-// when a journal path was given without a surface. A journal that fails
-// to open degrades observability, never the sweep.
-func (c *serviceConfig) fill(opts []ServiceOption) {
+// when a journal path was given without a surface, and returns that
+// surface (nil if it opened none) so the caller can close it. A journal
+// that fails to open degrades observability, never the sweep.
+func (c *serviceConfig) fill(opts []ServiceOption) (opened *SweepTelemetry) {
 	for _, opt := range opts {
 		opt(c)
 	}
 	if c.telemetry == nil && c.journal != "" {
 		if t, err := NewSweepTelemetry(c.journal); err == nil {
-			c.telemetry = t
+			c.telemetry, opened = t, t
 		}
 	}
+	return opened
 }
 
 // WithService exposes the runner over HTTP on addr (host:port; ":0"
@@ -281,9 +280,6 @@ func WithService(addr string, opts ...ServiceOption) RunnerOption {
 		}
 		if c.ckptEvery > 0 {
 			o.CkptEvery = c.ckptEvery
-		}
-		if c.resume {
-			o.Resume = true
 		}
 		if c.log != nil {
 			o.Log = c.log

@@ -22,6 +22,8 @@ import (
 type SweepService struct {
 	svc *service.Service
 	srv *service.Server
+	// journal is the ServiceJournal surface Serve opened, nil if none.
+	journal *SweepTelemetry
 }
 
 // SweepStatus is one sweep's point-in-time standing as reported by the
@@ -73,7 +75,7 @@ var ErrStaleCommit = service.ErrStaleCommit
 // where the previous process stopped.
 func Serve(addr string, opts ...ServiceOption) (*SweepService, error) {
 	var c serviceConfig
-	c.fill(opts)
+	journal := c.fill(opts)
 	svc, err := service.New(service.Options{
 		CacheDir:  c.cacheDir,
 		Jobs:      c.jobs,
@@ -88,14 +90,16 @@ func Serve(addr string, opts ...ServiceOption) (*SweepService, error) {
 		LeaseTTL:  c.leaseTTL,
 	})
 	if err != nil {
+		journal.Close()
 		return nil, err
 	}
 	srv, err := service.Serve(addr, svc)
 	if err != nil {
 		svc.Close()
+		journal.Close()
 		return nil, err
 	}
-	return &SweepService{svc: svc, srv: srv}, nil
+	return &SweepService{svc: svc, srv: srv, journal: journal}, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -111,11 +115,15 @@ func (s *SweepService) Drain() { s.svc.Drain() }
 // hosts and tests).
 func (s *SweepService) Wait() { s.svc.Wait() }
 
-// Close drains the service, stops the HTTP listener and releases the
-// runner's resources.
+// Close drains the service, stops the HTTP listener, releases the
+// runner's resources and closes the ServiceJournal journal. A surface
+// supplied through ServiceTelemetry stays open.
 func (s *SweepService) Close() error {
 	first := s.srv.Close()
 	if err := s.svc.Close(); first == nil {
+		first = err
+	}
+	if err := s.journal.Close(); first == nil {
 		first = err
 	}
 	return first

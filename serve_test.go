@@ -2,6 +2,8 @@ package dynamo
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -57,4 +59,61 @@ func TestServeFacadeHardening(t *testing.T) {
 	if _, err := w.Wait(st.ID); !errors.Is(err, ErrSweepWaitTimeout) {
 		t.Fatalf("bounded wait err = %v, want ErrSweepWaitTimeout", err)
 	}
+}
+
+// TestServeJournalsEverySpan: Serve with ServiceJournal journals one span
+// per job, and SweepService.Close closes the journal it opened.
+func TestServeJournalsEverySpan(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	svc, err := Serve("127.0.0.1:0", ServiceCacheDir(filepath.Join(dir, "cache")), ServiceJobs(1), ServiceJournal(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Dial(svc.Addr())
+	st, err := c.Submit(
+		SweepRequest{Counter: &CounterSpec{Ops: 20, Cells: 1}, Threads: 2, Seed: 1},
+		SweepRequest{Counter: &CounterSpec{Ops: 20, Cells: 1}, Threads: 2, Seed: 2},
+	)
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID); err != nil || st.Done != 2 {
+		svc.Close()
+		t.Fatalf("sweep = %+v, %v", st, err)
+	}
+	if n := openFiles(t, journal); n != 1 {
+		t.Errorf("journal open %d times while serving, want 1", n)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFiles(t, journal); n != 0 {
+		t.Errorf("journal still open %d times after Close", n)
+	}
+	spans, err := ReadJobJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 2 || spans[0].Digest == spans[1].Digest {
+		t.Errorf("journal holds %d spans, want one per job: %+v", len(spans), spans)
+	}
+}
+
+// openFiles counts this process's file descriptors open on path (Linux
+// /proc; the test skips elsewhere).
+func openFiles(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
 }
