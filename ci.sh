@@ -10,9 +10,10 @@
 # against the seed-1 entry of perfbench/golden.json, and the warm-cache
 # gate reruns it over its own cache: same tables, no simulation, no
 # eviction.
-# Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
-# rerun with the same flags reproduces the uninterrupted tables
-# byte-for-byte, and the soak gate repeatedly SIGKILLs and
+# Finally the crash-recovery gate SIGKILLs a sweep once its first
+# checkpoint lands and asserts a rerun with the same flags resumes every
+# job the kill left a checkpoint for and reproduces the uninterrupted
+# tables byte-for-byte, and the soak gate repeatedly SIGKILLs and
 # -resume-restarts the sweep *server* under deterministic
 # storage/network fault injection, asserting the
 # remote tables still come out byte-identical with no quarantine leaks.
@@ -169,25 +170,43 @@ echo "ci: warm quick suite served 503 disk hits with no simulation or eviction"
 
 # Crash-recovery gate: a sweep SIGKILLed mid-run, rerun with the same
 # flags, must resume from its checkpoints and complete with tables
-# byte-identical to an uninterrupted sweep. If the sweep wins the race and
-# finishes before the kill, the rerun is a pure warm-cache pass and the
-# byte-identity assertion still holds.
+# byte-identical to an uninterrupted sweep. The kill lands as soon as the
+# first checkpoint file appears. The runner removes a job's checkpoint
+# before it saves the job's result, so every checkpoint the kill leaves
+# belongs to a job with no result, and the rerun must resume exactly that
+# many. A kill that leaves none (the sweep outran the poll) is retried
+# with a fresh cache, at most 3 times.
 rcache="$stats/recovery-cache"
 "$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
 	fig7 >"$stats/fig7-want.txt" 2>/dev/null
-rm -rf "$rcache"
-"$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
-	-ckpt-every 20000 fig7 >/dev/null 2>&1 &
-sweep=$!
-sleep 1
-kill -9 "$sweep" 2>/dev/null || echo "ci: recovery sweep finished before the kill"
-wait "$sweep" 2>/dev/null || true
-echo "ci: resuming killed sweep"
-"$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
-	-ckpt-every 20000 fig7 >"$stats/fig7-got.txt" 2>"$stats/fig7-resume.err"
-grep -o '[0-9]* resumed' "$stats/fig7-resume.err" || true
+left=0
+for attempt in 1 2 3; do
+	rm -rf "$rcache"
+	"$stats/dynamo-experiments" -quick -jobs 2 -cache-dir "$rcache" \
+		-ckpt-every 2000 fig7 >/dev/null 2>&1 &
+	sweep=$!
+	for _ in $(seq 1 1000); do
+		ls "$rcache"/*.ckpt.json >/dev/null 2>&1 && break
+		kill -0 "$sweep" 2>/dev/null || break
+		sleep 0.01
+	done
+	kill -9 "$sweep" 2>/dev/null || true
+	wait "$sweep" 2>/dev/null || true
+	left=$(ls "$rcache" 2>/dev/null | grep -c '\.ckpt\.json$' || true)
+	[ "$left" -gt 0 ] && break
+	echo "ci: recovery kill $attempt left no checkpoint, retrying"
+done
+[ "$left" -gt 0 ] || { echo "ci: 3 recovery kills left no checkpoint to resume" >&2; exit 1; }
+echo "ci: resuming killed sweep from $left checkpoint(s)"
+"$stats/dynamo-experiments" -quick -jobs 2 -cache-dir "$rcache" \
+	-ckpt-every 2000 fig7 >"$stats/fig7-got.txt" 2>"$stats/fig7-resume.err"
+grep '^runner: ' "$stats/fig7-resume.err" | grep -Eq ", $left resumed[ ,]" || {
+	echo "ci: the rerun did not resume the $left checkpoint(s) the kill left:" >&2
+	cat "$stats/fig7-resume.err" >&2
+	exit 1
+}
 cmp "$stats/fig7-want.txt" "$stats/fig7-got.txt"
-echo "ci: killed sweep resumed to byte-identical tables"
+echo "ci: killed sweep resumed $left job(s) to byte-identical tables"
 
 # Telemetry gate: a served sweep must expose live /metrics, /progress and
 # /jobs endpoints whose counts agree with the sweep's own summary, and

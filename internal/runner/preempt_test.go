@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynamo/internal/checkpoint"
@@ -21,7 +22,7 @@ func long() Request {
 }
 
 // TestPreemptResumesByteIdentical is the runner half of preemption: a job
-// whose per-task interrupt fires after its first checkpoint — the way a
+// whose executor gives its run up after the first checkpoint — the way a
 // yielded lease stops its execution — stops with machine.ErrInterrupted,
 // leaves a persisted checkpoint and no quarantine marker, and resubmitting
 // the same request resumes it to a result byte-identical to an
@@ -37,12 +38,15 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 	}
 	base, _ := json.Marshal(fresh.Result)
 
-	// Yield from inside the checkpoint sink, so the interrupt lands
-	// deterministically after the first persisted checkpoint.
-	yield := make(chan struct{})
-	var once sync.Once
+	// The first run yields from inside the checkpoint sink, so its
+	// interrupt lands deterministically after the first persisted
+	// checkpoint; later runs go to completion.
+	var ran atomic.Bool
 	exec := func(q Request, x ExecOptions) (*Outcome, error) {
-		if sink := x.Sink; sink != nil {
+		if sink := x.Sink; sink != nil && !ran.Swap(true) {
+			yield := make(chan struct{})
+			var once sync.Once
+			x.Interrupt = yield
 			x.Sink = func(ck *checkpoint.Checkpoint) {
 				sink(ck)
 				once.Do(func() { close(yield) })
@@ -53,7 +57,7 @@ func TestPreemptResumesByteIdentical(t *testing.T) {
 
 	tel := telemetry.NewSweep(telemetry.SweepOptions{})
 	r := New(Options{Jobs: 1, CacheDir: dir, CkptEvery: 50000, Telemetry: tel, Execute: exec})
-	task := r.SubmitInterruptible(q, yield)
+	task := r.Submit(q)
 	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
 		t.Fatalf("yielded task err = %v, want ErrInterrupted", err)
 	}

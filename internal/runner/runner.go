@@ -109,7 +109,8 @@ type Stats struct {
 	// Retries counts re-executions of transiently failed jobs; Resumed
 	// counts jobs restored from a persisted checkpoint (under the sweep
 	// service, lease re-grants that carry one too); Interrupted counts
-	// cancelled jobs (Options.Interrupt or a per-task interrupt).
+	// cancelled jobs (Options.Interrupt, or an executor that gave its job
+	// up).
 	Retries     uint64
 	Resumed     uint64
 	Interrupted uint64
@@ -181,10 +182,6 @@ type Task struct {
 	err     error
 	elapsed time.Duration  // wall-clock of the run (or of the original, for disk hits)
 	jt      *telemetry.Job // nil unless telemetry is enabled
-	// interrupt, when non-nil, cancels just this task (see
-	// SubmitInterruptible); the runner-wide Options.Interrupt still
-	// applies on top.
-	interrupt <-chan struct{}
 }
 
 // Wait blocks until the job completes and returns its outcome.
@@ -295,20 +292,7 @@ func (r *Runner) Close() error {
 // Submit enqueues a request and returns its task, coalescing duplicates:
 // submitting a request whose digest is already known returns the existing
 // task (a memory hit) without spawning work.
-func (r *Runner) Submit(req Request) *Task { return r.submit(req, nil) }
-
-// SubmitInterruptible enqueues a request with its own interrupt channel:
-// closing it cancels just this job — aborted in queue, or stopped
-// mid-run with machine.ErrInterrupted (after a final checkpoint, when
-// checkpointing is on) — without touching the rest of the pool. The
-// runner-wide Options.Interrupt still applies on top. The sweep service
-// uses this for per-sweep cancellation. Dedupe is unchanged: a duplicate
-// submission returns the existing task with its original wiring.
-func (r *Runner) SubmitInterruptible(req Request, interrupt <-chan struct{}) *Task {
-	return r.submit(req, interrupt)
-}
-
-func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
+func (r *Runner) Submit(req Request) *Task {
 	req = req.normalize()
 	digest := req.Digest()
 	r.counts.Requests.Add(1)
@@ -318,7 +302,7 @@ func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 		r.counts.Deduped.Add(1)
 		return t
 	}
-	t := &Task{req: req, digest: digest, done: make(chan struct{}), interrupt: interrupt}
+	t := &Task{req: req, digest: digest, done: make(chan struct{})}
 	if r.tel.Enabled() {
 		// Guarded so the request never renders when telemetry is off.
 		t.jt = r.tel.StartJob(digest, req.String())
@@ -444,31 +428,6 @@ func interruptedNow(intr <-chan struct{}) bool {
 	}
 }
 
-// mergeInterrupt combines the runner-wide and per-task interrupt
-// channels into the single channel the machine polls. With one (or no)
-// source there is nothing to merge; with both, a goroutine closes the
-// merged channel as soon as either fires and exits when done closes (the
-// task finished first).
-func mergeInterrupt(a, b, done <-chan struct{}) <-chan struct{} {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	m := make(chan struct{})
-	go func() {
-		select {
-		case <-a:
-		case <-b:
-		case <-done:
-			return
-		}
-		close(m)
-	}()
-	return m
-}
-
 func (r *Runner) run(t *Task) {
 	defer close(t.done)
 
@@ -489,10 +448,7 @@ func (r *Runner) run(t *Task) {
 		r.counts.Evictions.Add(1)
 	}
 
-	// The executor watches one channel: the merge of the sweep-wide and
-	// per-task cancellation sources.
-	intr := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
-	x := ExecOptions{Interrupt: intr}
+	x := ExecOptions{Interrupt: r.opts.Interrupt}
 	if r.store != nil {
 		if r.opts.CkptEvery > 0 {
 			x.CkptEvery = r.opts.CkptEvery
@@ -522,10 +478,9 @@ func (r *Runner) run(t *Task) {
 	}
 
 	r.sem <- struct{}{}
-	if r.cancelledNow(t) {
-		// The sweep (or this job's own sweep) was cancelled while it sat
-		// in the queue; its persisted checkpoint (if any) stays put for
-		// the next resume.
+	if interruptedNow(r.opts.Interrupt) {
+		// The sweep was cancelled while the job sat in the queue; its
+		// persisted checkpoint (if any) stays put for the next resume.
 		<-r.sem
 		r.finishInterrupted(t, true)
 		return
@@ -550,7 +505,7 @@ func (r *Runner) run(t *Task) {
 		r.counts.Retries.Add(1)
 		r.logf(t, "retrying %s in %s (attempt %d of %d): %v",
 			t.req, delay, attempts+1, r.opts.Retries+1, runErr)
-		if !sleep(delay, intr) {
+		if !sleep(delay, r.opts.Interrupt) {
 			runErr = fmt.Errorf("%w (retry abandoned after: %v)", machine.ErrInterrupted, runErr)
 			break
 		}
@@ -635,13 +590,6 @@ func (r *Runner) finishInterrupted(t *Task, fromQueue bool) {
 	t.err = &JobError{Request: t.req, Err: machine.ErrInterrupted}
 	t.jt.Done(telemetry.OutcomeInterrupted, 0, machine.ErrInterrupted)
 	r.logf(t, "interrupted %s", t.req)
-}
-
-// cancelledNow polls the job's cancellation sources directly — not the
-// merged channel the machine watches, whose closing goroutine may lag
-// the source by a scheduling quantum.
-func (r *Runner) cancelledNow(t *Task) bool {
-	return interruptedNow(r.opts.Interrupt) || interruptedNow(t.interrupt)
 }
 
 // EntryBytes returns the canonical persisted-cache document for digest:

@@ -218,13 +218,13 @@ func TestErrorsReported(t *testing.T) {
 func TestLogCountsEveryFinishedJob(t *testing.T) {
 	var log bytes.Buffer
 	exec := func(Request, ExecOptions) (*Outcome, error) { return nil, errors.New("boom") }
-	r := New(Options{Jobs: 1, Log: &log, Execute: exec})
+	cancelled := make(chan struct{})
+	r := New(Options{Jobs: 1, Log: &log, Execute: exec, Interrupt: cancelled})
 	if _, err := r.Run(quick()); err == nil {
 		t.Fatal("a failing job reported no error")
 	}
-	cancelled := make(chan struct{})
 	close(cancelled)
-	task := r.SubmitInterruptible(Request{Workload: "histogram", Threads: 2, Scale: 0.05}, cancelled)
+	task := r.Submit(Request{Workload: "histogram", Threads: 2, Scale: 0.05})
 	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
 		t.Fatalf("cancelled job err = %v, want ErrInterrupted", err)
 	}

@@ -32,7 +32,8 @@ var ErrLeaseExpired = errors.New("service: lease expired")
 // idempotently, never fenced.
 var ErrStaleCommit = errors.New("service: stale commit fenced")
 
-// errWithdrawn settles an item the runner gave up on.
+// errWithdrawn settles an item no sweep wants any more, and refuses a job
+// no sweep claims.
 var errWithdrawn = fmt.Errorf("service: job withdrawn: %w", machine.ErrInterrupted)
 
 // workItem states.
@@ -63,11 +64,11 @@ type workItem struct {
 	granted time.Time // when the live lease began (the preemption floor)
 	expires time.Time
 	attempt int
-	// withdrawn marks an item the runner gave up on (sweep cancelled or
-	// expired, service draining), and yield a lease picked to give up its
-	// slice to a starved sweep. Either way the holder learns via the Yield
-	// bit on its next heartbeat and releases; a withdrawn item then
-	// finishes interrupted, a yielded one requeues.
+	// withdrawn marks an item no sweep wants any more (see disown), and
+	// yield a lease picked to give up its slice to a starved sweep. Either
+	// way the holder learns via the Yield bit on its next heartbeat and
+	// releases; a withdrawn item then finishes interrupted, a yielded one
+	// requeues.
 	withdrawn bool
 	yield     bool
 	// ckpt is the latest checkpoint document — the runner's resume
@@ -118,12 +119,12 @@ type leaseTable struct {
 
 	mu    sync.Mutex
 	items map[string]*workItem
-	// Every sweep has a lane: laneOf maps a digest to its latest
-	// admission (sweep and number, counted by admitted), queues holds each
+	// claims maps each digest some sweep still wants to its claim (see
+	// admit and disown). Every sweep has a lane: queues holds each
 	// lane's pending digests in FIFO order (exactly the pending items;
 	// lanes without any are absent), and served stamps each lane with the
 	// fence of its latest grant.
-	laneOf   map[string]admission
+	claims   map[string]*claim
 	admitted uint64
 	queues   map[string][]string
 	served   map[string]uint64
@@ -163,7 +164,7 @@ func newLeaseTable(o leaseTableOptions) *leaseTable {
 		opts:    o,
 		counts:  o.Counts,
 		items:   make(map[string]*workItem),
-		laneOf:  make(map[string]admission),
+		claims:  make(map[string]*claim),
 		queues:  make(map[string][]string),
 		served:  make(map[string]uint64),
 		workers: make(map[string]int),
@@ -182,14 +183,49 @@ type admission struct {
 	seq  uint64
 }
 
-// admit schedules digest under sweep's lane. The service calls it for
-// every job it admits, in submission order, before the job can reach
-// execute.
+// claim is the set of sweeps that still want one digest, plus the
+// digest's latest admission, whose lane its item is scheduled under.
+type claim struct {
+	admission
+	sweeps map[string]bool
+}
+
+// admit records that sweep wants digest and schedules the digest under
+// sweep's lane. The service calls it for every job it admits, in
+// submission order, before the job can reach execute.
 func (t *leaseTable) admit(sweep, digest string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.claims[digest]
+	if c == nil {
+		c = &claim{sweeps: make(map[string]bool)}
+		t.claims[digest] = c
+	}
 	t.admitted++
-	t.laneOf[digest] = admission{lane: sweep, seq: t.admitted}
-	t.mu.Unlock()
+	c.admission = admission{lane: sweep, seq: t.admitted}
+	c.sweeps[sweep] = true
+}
+
+// disown records that sweep no longer wants digests (it finished,
+// failed, was cancelled or expired). A digest no sweep wants any more
+// loses its claim and its item is withdrawn. A claim is never empty, so
+// disowning a digest the sweep does not claim changes nothing.
+func (t *leaseTable) disown(sweep string, digests ...string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, d := range digests {
+		c := t.claims[d]
+		if c == nil {
+			continue
+		}
+		delete(c.sweeps, sweep)
+		if len(c.sweeps) == 0 {
+			delete(t.claims, d)
+			if it := t.items[d]; it != nil {
+				t.withdrawLocked(it)
+			}
+		}
+	}
 }
 
 // leased reports whether digest is held under a live lease — the
@@ -202,9 +238,10 @@ func (t *leaseTable) leased(digest string) bool {
 }
 
 // execute is the runner.Options.Execute seam: it parks one deduped job in
-// the lease table and blocks until a worker commits it (or the job is
-// withdrawn). The runner keeps its retry, telemetry and stats semantics
-// and its files; the lease table decides when and where the job runs.
+// the lease table and blocks until a worker commits it, the job is
+// withdrawn or the table closes. A job no sweep claims is refused. The
+// runner keeps its retry, telemetry and stats semantics and its files;
+// the lease table decides when and where the job runs.
 func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
 	digest := q.Digest()
 	it := &workItem{digest: digest, req: q, ckptEvery: x.CkptEvery, sink: x.Sink, done: make(chan struct{})}
@@ -219,22 +256,18 @@ func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Ou
 		t.mu.Unlock()
 		return nil, fmt.Errorf("service: lease table closed: %w", machine.ErrInterrupted)
 	}
-	it.admission = t.laneOf[digest]
+	c := t.claims[digest]
+	if c == nil {
+		// Every sweep gave the job up before it got here.
+		t.mu.Unlock()
+		return nil, errWithdrawn
+	}
+	it.admission = c.admission
 	t.items[digest] = it
 	t.queueLocked(it, false)
 	t.mu.Unlock()
 
-	select {
-	case <-it.done:
-	case <-x.Interrupt:
-		// Cancelled. A pending item is withdrawn outright; a leased one
-		// winds down through its holder — told to yield on its next
-		// heartbeat, finish-or-checkpoint, then release — or through lease
-		// expiry if the holder is already dead. A commit that races the
-		// withdrawal wins: a finished result is never thrown away.
-		t.withdraw(it)
-		<-it.done
-	}
+	<-it.done
 	t.mu.Lock()
 	out, err := it.out, it.err
 	// From here on the item serves only the duplicate-commit check, which
@@ -245,10 +278,13 @@ func (t *leaseTable) execute(q runner.Request, x runner.ExecOptions) (*runner.Ou
 	return out, err
 }
 
-// withdraw takes an item back from the workers (see execute).
-func (t *leaseTable) withdraw(it *workItem) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// withdrawLocked takes an item back from the workers (mu held). A pending
+// item settles at once; a leased one winds down through its holder —
+// told to yield on its next heartbeat, finish-or-checkpoint, then
+// release — or through lease expiry if the holder is already dead. A
+// commit that races the withdrawal wins: a finished result is never
+// thrown away.
+func (t *leaseTable) withdrawLocked(it *workItem) {
 	switch it.state {
 	case workPending:
 		t.unqueueLocked(it)

@@ -120,18 +120,6 @@ type sweepState struct {
 	expired  bool
 }
 
-// jobCtl is the per-digest cancellation control for live jobs: every
-// sweep currently owning this digest holds an owner reference, and the
-// interrupt channel closes only when the last owner cancels (or the
-// service drains). The runner dedupes concurrent submissions of one
-// digest into one task, so sharing the channel per digest matches what
-// actually executes.
-type jobCtl struct {
-	ch     chan struct{}
-	owners map[string]bool
-	closed bool
-}
-
 // Service is the sweep control plane over one runner. Every admitted job
 // goes to the runner at once; the runner answers it from its cache or
 // parks it in the lease table, whose grant order is the only schedule.
@@ -145,13 +133,14 @@ type Service struct {
 	ownTel bool
 	lt     *leaseTable
 	local  *Worker // in-process slots; nil with Options.Workers
+	// interrupt is the runner's Options.Interrupt, closed once by Drain.
+	interrupt chan struct{}
 
 	mu sync.Mutex
 	// wake is closed, and replaced, whenever a job settles or a sweep is
 	// cancelled or expires: Wait and held status calls wait on it.
 	wake     chan struct{}
 	sweeps   map[string]*sweepState
-	ctl      map[string]*jobCtl
 	draining bool
 	seq      int
 	wg       sync.WaitGroup
@@ -183,13 +172,13 @@ func New(o Options) (*Service, error) {
 	// one writer: they take turns.
 	o.Log = runner.SerializeWriter(o.Log)
 	s := &Service{
-		opts:   o,
-		fs:     fs,
-		tel:    tel,
-		ownTel: ownTel,
-		wake:   make(chan struct{}),
-		sweeps: make(map[string]*sweepState),
-		ctl:    make(map[string]*jobCtl),
+		opts:      o,
+		fs:        fs,
+		tel:       tel,
+		ownTel:    ownTel,
+		wake:      make(chan struct{}),
+		sweeps:    make(map[string]*sweepState),
+		interrupt: make(chan struct{}),
 	}
 	s.lt = newLeaseTable(leaseTableOptions{
 		Counts:       tel.Counts(),
@@ -207,6 +196,7 @@ func New(o Options) (*Service, error) {
 		Log:       o.Log,
 		Retries:   o.Retries,
 		CkptEvery: o.CkptEvery,
+		Interrupt: s.interrupt,
 		Telemetry: tel,
 		FS:        o.FS,
 		Execute:   s.lt.execute,
@@ -447,15 +437,8 @@ func (s *Service) SubmitDeadline(reqs []runner.Request, deadline time.Duration) 
 func (s *Service) startLocked(sw *sweepState) {
 	for _, j := range sw.jobs {
 		s.lt.admit(sw.id, j.digest)
-		ctl := s.ctl[j.digest]
-		if ctl == nil || ctl.closed {
-			ctl = &jobCtl{ch: make(chan struct{}), owners: make(map[string]bool)}
-			s.ctl[j.digest] = ctl
-		}
-		ctl.owners[sw.id] = true
-		t := s.r.SubmitInterruptible(j.req, ctl.ch)
 		s.wg.Add(1)
-		go s.await(t, j, sw.id, ctl)
+		go s.await(s.r.Submit(j.req), j, sw.id)
 	}
 }
 
@@ -489,7 +472,7 @@ func (s *Service) expire(id string) {
 	}
 	sw.expired = true
 	s.tel.Counts().Expired.Add(s.settleQueuedLocked(sw, JobExpired))
-	s.releaseOwnersLocked(id)
+	s.lt.disown(id, sw.digests()...)
 	s.persistLocked(sw)
 	s.wakeLocked()
 }
@@ -508,19 +491,13 @@ func (s *Service) settleQueuedLocked(sw *sweepState, state string) uint64 {
 	return n
 }
 
-// releaseOwnersLocked drops a sweep's ownership of every live job
-// control, closing interrupt channels whose last owner it was (mu held).
-func (s *Service) releaseOwnersLocked(id string) {
-	for _, ctl := range s.ctl {
-		if _, ok := ctl.owners[id]; !ok {
-			continue
-		}
-		delete(ctl.owners, id)
-		if len(ctl.owners) == 0 && !ctl.closed {
-			ctl.closed = true
-			close(ctl.ch)
-		}
+// digests lists the sweep's distinct job digests.
+func (sw *sweepState) digests() []string {
+	ds := make([]string, len(sw.jobs))
+	for i, j := range sw.jobs {
+		ds[i] = j.digest
 	}
+	return ds
 }
 
 // Status reports a sweep's current standing.
@@ -572,7 +549,7 @@ func (s *Service) Cancel(id string) (*SweepStatus, error) {
 			sw.timer.Stop()
 		}
 		s.settleQueuedLocked(sw, JobCancelled)
-		s.releaseOwnersLocked(id)
+		s.lt.disown(id, sw.digests()...)
 		s.persistLocked(sw)
 		s.wakeLocked()
 	}
@@ -661,9 +638,10 @@ func (s *Service) statusLocked(sw *sweepState) *SweepStatus {
 	return st
 }
 
-// await settles one admitted job from its runner task. A job already
-// settled in place (cancelled or expired while queued) keeps its state.
-func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
+// await settles one admitted job from its runner task, then drops the
+// sweep's claim on it. A job already settled in place (cancelled or
+// expired while queued) keeps its state.
+func (s *Service) await(t *runner.Task, j *job, owner string) {
 	defer s.wg.Done()
 	out, err := t.Wait()
 	s.mu.Lock()
@@ -671,9 +649,10 @@ func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
 	sw := s.sweeps[owner]
 	for errors.Is(err, machine.ErrInterrupted) && j.state == JobQueued &&
 		!sw.cancelled && !sw.expired && !s.draining {
-		// The runner deduped this job onto another sweep's task that was
-		// being cancelled: nothing cancelled this sweep, so run it afresh.
-		t = s.r.SubmitInterruptible(j.req, ctl.ch)
+		// The runner deduped this job onto a task the lease table had
+		// withdrawn before this sweep claimed it: nothing cancelled this
+		// sweep, so run it afresh.
+		t = s.r.Submit(j.req)
 		s.mu.Unlock()
 		out, err = t.Wait()
 		s.mu.Lock()
@@ -695,10 +674,7 @@ func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
 			j.errMsg = err.Error()
 		}
 	}
-	delete(ctl.owners, owner)
-	if len(ctl.owners) == 0 && s.ctl[j.digest] == ctl {
-		delete(s.ctl, j.digest)
-	}
+	s.lt.disown(owner, j.digest)
 	s.wakeLocked()
 }
 
@@ -756,7 +732,8 @@ func (sw *sweepState) settled() bool {
 // them back up. Drain is idempotent.
 func (s *Service) Drain() {
 	s.mu.Lock()
-	if !s.draining {
+	first := !s.draining
+	if first {
 		s.draining = true
 		for _, sw := range s.sweeps {
 			if sw.timer != nil {
@@ -768,17 +745,13 @@ func (s *Service) Drain() {
 	if s.local != nil {
 		s.local.Drain()
 	}
-	s.mu.Lock()
-	for _, ctl := range s.ctl {
-		if !ctl.closed {
-			ctl.closed = true
-			close(ctl.ch)
-		}
+	if first {
+		// Wakes jobs in retry backoff and stops those that have not
+		// reached the lease table yet.
+		close(s.interrupt)
 	}
-	s.mu.Unlock()
-	// Close after the interrupt channels: every parked job finishes with
-	// machine.ErrInterrupted — fleet leases included — so the await
-	// goroutines below can drain.
+	// Every parked job finishes with machine.ErrInterrupted — fleet
+	// leases included — so the await goroutines below can drain.
 	s.lt.close()
 	s.wg.Wait()
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -594,14 +595,20 @@ func TestIndexAndUnknownRoutes(t *testing.T) {
 // service depends on: a task finished with ErrInterrupted is replaced on
 // resubmission instead of memoized forever.
 func TestInterruptedJobsAreReplayable(t *testing.T) {
-	r := runner.New(runner.Options{Jobs: 1})
+	// The executor gives the first run up, as the lease table does with a
+	// job no sweep wants any more.
+	var gaveUp atomic.Bool
+	r := runner.New(runner.Options{Jobs: 1, Execute: func(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
+		if !gaveUp.Swap(true) {
+			return nil, errWithdrawn
+		}
+		return runner.ExecuteLocal(q, x)
+	}})
 	defer r.Close()
 	req := counterReq(51)
-	ch := make(chan struct{})
-	close(ch) // interrupted before it ever runs
-	task := r.SubmitInterruptible(req, ch)
+	task := r.Submit(req)
 	if _, err := task.Wait(); !errors.Is(err, machine.ErrInterrupted) {
-		t.Fatalf("pre-closed interrupt err = %v", err)
+		t.Fatalf("given-up run err = %v", err)
 	}
 	out, err := r.Run(req)
 	if err != nil {

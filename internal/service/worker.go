@@ -90,11 +90,11 @@ type Worker struct {
 	delay func(attempt int) time.Duration
 	id    string
 
-	stop     chan struct{} // closed by Drain: stop leasing, wind down jobs
-	stopOnce sync.Once
-	cancel   context.CancelFunc // aborts held lease calls and backoffs on Drain
-	leaseCtx context.Context
-	wg       sync.WaitGroup
+	// ctx ends when Drain cancels it: the slots stop leasing, and held
+	// lease calls, backoffs and in-flight jobs wind down.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	started bool
@@ -125,7 +125,7 @@ func newWorker(o WorkerOptions, api workAPI, delay func(int) time.Duration) *Wor
 		o.ID = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Worker{opts: o, api: api, delay: delay, id: o.ID, stop: make(chan struct{}), leaseCtx: ctx, cancel: cancel}
+	return &Worker{opts: o, api: api, delay: delay, id: o.ID, ctx: ctx, cancel: cancel}
 }
 
 // ID returns the worker's lease identity.
@@ -156,10 +156,7 @@ func (w *Worker) Start() {
 // checkpoint boundary (shipping the final checkpoint and releasing each
 // lease), and waits for every slot to wind down. Idempotent.
 func (w *Worker) Drain() {
-	w.stopOnce.Do(func() {
-		close(w.stop)
-		w.cancel()
-	})
+	w.cancel()
 	w.wg.Wait()
 }
 
@@ -171,21 +168,16 @@ func (w *Worker) slot() {
 	defer w.wg.Done()
 	arena := new(machine.Arena)
 	fails := 0
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		g, err := w.api.Lease(w.leaseCtx, w.id, w.opts.TTL)
+	for w.ctx.Err() == nil {
+		g, err := w.api.Lease(w.ctx, w.id, w.opts.TTL)
 		if err != nil {
-			if w.leaseCtx.Err() != nil {
+			if w.ctx.Err() != nil {
 				return
 			}
 			// Server restarting or draining: back off and ask again — the
 			// fleet outlives server incarnations.
 			w.logf("lease: %v", err)
-			if !sleepCtx(w.leaseCtx, w.delay(fails)) {
+			if !sleepCtx(w.ctx, w.delay(fails)) {
 				return
 			}
 			fails++
@@ -226,43 +218,20 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 	// encodes and ships it. due gates periodic capture: each heartbeat
 	// arms it and a capture disarms it, so the run captures at the first
 	// checkpoint boundary after each heartbeat, and only checkpoints the
-	// next heartbeat ships. lost records why the job was abandoned, set
-	// before the abandon channel closes.
+	// next heartbeat ships. lost records that the lease was lost, which
+	// abandons the job.
 	var (
 		jmu    sync.Mutex
 		latest *checkpoint.Checkpoint
 		lost   bool
 		due    atomic.Bool
 	)
-	abandon := make(chan struct{})
-	var abandonOnce sync.Once
-	giveUp := func(why func()) {
-		abandonOnce.Do(func() {
-			jmu.Lock()
-			why()
-			jmu.Unlock()
-			close(abandon)
-		})
-	}
 
-	// intr interrupts the local execution when the worker drains or the
-	// lease is lost/yielded; the goroutine exits quietly when the job
-	// finishes first.
-	jobDone := make(chan struct{})
+	// The heartbeat loop renews the lease and ships checkpoints until the
+	// run ends, and is the one place that interrupts the run, once: on a
+	// drain (it beats on while the run winds down), a yield reply (the
+	// run checkpoints, then releases below) or a lost lease (410/409).
 	intr := make(chan struct{})
-	go func() {
-		select {
-		case <-w.stop:
-		case <-abandon:
-		case <-jobDone:
-			return
-		}
-		close(intr)
-	}()
-
-	// Heartbeat loop: renew the lease and ship checkpoints until the job
-	// winds down. Losing the lease (410/409) abandons the job; a Yield
-	// reply winds it down gracefully (checkpoint, then release below).
 	interval := w.opts.Heartbeat
 	if interval <= 0 {
 		interval = time.Until(time.Unix(0, g.ExpiresUnixNano)) / 3
@@ -276,10 +245,15 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 		defer close(hbDone)
 		t := time.NewTicker(interval)
 		defer t.Stop()
+		drain := w.ctx.Done() // nil once the run is interrupted
 		for {
 			select {
 			case <-hbStop:
 				return
+			case <-drain:
+				close(intr)
+				drain = nil
+				continue
 			case <-t.C:
 			}
 			jmu.Lock()
@@ -290,12 +264,11 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 			ctx, cancel := callCtx()
 			hb, err := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(ck), false)
 			cancel()
-			if err != nil {
-				if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrStaleCommit) {
-					w.logf("lease on %s lost: %v", short(digest), err)
-					giveUp(func() { lost = true })
-					return
-				}
+			switch {
+			case errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrStaleCommit):
+				w.logf("lease on %s lost: %v", short(digest), err)
+				lost = true
+			case err != nil:
 				// Transport flake: requeue the unshipped checkpoint (unless
 				// a newer one landed meanwhile) and keep beating.
 				jmu.Lock()
@@ -304,15 +277,16 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 				}
 				jmu.Unlock()
 				continue
-			}
-			if hb.Yield {
-				// Cancelled or preempted server-side: wind down — the
-				// execution interrupts, then the final checkpoint ships
-				// with a Release heartbeat below.
+			case hb.Yield:
+				// Cancelled or preempted server-side.
 				w.logf("server asked %s to yield", short(digest))
-				giveUp(func() {})
-				return
+			default:
+				continue
 			}
+			if drain != nil {
+				close(intr)
+			}
+			return
 		}
 	}()
 
@@ -332,20 +306,15 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 	start := time.Now()
 	out, err := runner.Execute(w.opts.Execute, g.Request, x)
 	elapsed := time.Since(start)
-	close(jobDone)
 	close(hbStop)
-	<-hbDone
+	<-hbDone // from here on this goroutine alone reads lost and latest
 
 	switch {
 	case err == nil:
 		w.count(func(s *WorkerStats) { s.Executed++ })
 		w.commit(g, out, elapsed)
 	case errors.Is(err, machine.ErrInterrupted):
-		jmu.Lock()
-		wasLost, ck := lost, latest
-		latest = nil
-		jmu.Unlock()
-		if wasLost {
+		if lost {
 			// Someone else owns the job now; nothing to hand back.
 			w.count(func(s *WorkerStats) { s.Abandoned++ })
 			return
@@ -353,7 +322,7 @@ func (w *Worker) work(g *LeaseGrant, arena *machine.Arena) {
 		// Drain or server-requested yield: ship the final checkpoint and
 		// release, so the next leaseholder resumes instead of restarting.
 		ctx, cancel := callCtx()
-		_, rerr := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(ck), true)
+		_, rerr := w.api.Heartbeat(ctx, digest, w.id, g.Fence, encodeCkpt(latest), true)
 		cancel()
 		if rerr != nil {
 			w.logf("release of %s failed: %v", short(digest), rerr)

@@ -23,28 +23,36 @@ import (
 //	if err := r.Wait(); err != nil { ... }
 //	fmt.Println(r.Stats())
 type Runner struct {
-	r *runner.Runner
+	r      *runner.Runner
+	opened *SweepTelemetry // opened by a ServiceJournal option; Close closes it
 }
 
 // RunnerOption configures a Runner.
-type RunnerOption func(*runner.Options)
+type RunnerOption func(*runnerConfig)
+
+// runnerConfig is what the options of one NewRunner call fill: the
+// runner's options, plus the telemetry surface an option opened for it.
+type runnerConfig struct {
+	runner.Options
+	opened *SweepTelemetry
+}
 
 // WithJobs bounds concurrently executing simulations (default GOMAXPROCS).
 func WithJobs(n int) RunnerOption {
-	return func(o *runner.Options) { o.Jobs = n }
+	return func(o *runnerConfig) { o.Jobs = n }
 }
 
 // WithCacheDir backs the runner's in-memory cache with a persistent JSON
 // store under dir (one file per request digest, written atomically).
 // Corrupt or outdated entries are evicted and re-simulated.
 func WithCacheDir(dir string) RunnerOption {
-	return func(o *runner.Options) { o.CacheDir = dir }
+	return func(o *runnerConfig) { o.CacheDir = dir }
 }
 
 // WithRunnerLog sends one progress line per completed run to w. The
 // Runner serializes its writes, so w need not be safe for concurrent use.
 func WithRunnerLog(w io.Writer) RunnerOption {
-	return func(o *runner.Options) { o.Log = w }
+	return func(o *runnerConfig) { o.Log = w }
 }
 
 // WithRetries re-executes transiently failed runs (a recovered panic or
@@ -52,7 +60,7 @@ func WithRunnerLog(w io.Writer) RunnerOption {
 // doubling backoff, before quarantining them. Retries are recorded in
 // RunnerStats.Retries and in the run's quarantine marker.
 func WithRetries(n int) RunnerOption {
-	return func(o *runner.Options) { o.Retries = n }
+	return func(o *runnerConfig) { o.Retries = n }
 }
 
 // WithRunnerCheckpoints checkpoints every running job roughly every
@@ -62,14 +70,14 @@ func WithRetries(n int) RunnerOption {
 // its persisted checkpoint; one that fails verification is evicted and
 // the run restarts from event zero.
 func WithRunnerCheckpoints(every uint64) RunnerOption {
-	return func(o *runner.Options) { o.CkptEvery = every }
+	return func(o *runnerConfig) { o.CkptEvery = every }
 }
 
 // WithRunnerInterrupt cancels the sweep once ch is signaled or closed:
 // queued runs abort immediately, running jobs capture a final checkpoint
 // (when checkpointing is enabled) and stop with ErrInterrupted.
 func WithRunnerInterrupt(ch <-chan struct{}) RunnerOption {
-	return func(o *runner.Options) { o.Interrupt = ch }
+	return func(o *runnerConfig) { o.Interrupt = ch }
 }
 
 // SweepTelemetry is the sweep observability surface: a lock-cheap metrics
@@ -257,17 +265,19 @@ func (c *serviceConfig) fill(opts []ServiceOption) (opened *SweepTelemetry) {
 // Serve configures the standalone control plane. When no telemetry
 // surface is supplied (directly or via ServiceJournal), a journal-less
 // one is created. The bound address (or bind error) is reported by
-// Runner.TelemetryAddr; Runner.Close stops the server. An empty addr
-// applies the options without serving.
+// Runner.TelemetryAddr; Runner.Close stops the server, and closes a
+// journal ServiceJournal opened. An empty addr applies the options
+// without serving.
 func WithService(addr string, opts ...ServiceOption) RunnerOption {
-	return func(o *runner.Options) {
+	return func(o *runnerConfig) {
 		var c serviceConfig
-		c.fill(opts)
+		opened := c.fill(opts)
 		if addr != "" {
 			o.ServeAddr = addr
 		}
 		if c.telemetry != nil {
-			o.Telemetry = c.telemetry
+			o.opened.Close() // an earlier option's surface, if any: unused now
+			o.Telemetry, o.opened = c.telemetry, opened
 		}
 		if c.cacheDir != "" {
 			o.CacheDir = c.cacheDir
@@ -289,11 +299,11 @@ func WithService(addr string, opts ...ServiceOption) RunnerOption {
 
 // NewRunner builds a sweep runner over the default Table II system.
 func NewRunner(opts ...RunnerOption) *Runner {
-	var o runner.Options
+	var c runnerConfig
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c)
 	}
-	return &Runner{r: runner.New(o)}
+	return &Runner{r: runner.New(c.Options), opened: c.opened}
 }
 
 // SweepRequest identifies one run in a sweep. The zero value of each
@@ -383,10 +393,17 @@ func (r *Runner) Telemetry() *SweepTelemetry { return r.r.Telemetry() }
 func (r *Runner) TelemetryAddr() (string, error) { return r.r.TelemetryAddr() }
 
 // Close releases the runner's observability resources: the telemetry
-// HTTP server, and any telemetry surface the runner created itself. A
-// surface supplied via ServiceTelemetry stays open. Close does not wait
-// for running jobs — call Wait first.
-func (r *Runner) Close() error { return r.r.Close() }
+// HTTP server, and any telemetry surface the runner or its options
+// created (a ServiceJournal one included). A surface supplied via
+// ServiceTelemetry stays open. Close does not wait for running jobs —
+// call Wait first.
+func (r *Runner) Close() error {
+	err := r.r.Close()
+	if e := r.opened.Close(); err == nil {
+		err = e
+	}
+	return err
+}
 
 // Failed returns every failed run so far, in completion order. One bad
 // configuration — even one that panics the simulator — never sinks the

@@ -44,21 +44,44 @@ func TestRunnerOptionsSetFields(t *testing.T) {
 		{"ServicePreemption", WithService("", ServicePreemption()), runner.Options{}},
 		{"ServiceWorkers", WithService("", ServiceWorkers(time.Second)), runner.Options{}},
 	} {
-		var got runner.Options
+		var got runnerConfig
 		tc.opt(&got)
-		if !reflect.DeepEqual(got, tc.want) {
+		if !reflect.DeepEqual(got, runnerConfig{Options: tc.want}) {
 			t.Errorf("%s set %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 
 	// ServiceJournal opens a journal-backed surface in place of a
-	// supplied one.
-	var got runner.Options
+	// supplied one, and hands it to the Runner to close.
+	var got runnerConfig
 	WithService("", ServiceJournal(filepath.Join(t.TempDir(), "journal.jsonl")))(&got)
-	if got.Telemetry == nil {
-		t.Fatal("ServiceJournal set no telemetry surface")
+	if got.Telemetry == nil || got.opened != got.Telemetry {
+		t.Fatalf("ServiceJournal set telemetry %p and opened %p, want one surface", got.Telemetry, got.opened)
 	}
-	got.Telemetry.Close()
+	got.opened.Close()
+}
+
+// TestRunnerClosesTheJournalItsOptionsOpened: a Runner whose ServiceJournal
+// option opened a journal journals its runs there and closes it on Close.
+func TestRunnerClosesTheJournalItsOptionsOpened(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	r := NewRunner(WithJobs(1), WithService("", ServiceJournal(journal)))
+	if _, err := r.Run(SweepRequest{Counter: &CounterSpec{Ops: 20, Cells: 1}, Threads: 2, Seed: 1}); err != nil {
+		r.Close()
+		t.Fatal(err)
+	}
+	if n := openFiles(t, journal); n != 1 {
+		t.Errorf("journal open %d times while running, want 1", n)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFiles(t, journal); n != 0 {
+		t.Errorf("journal still open %d times after Close", n)
+	}
+	if spans, err := ReadJobJournal(journal); err != nil || len(spans) != 1 {
+		t.Errorf("journal holds %d spans (%v), want 1", len(spans), err)
+	}
 }
 
 // TestRunnerInterruptedBeforeStart: a runner whose interrupt channel is

@@ -3,7 +3,6 @@ package dynamo
 import (
 	"time"
 
-	"dynamo/internal/runner"
 	"dynamo/internal/service"
 )
 
@@ -163,7 +162,7 @@ func WithRemote(addr string, opts ...RemoteOption) RunnerOption {
 	// The interrupt-aware seam: cancelling or preempting a local job
 	// aborts its remote wait promptly and best-effort cancels the sweep
 	// server-side, instead of waiting out the job's natural end.
-	return func(o *runner.Options) { o.Execute = client.Execute }
+	return func(o *runnerConfig) { o.Execute = client.Execute }
 }
 
 // FleetWorker is one process of the distributed execution tier: it pulls
