@@ -208,9 +208,25 @@ func BenchmarkFigure11(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII measures building every workload instance (generator
-// cost, no simulation).
+// BenchmarkTableIII measures the table3 experiment: the registry's
+// footprints at the suite's size, computed without building a workload.
 func BenchmarkTableIII(b *testing.B) {
+	s := experiments.NewSuite(experiments.Options{Threads: 4, Scale: 0.1})
+	x, err := experiments.Find("table3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := x.Run(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorkloadBuild measures building every workload instance
+// (input generation, programs and validation references; no simulation).
+func BenchmarkWorkloadBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range workload.All() {
@@ -285,12 +301,12 @@ func BenchmarkSelfProfiler(b *testing.B) {
 }
 
 // BenchmarkExperimentSuite measures the harness machinery itself (Table I,
-// II and IV and the hardware-cost table are computed, not simulated).
+// II, III and IV and the hardware-cost table are computed, not simulated).
 func BenchmarkExperimentSuite(b *testing.B) {
 	s := experiments.NewSuite(experiments.Options{Threads: 4, Scale: 0.1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, id := range []string{"table1", "table2", "table4", "hwcost"} {
+		for _, id := range []string{"table1", "table2", "table3", "table4", "hwcost"} {
 			e, err := experiments.Find(id)
 			if err != nil {
 				b.Fatal(err)

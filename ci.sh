@@ -79,12 +79,13 @@ go test -run Fuzz ./internal/chaos
 # checkpoint read/write, remote-job (HTTP/lease round trip) and
 # local-job (BenchmarkExecuteLocal, new machine or slot arena) benchmark,
 # so the bodies the benchmark's per-layer rows mirror keep compiling and
-# running, and of the probe-bus (sanitizer included) and self-profiler
-# overhead benchmarks EXPERIMENTS.md reports.
+# running, of the probe-bus (sanitizer included) and self-profiler
+# overhead benchmarks EXPERIMENTS.md reports, and of Table III, whose
+# footprints come from the workload specs without building a workload.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/cache \
 	./internal/noc ./internal/hbm ./internal/memory ./internal/core ./internal/telemetry ./internal/machine \
 	./internal/runner ./internal/stats ./internal/checkpoint ./internal/service
-go test -run '^$' -bench 'ProbeBus|SelfProfiler' -benchtime 1x .
+go test -run '^$' -bench 'ProbeBus|SelfProfiler|TableIII' -benchtime 1x .
 
 # Baseline gate: workload x policy smoke set on the small 4-core system.
 # One snapshot per pair; zero tolerance — the simulator is deterministic,
@@ -298,8 +299,11 @@ echo "ci: served sweep scraped clean with byte-identical tables ($done_jobs jobs
 # from that cache. The scheduler and wire layers are concurrent;
 # re-check the package under the race detector (the runner too — its
 # checkpoint sink runs on the lease table's heartbeat path — and the fault
-# injector, which sits on the hot path of both planes).
+# injector, which sits on the hot path of both planes). The runner's
+# loaders, which answer disk hits off a shared queue, get ten more rounds
+# of concurrent hits, misses and duplicates.
 go test -race ./internal/service ./internal/runner ./internal/faultio
+go test -race -count=10 -run TestLoadersUnderConcurrency ./internal/runner
 echo "ci: sweep service gate"
 go build -o "$stats/dynamo-serve" ./cmd/dynamo-serve
 scache="$stats/service-cache"

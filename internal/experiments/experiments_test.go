@@ -89,6 +89,29 @@ func TestTableIIIListsAllWorkloads(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector, whose sync.Pool drops
+// items at random, so fmt allocates a varying number of times.
+var raceEnabled bool
+
+// TestTableIIIBuildsNothing: Table III prints footprints from the specs'
+// sizes, not from built instances. Rendering its 21 rows allocates 62
+// times; building even the cheapest workload (radiosity) allocates about
+// ten more, and building all 21 over ten thousand.
+func TestTableIIIBuildsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	s := quickSuite()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.TableIII(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 70 {
+		t.Errorf("TableIII allocates %.0f times per call, want at most 70 (no workload builds)", allocs)
+	}
+}
+
 func TestSysVariants(t *testing.T) {
 	base := machine.DefaultConfig()
 	cases := []struct {

@@ -62,11 +62,12 @@ func (s *Suite) TableII() (*stats.Table, error) {
 }
 
 // TableIII prints the workload registry: suite, synchronization primitives
-// and the measured AMO footprint of each benchmark analog.
+// and the AMO footprint of each benchmark analog at the suite's size,
+// computed from the sizes its builder allocates without building it.
 func (s *Suite) TableIII() (*stats.Table, error) {
 	t := &stats.Table{Header: []string{"workload", "code", "suite", "input", "sync primitives", "AMO footprint"}}
 	for _, spec := range workload.All() {
-		inst, err := spec.Build(workload.Params{Threads: s.opts.Threads, Seed: s.opts.Seed, Scale: s.opts.Scale})
+		bytes, err := spec.AMOFootprint(workload.Params{Threads: s.opts.Threads, Seed: s.opts.Seed, Scale: s.opts.Scale})
 		if err != nil {
 			return nil, err
 		}
@@ -74,9 +75,9 @@ func (s *Suite) TableIII() (*stats.Table, error) {
 		if input == "" {
 			input = "synthetic"
 		}
-		fp := fmt.Sprintf("%d KB", inst.AMOFootprintBytes/1024)
-		if inst.AMOFootprintBytes < 1024 {
-			fp = fmt.Sprintf("%d B", inst.AMOFootprintBytes)
+		fp := fmt.Sprintf("%d KB", bytes/1024)
+		if bytes < 1024 {
+			fp = fmt.Sprintf("%d B", bytes)
 		}
 		t.AddRow(spec.Name, spec.Code, spec.Suite, input, spec.Sync, fp)
 	}

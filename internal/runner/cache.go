@@ -37,18 +37,59 @@ type entry struct {
 // DecodeEntry decodes one persisted cache document — the exact bytes of
 // <cacheDir>/<digest>.json, which is also what the sweep service's
 // /v1/jobs/{digest} endpoint serves — back into an outcome plus the
-// wall-clock the original simulation took. The remote client rebuilds
-// local outcomes through it, so a served result and a locally cached one
-// are the same bytes decoded the same way.
+// wall-clock the original simulation took. It does not check which
+// request the document answers; DecodeEntryFor does, and the remote
+// client rebuilds local outcomes through that, so a served result and a
+// locally cached one are the same bytes decoded and checked the same way.
 func DecodeEntry(data []byte) (*Outcome, time.Duration, error) {
+	e, err := decodeEntry(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, elapsed := e.outcome()
+	return out, elapsed, nil
+}
+
+// ErrWrongEntry reports a cache document that answers another request
+// than the one it was read for: another workload or parameters, or the
+// same request under another ConfigSchema. Match with errors.Is.
+var ErrWrongEntry = errors.New("runner: cache entry answers another request")
+
+// DecodeEntryFor decodes a cache document as DecodeEntry does and checks
+// that it answers q: its meta must be exactly q's canonical metadata, the
+// check the persistent store makes on every hit. A runner saves every
+// outcome under its own request's meta, so a document that crosses the
+// wire (a worker's commit, a server's result) must pass this before it is
+// trusted; a mismatch wraps ErrWrongEntry and names both metas.
+func DecodeEntryFor(q Request, data []byte) (*Outcome, time.Duration, error) {
+	e, err := decodeEntry(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if q = q.normalize(); !q.metaMatches(e.Meta) {
+		got, _ := json.Marshal(e.Meta)
+		want, _ := json.Marshal(q.meta())
+		return nil, 0, fmt.Errorf("%w: entry meta %s, request meta %s", ErrWrongEntry, got, want)
+	}
+	out, elapsed := e.outcome()
+	return out, elapsed, nil
+}
+
+// decodeEntry decodes a cache document and checks its schema.
+func decodeEntry(data []byte) (*entry, error) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, 0, fmt.Errorf("runner: decoding cache entry: %w", err)
+		return nil, fmt.Errorf("runner: decoding cache entry: %w", err)
 	}
 	if e.Schema != entrySchema || e.Result == nil {
-		return nil, 0, fmt.Errorf("runner: cache entry schema %d unusable (want %d)", e.Schema, entrySchema)
+		return nil, fmt.Errorf("runner: cache entry schema %d unusable (want %d)", e.Schema, entrySchema)
 	}
-	return &Outcome{Result: e.Result, Hot: e.Hot, Cached: true}, time.Duration(e.ElapsedNS), nil
+	return &e, nil
+}
+
+// outcome is the entry's outcome and the original run's wall-clock.
+func (e *entry) outcome() (*Outcome, time.Duration) {
+	return &Outcome{Result: e.Result, Hot: e.Hot, Cached: true}, time.Duration(e.ElapsedNS)
 }
 
 // EncodeEntry renders the canonical persisted-cache document for a
@@ -97,27 +138,21 @@ var errEvicted = errors.New("runner: cache entry evicted")
 
 // load returns the cached outcome for a normalized request and its
 // digest, os.ErrNotExist on a clean miss, or errEvicted after removing an
-// unusable entry. It decodes inline: every cache hit runs it on a fresh
-// goroutine, whose stack a deeper call chain would make grow once more
-// per job.
+// unusable entry: corrupt, of another schema, or answering another
+// request. It runs on a loader (see Runner.loader), whose stack the decode
+// grows once per burst of hits.
 func (s *store) load(q Request, digest string) (*Outcome, time.Duration, error) {
-	if s == nil {
-		return nil, 0, os.ErrNotExist
-	}
 	path := s.path(digest)
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, os.ErrNotExist
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	e, err := decodeEntry(data)
+	if err != nil || !q.metaMatches(e.Meta) {
 		return nil, 0, s.evict(path)
 	}
-	if e.Schema != entrySchema || e.Result == nil || !q.metaMatches(e.Meta) {
-		return nil, 0, s.evict(path)
-	}
-	return &Outcome{Result: e.Result, Hot: e.Hot, Cached: true},
-		time.Duration(e.ElapsedNS), nil
+	out, elapsed := e.outcome()
+	return out, elapsed, nil
 }
 
 // read returns the raw cache document for digest once it decodes,

@@ -213,6 +213,9 @@ type Runner struct {
 	srvErr error
 	ownTel bool // the runner created tel and closes it
 
+	// maxLoaders bounds the loader goroutines (GOMAXPROCS; see loader).
+	maxLoaders int
+
 	mu     sync.Mutex
 	tasks  map[string]*Task
 	order  []*Task
@@ -221,6 +224,10 @@ type Runner struct {
 	// with its slot and puts it back when it frees the slot, so no two
 	// running jobs share an arena and there are never more than Jobs.
 	arenas []*machine.Arena
+	// pending holds the tasks waiting for a loader, oldest first, and
+	// loaders counts the loaders running.
+	pending []*Task
+	loaders int
 }
 
 // New builds a runner.
@@ -230,11 +237,12 @@ func New(opts Options) *Runner {
 	}
 	opts.Log = SerializeWriter(opts.Log)
 	r := &Runner{
-		opts:  opts,
-		store: newStore(opts.CacheDir, opts.FS),
-		sem:   make(chan struct{}, opts.Jobs),
-		tel:   opts.Telemetry,
-		tasks: make(map[string]*Task),
+		opts:       opts,
+		store:      newStore(opts.CacheDir, opts.FS),
+		sem:        make(chan struct{}, opts.Jobs),
+		tel:        opts.Telemetry,
+		maxLoaders: runtime.GOMAXPROCS(0),
+		tasks:      make(map[string]*Task),
 	}
 	if opts.ServeAddr != "" && r.tel == nil {
 		r.tel = telemetry.NewSweep(telemetry.SweepOptions{})
@@ -291,7 +299,9 @@ func (r *Runner) Close() error {
 
 // Submit enqueues a request and returns its task, coalescing duplicates:
 // submitting a request whose digest is already known returns the existing
-// task (a memory hit) without spawning work.
+// task (a memory hit) without spawning work. With a cache directory a new
+// task queues for a loader (see loader); without one it starts simulating
+// on its own goroutine.
 func (r *Runner) Submit(req Request) *Task {
 	req = req.normalize()
 	digest := req.Digest()
@@ -309,11 +319,70 @@ func (r *Runner) Submit(req Request) *Task {
 	}
 	r.tasks[digest] = t
 	r.order = append(r.order, t)
-	r.mu.Unlock()
 	r.counts.Submitted.Add(1)
 	r.counts.Queued.Add(1)
-	go r.run(t)
+	newLoader := false
+	if r.store != nil {
+		r.pending = append(r.pending, t)
+		if newLoader = r.loaders < r.maxLoaders; newLoader {
+			r.loaders++
+		}
+	}
+	r.mu.Unlock()
+	switch {
+	case r.store == nil:
+		go r.execute(t)
+	case newLoader:
+		go r.loader()
+	}
 	return t
+}
+
+// loader answers queued tasks from the persistent store, oldest first,
+// and exits once the queue is empty, so none outlives its work. A hit
+// finishes on the loader; a miss, or an entry evicted as unusable, goes
+// on to its own goroutine to simulate. The store is probed outside the
+// worker pool: hits are cheap JSON reads and must not queue behind
+// running simulations. Loaders start on demand, at most maxLoaders at
+// once, so a burst of hits grows each loader's stack once rather than a
+// fresh goroutine's per hit, and a rerun on a cold page cache keeps at
+// most that many reads in flight.
+func (r *Runner) loader() {
+	for {
+		r.mu.Lock()
+		if len(r.pending) == 0 {
+			r.loaders--
+			r.mu.Unlock()
+			return
+		}
+		t := r.pending[0]
+		r.pending = r.pending[1:]
+		r.mu.Unlock()
+		if !r.answer(t) {
+			go r.execute(t)
+		}
+	}
+}
+
+// answer finishes t from the persistent store and reports whether it
+// did. An unusable entry is evicted and counted, and t left to simulate.
+func (r *Runner) answer(t *Task) bool {
+	out, elapsed, err := r.store.load(t.req, t.digest)
+	if err != nil {
+		if errors.Is(err, errEvicted) {
+			r.counts.Evictions.Add(1)
+		}
+		return false
+	}
+	r.counts.Queued.Add(-1)
+	r.counts.DiskHits.Add(1)
+	r.counts.SavedNanos.Add(int64(elapsed))
+	t.out = out
+	t.elapsed = elapsed
+	t.jt.Done(telemetry.OutcomeCached, 0, nil)
+	r.logf(t, "cached %s (saved %s)", t.req, elapsed.Round(time.Millisecond))
+	close(t.done)
+	return true
 }
 
 // replayable reports whether a memoized task's answer is no answer at
@@ -428,25 +497,11 @@ func interruptedNow(intr <-chan struct{}) bool {
 	}
 }
 
-func (r *Runner) run(t *Task) {
+// execute runs a task the persistent store could not answer: it probes
+// the job's checkpoint, claims any quarantine marker, waits for a pool
+// slot, simulates (with retries) and saves the result.
+func (r *Runner) execute(t *Task) {
 	defer close(t.done)
-
-	// The persistent store is probed outside the worker pool: hits are
-	// cheap JSON reads and must not queue behind running simulations.
-	out, elapsed, err := r.store.load(t.req, t.digest)
-	switch {
-	case err == nil:
-		r.counts.Queued.Add(-1)
-		r.counts.DiskHits.Add(1)
-		r.counts.SavedNanos.Add(int64(elapsed))
-		t.out = out
-		t.elapsed = elapsed
-		t.jt.Done(telemetry.OutcomeCached, 0, nil)
-		r.logf(t, "cached %s (saved %s)", t.req, elapsed.Round(time.Millisecond))
-		return
-	case errors.Is(err, errEvicted):
-		r.counts.Evictions.Add(1)
-	}
 
 	x := ExecOptions{Interrupt: r.opts.Interrupt}
 	if r.store != nil {
@@ -491,6 +546,7 @@ func (r *Runner) run(t *Task) {
 	x.Arena = r.takeArena()
 	t.jt.Begin()
 	start := time.Now()
+	var out *Outcome
 	var runErr error
 	attempts := 0
 	for {
@@ -510,7 +566,7 @@ func (r *Runner) run(t *Task) {
 			break
 		}
 	}
-	elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	r.putArena(x.Arena)
 	<-r.sem
 	r.counts.Running.Add(-1)

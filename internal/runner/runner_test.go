@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dynamo/internal/machine"
 )
@@ -339,4 +344,112 @@ func TestEntryBytesHealsLostCacheFile(t *testing.T) {
 	if _, err := r.EntryBytes("nope"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("unknown digest err = %v, want os.ErrNotExist", err)
 	}
+}
+
+// TestLoadersUnderConcurrency: several goroutines submit interleaved
+// disk hits, misses, duplicates and one corrupt entry to a runner with
+// Jobs: 2 over a pre-filled cache directory. Every task gets its
+// request's outcome (hits from the store, the rest simulated), the
+// counters add up, and once Wait returns the loaders and job goroutines
+// all exit: the goroutine count falls back to where it started.
+func TestLoadersUnderConcurrency(t *testing.T) {
+	settle := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want at most %d", what, runtime.NumGoroutine(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	start := runtime.NumGoroutine()
+	req := func(seed int64) Request {
+		return Request{Counter: &CounterSpec{Ops: 20, Cells: 1}, Threads: 2, Seed: seed}
+	}
+	var hits, misses []Request
+	for i := int64(0); i < 12; i++ {
+		hits = append(hits, req(1+i))
+	}
+	for i := int64(0); i < 6; i++ {
+		misses = append(misses, req(101+i))
+	}
+	corrupt := req(201)
+
+	// Reference outcomes, and a cache holding the hits and the entry
+	// about to be corrupted.
+	want := map[string]uint64{}
+	ref := New(Options{Jobs: 2})
+	for _, q := range append(append([]Request{corrupt}, hits...), misses...) {
+		out, err := ref.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q.Digest()] = uint64(out.Result.Cycles)
+	}
+	dir := t.TempDir()
+	fill := New(Options{Jobs: 2, CacheDir: dir})
+	for _, q := range append([]Request{corrupt}, hits...) {
+		fill.Submit(q)
+	}
+	if err := fill.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, corrupt.Digest()+".json"), []byte("{garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	settle(start, "after the fill")
+
+	r := New(Options{Jobs: 2, CacheDir: dir})
+	const submitters = 4
+	var mixed []Request
+	for i := range hits {
+		mixed = append(mixed, hits[i], misses[i%len(misses)])
+		if i%4 == 0 {
+			mixed = append(mixed, corrupt)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters*len(mixed))
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each submitter starts at its own offset, so every request
+			// arrives several times in a different order.
+			tasks := make([]*Task, len(mixed))
+			for i := range mixed {
+				tasks[i] = r.Submit(mixed[(i+g*5)%len(mixed)])
+			}
+			for i, task := range tasks {
+				q := mixed[(i+g*5)%len(mixed)]
+				out, err := task.Wait()
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("%s: %v", q, err)
+				case uint64(out.Result.Cycles) != want[q.Digest()]:
+					errs <- fmt.Errorf("%s: %d cycles, want %d", q, out.Result.Cycles, want[q.Digest()])
+				case out.Cached != slices.ContainsFunc(hits, func(h Request) bool { return h.Digest() == q.Digest() }):
+					errs <- fmt.Errorf("%s: Cached = %v", q, out.Cached)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	distinct := uint64(len(hits) + len(misses) + 1)
+	st := r.Stats()
+	if st.Requests != submitters*uint64(len(mixed)) || st.Submitted != distinct ||
+		st.Hits != st.Requests-distinct || st.DiskHits != uint64(len(hits)) ||
+		st.Misses != uint64(len(misses))+1 || st.Evictions != 1 || st.Errors != 0 {
+		t.Errorf("stats = %+v, want %d requests of %d jobs: %d disk hits, %d simulated, 1 eviction",
+			st, submitters*len(mixed), distinct, len(hits), len(misses)+1)
+	}
+	settle(start, "after Wait")
 }

@@ -445,7 +445,13 @@ func (c *Client) executeOnce(ctx context.Context, q runner.Request) (*runner.Out
 			// to a crash or storage fault. A resubmission re-runs it.
 			return nil, errors.Is(err, ErrNotFound), err
 		}
-		out, _, derr := runner.DecodeEntry(data)
+		out, _, derr := runner.DecodeEntryFor(q, data)
+		if errors.Is(derr, runner.ErrWrongEntry) {
+			// The server answered another request (it runs at another
+			// ConfigSchema, or the document was misnamed): a resubmission
+			// would fetch the same answer.
+			return nil, false, fmt.Errorf("service: remote job %s: %w", j.Digest, derr)
+		}
 		if derr != nil {
 			return nil, true, derr
 		}

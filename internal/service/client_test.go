@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,5 +130,56 @@ func TestWaitContextCancelled(t *testing.T) {
 	defer cancel()
 	if _, err := c.WaitContext(ctx, st.ID); !errors.Is(err, ErrWaitTimeout) {
 		t.Errorf("cancelled WaitContext err = %v, want ErrWaitTimeout", err)
+	}
+}
+
+// TestExecuteRefusesAnotherRequestsEntry: a served result that answers
+// another request — the job under another ConfigSchema, as a server built
+// at another schema serves it, or a misnamed <digest>.json holding another
+// workload's entry — fails the job with an error naming both metas, and
+// Execute does not resubmit: a resubmission would fetch the same answer.
+func TestExecuteRefusesAnotherRequestsEntry(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, c := startService(t, Options{CacheDir: dir, Jobs: 1})
+	q := counterReq(451)
+	out, err := c.Execute(q, runner.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, q.Digest()+".json")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := runner.EncodeEntry(runner.Request{Workload: "tc", Threads: 2, Scale: 0.05}, out, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name  string
+		entry []byte
+		// served and asked are a meta field as the served entry and the
+		// request have it.
+		served, asked string
+	}{
+		{"schema 2", withMeta(t, good, "schema", "2"), `"schema":"2"`, `"schema":"1"`},
+		{"another workload", other, `"workload":"tc"`, `"counter-ops":"20"`},
+	} {
+		// The server's runner still remembers the finished job, so it
+		// answers from memory and serves whatever the file now holds.
+		if err := os.WriteFile(path, bad.entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := svc.r.Stats().Requests
+		_, err := c.Execute(q, runner.ExecOptions{})
+		if !errors.Is(err, runner.ErrWrongEntry) {
+			t.Fatalf("%s: execute err = %v, want ErrWrongEntry", bad.name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, bad.served) || !strings.Contains(msg, bad.asked) {
+			t.Errorf("%s: error %q does not name both metas (%s, %s)", bad.name, msg, bad.served, bad.asked)
+		}
+		if n := svc.r.Stats().Requests - before; n != 1 {
+			t.Errorf("%s: Execute submitted %d times, want 1 (no resubmission)", bad.name, n)
+		}
 	}
 }

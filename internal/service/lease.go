@@ -491,10 +491,12 @@ func (t *leaseTable) Commit(_ context.Context, digest, worker string, fence uint
 		t.logf("job %s failed on %s: %s", short(digest), worker, errMsg)
 		return &CommitReply{Schema: runner.WireSchema, Committed: true}, nil
 	}
-	out, _, derr := runner.DecodeEntry(entry)
+	out, _, derr := runner.DecodeEntryFor(it.req, entry)
 	if derr != nil {
-		// A malformed entry is the caller's bug, not a fencing event: the
-		// lease stays live so a corrected commit can still land.
+		// A malformed entry, or one answering another request (a worker
+		// built at another ConfigSchema), is the caller's bug, not a
+		// fencing event: the lease stays live, so a corrected commit can
+		// still land, or the job requeues on expiry for another worker.
 		return nil, &runner.FieldError{
 			Field: "entry",
 			Err:   fmt.Errorf("%w: %v", runner.ErrBadField, derr),

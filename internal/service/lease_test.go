@@ -499,3 +499,88 @@ func TestSettledItemsDropPayload(t *testing.T) {
 		}
 	}
 }
+
+// withMeta returns entry with its meta's key set to value: the document a
+// build that disagrees on that key would write for the same job.
+func withMeta(t *testing.T, entry []byte, key, value string) []byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(entry, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]string
+	if err := json.Unmarshal(doc["meta"], &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta[key] = value
+	raw, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc["meta"] = raw
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// TestCommitRefusesAnotherRequestsEntry: a commit whose entry answers
+// another request — the job under another ConfigSchema, as a worker built
+// at another schema would write it, or another workload's result — is
+// refused like a malformed entry (400, ErrBadField) and fences nothing.
+// The lease stays live, then expires, and the job requeues for a worker
+// whose entry answers it.
+func TestCommitRefusesAnotherRequestsEntry(t *testing.T) {
+	ctx := context.Background()
+	svc, _, c := startService(t, Options{
+		CacheDir: t.TempDir(), Jobs: 1, Workers: true, LeaseTTL: 200 * time.Millisecond,
+	})
+	st, err := c.Submit(counterReq(361))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := leaseFor(t, c, "skewed", 0)
+	out, err := runner.ExecuteLocal(g.Request, runner.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := runner.EncodeEntry(g.Request, out, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := runner.EncodeEntry(runner.Request{Workload: "tc", Threads: 2, Scale: 0.05}, out, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name  string
+		entry []byte
+	}{
+		{"schema 2", withMeta(t, good, "schema", "2")},
+		{"another workload", other},
+	} {
+		if _, err := c.Commit(ctx, g.Digest, "skewed", g.Fence, bad.entry, "", ""); !errors.Is(err, runner.ErrBadField) {
+			t.Errorf("%s: commit err = %v, want ErrBadField", bad.name, err)
+		}
+		if _, err := c.Heartbeat(ctx, g.Digest, "skewed", g.Fence, nil, false); err != nil {
+			t.Errorf("%s: heartbeat after the refused commit: %v (the lease should stay live)", bad.name, err)
+		}
+	}
+	if n := svc.lt.counts.CommitFenced.Load() + svc.lt.counts.CommitOK.Load(); n != 0 {
+		t.Errorf("refused commits counted %d fenced or committed, want 0", n)
+	}
+
+	// The skewed worker stops beating; its lease expires and the job goes
+	// to the next worker under a larger fence.
+	g2 := leaseFor(t, c, "matched", 0)
+	if g2.Digest != g.Digest || g2.Fence <= g.Fence {
+		t.Fatalf("re-grant = %+v after %+v", g2, g)
+	}
+	if cr, err := c.Commit(ctx, g2.Digest, "matched", g2.Fence, good, "", ""); err != nil || !cr.Committed {
+		t.Fatalf("matching commit = %+v, %v", cr, err)
+	}
+	if st, err = c.Wait(st.ID); err != nil || st.Jobs[0].State != JobDone {
+		t.Fatalf("sweep after the matching commit = %+v, %v", st, err)
+	}
+}

@@ -23,6 +23,51 @@ type simGraph struct {
 	weights memory.Addr
 }
 
+// graphInput is a workload's input graph before generation: a w×h road
+// grid (graph.Grid), or, when kron is set, a Kronecker graph of 2^kron
+// nodes (graph.Kronecker). Builders generate it; footprints need only its
+// node count.
+type graphInput struct {
+	w, h, kron, edgeFactor int
+	seed                   int64
+}
+
+func grid(w, h int, seed int64) graphInput { return graphInput{w: w, h: h, seed: seed} }
+
+func kronecker(scale, edgeFactor int, seed int64) graphInput {
+	return graphInput{kron: scale, edgeFactor: edgeFactor, seed: seed}
+}
+
+// nodes is the generated graph's node count.
+func (in graphInput) nodes() int {
+	if in.kron > 0 {
+		return 1 << in.kron
+	}
+	return in.w * in.h
+}
+
+func (in graphInput) generate() *graph.Graph {
+	if in.kron > 0 {
+		return graph.Kronecker(in.kron, in.edgeFactor, in.seed)
+	}
+	return graph.Grid(in.w, in.h, in.seed)
+}
+
+// perNode is the footprint of a graph workload whose AMO-updated arrays
+// hold bytes per node of its input graph.
+func perNode(input func(Params) graphInput, bytes int64) func(Params) int64 {
+	return func(p Params) int64 { return int64(input(p).nodes()) * bytes }
+}
+
+// The Galois workloads' input graphs.
+func bfsGraph(p Params) graphInput      { return grid(p.scaled(44), 30, p.Seed) }
+func ssspGraph(p Params) graphInput     { return grid(p.scaled(40), 30, p.Seed+1) }
+func sptGraph(p Params) graphInput      { return kronecker(10, p.scaled(5), p.Seed+2) }
+func ccGraph(p Params) graphInput       { return kronecker(10, p.scaled(4), p.Seed+3) }
+func pagerankGraph(p Params) graphInput { return kronecker(9, p.scaled(6), p.Seed+4) }
+func kcoreGraph(p Params) graphInput    { return kronecker(10, p.scaled(4), p.Seed+5) }
+func gmetisGraph(p Params) graphInput   { return grid(p.scaled(42), 42, p.Seed+6) }
+
 func layoutGraph(a *Alloc, g *graph.Graph) *simGraph {
 	sg := &simGraph{g: g}
 	sg.offsets = a.NamedWords("csr-offsets", g.N+1)
@@ -62,7 +107,7 @@ func (sg *simGraph) weightAt(t *cpu.Thread, i int) uint64 {
 // distance relaxation uses ldmin (a value-returning atomic min) and
 // frontier appends use ldadd, on a road-network-like graph.
 func buildBFS(p Params) (*Instance, error) {
-	g := graph.Grid(p.scaled(44), 30, p.Seed)
+	g := bfsGraph(p).generate()
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
 	dist := alloc.NamedWords("dist", g.N)
@@ -273,7 +318,7 @@ func buildSPFA(p Params, g *graph.Graph, wt func(u, e int) uint64,
 // stmin (no-return atomic min) relaxations guarded by a read of the target
 // distance, on a weighted road-network graph.
 func buildSSSP(p Params) (*Instance, error) {
-	g := graph.Grid(p.scaled(40), 30, p.Seed+1)
+	g := ssspGraph(p).generate()
 	wt := func(u, e int) uint64 { return uint64(g.Weights[e]) }
 	return buildSPFA(p, g, wt, false, 30, "sssp")
 }
@@ -282,7 +327,7 @@ func buildSSSP(p Params) (*Instance, error) {
 // CAS-retry relaxations (read the distance, CAS if improved — the
 // read-reuse pattern of Fig. 3b), on a weighted power-law graph.
 func buildSPT(p Params) (*Instance, error) {
-	g := graph.Kronecker(10, p.scaled(5), p.Seed+2)
+	g := sptGraph(p).generate()
 	// Deterministic per-edge weights derived from endpoints (the Kronecker
 	// generator is unweighted).
 	wt := func(u, e int) uint64 {
@@ -294,7 +339,7 @@ func buildSPT(p Params) (*Instance, error) {
 // buildCC is the Galois connected-components analog: frontier-driven
 // min-label propagation with ldmin relaxations.
 func buildCC(p Params) (*Instance, error) {
-	g := graph.Kronecker(10, p.scaled(4), p.Seed+3)
+	g := ccGraph(p).generate()
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
 	label := alloc.NamedWords("label", g.N)
@@ -368,7 +413,7 @@ func buildCC(p Params) (*Instance, error) {
 // whose accumulations use CAS-retry loops (Galois uses cas for its
 // floating-point accumulates).
 func buildPageRank(p Params) (*Instance, error) {
-	g := graph.Kronecker(9, p.scaled(6), p.Seed+4)
+	g := pagerankGraph(p).generate()
 	const iters = 2
 	const unit = uint64(1 << 20)
 	alloc := NewAlloc()
@@ -446,7 +491,7 @@ func buildPageRank(p Params) (*Instance, error) {
 // decremented lines in shared state — the pattern where Present Near keeps
 // performing but Unique Near falls behind.
 func buildKCore(p Params) (*Instance, error) {
-	g := graph.Kronecker(10, p.scaled(4), p.Seed+5)
+	g := kcoreGraph(p).generate()
 	const k = 4
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
@@ -511,6 +556,10 @@ func buildKCore(p Params) (*Instance, error) {
 	return inst, nil
 }
 
+// gmetisPhases is how many coarsening phases GMETIS runs, each over its
+// own match array.
+const gmetisPhases = 2
+
 // buildGMetis is the GMETIS analog: the coarsening phase's randomized
 // matching, where threads claim neighbor nodes with CAS on a match array
 // they revisit rarely — the migratory, low-reuse pattern where far AMOs
@@ -518,12 +567,11 @@ func buildKCore(p Params) (*Instance, error) {
 // (the Galois do_all loop counter), with a spinlock protecting the phase
 // statistics.
 func buildGMetis(p Params) (*Instance, error) {
-	g := graph.Grid(p.scaled(42), 42, p.Seed+6)
-	const phases = 2
+	g := gmetisGraph(p).generate()
 	const chunkSize = 16
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
-	match := [phases]memory.Addr{alloc.NamedLines("match-a", g.N), alloc.NamedLines("match-b", g.N)}
+	match := [gmetisPhases]memory.Addr{alloc.NamedLines("match-a", g.N), alloc.NamedLines("match-b", g.N)}
 	// Real GMETIS runs over a renumbered multi-megabyte match array where
 	// two nodes' match words essentially never share a cache line; one
 	// padded slot per node plus a seeded permutation reproduces that
@@ -536,14 +584,14 @@ func buildGMetis(p Params) (*Instance, error) {
 	statsLock := NewNamedSpinLock(alloc, "stats-lock")
 	statsCell := alloc.NamedLines("stats-cell", 1)
 	bar := NewBarrier(alloc, p.Threads)
-	inst := &Instance{AMOFootprintBytes: int64(g.N) * memory.LineSize * phases, Sites: alloc.Sites()}
+	inst := &Instance{AMOFootprintBytes: int64(g.N) * memory.LineSize * gmetisPhases, Sites: alloc.Sites()}
 	inst.Setup = func(data *memory.Store) { sg.setup(data) }
 	for i := 0; i < p.Threads; i++ {
 		tid := i
 		inst.Programs = append(inst.Programs, func(t *cpu.Thread) {
 			rng := rand.New(rand.NewSource(p.Seed ^ int64(tid+1)*0x4f6cdd1d))
 			sense := uint64(0)
-			for ph := 0; ph < phases; ph++ {
+			for ph := 0; ph < gmetisPhases; ph++ {
 				matched := uint64(0)
 				for {
 					// Grab a chunk of nodes with a fetch-add on the shared
@@ -601,7 +649,7 @@ func buildGMetis(p Params) (*Instance, error) {
 		})
 	}
 	inst.Validate = func(data *memory.Store) error {
-		for ph := 0; ph < phases; ph++ {
+		for ph := 0; ph < gmetisPhases; ph++ {
 			pairs := 0
 			for u := 0; u < g.N; u++ {
 				mu := data.Load(slot(ph, u))
@@ -628,11 +676,13 @@ func buildGMetis(p Params) (*Instance, error) {
 	return inst, nil
 }
 
+// clusters is Cluster's cluster count; each has a sum and a count line.
+const clusters = 256
+
 // buildCluster is the Cluster analog: a streaming pass assigning elements
 // to clusters and accumulating per-cluster statistics with stadd.
 func buildCluster(p Params) (*Instance, error) {
 	n := p.scaled(6000)
-	const clusters = 256
 	alloc := NewAlloc()
 	features := alloc.NamedWords("features", n)
 	sums := alloc.NamedLines("cluster-sums", clusters)     // padded: one accumulator line each
@@ -686,23 +736,20 @@ func registerGalois() {
 		name, code, sync string
 		class            Class
 		build            func(Params) (*Instance, error)
+		footprint        func(Params) int64
 	}{
-		{"bfs", "BFS", "Spinlock, ldmin", Medium, buildBFS},
-		{"cc", "CC", "Spinlock, ldmin", Medium, buildCC},
-		{"cluster", "CLU", "Spinlock, stadd", Medium, buildCluster},
-		{"gmetis", "GME", "Spinlock, cas", High, buildGMetis},
-		{"kcore", "KCOR", "Spinlock, ldadd", Medium, buildKCore},
-		{"pagerank", "PR", "Spinlock, cas", Medium, buildPageRank},
-		{"spt", "SPT", "Spinlock, cas", High, buildSPT},
-		{"sssp", "SSSP", "Spinlock, stmin", High, buildSSSP},
+		{"bfs", "BFS", "Spinlock, ldmin", Medium, buildBFS, perNode(bfsGraph, 8)},
+		{"cc", "CC", "Spinlock, ldmin", Medium, buildCC, perNode(ccGraph, 8)},
+		{"cluster", "CLU", "Spinlock, stadd", Medium, buildCluster, fixed(clusters * 2 * memory.LineSize)},
+		{"gmetis", "GME", "Spinlock, cas", High, buildGMetis, perNode(gmetisGraph, gmetisPhases*memory.LineSize)},
+		{"kcore", "KCOR", "Spinlock, ldadd", Medium, buildKCore, perNode(kcoreGraph, 16)},
+		{"pagerank", "PR", "Spinlock, cas", Medium, buildPageRank, perNode(pagerankGraph, 16)},
+		{"spt", "SPT", "Spinlock, cas", High, buildSPT, perNode(sptGraph, 16)},
+		{"sssp", "SSSP", "Spinlock, stmin", High, buildSSSP, perNode(ssspGraph, 16)},
 	}
 	for _, s := range specs {
-		spec := &Spec{Name: s.name, Code: s.code, Suite: "Galois", Sync: s.sync, Class: s.class}
-		build := s.build
-		spec.Build = func(p Params) (*Instance, error) {
-			return buildChecked(spec, p, build)
-		}
-		register(spec)
+		register(&Spec{Name: s.name, Code: s.code, Suite: "Galois", Sync: s.sync, Class: s.class,
+			build: s.build, footprint: s.footprint})
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 	"dynamo/internal/memory"
 )
 
+// bcGraph is BC's input graph.
+func bcGraph(p Params) graphInput { return kronecker(10, p.scaled(4), p.Seed+8) }
+
 // buildBC is the GAP betweenness-centrality analog: a forward BFS pass
 // followed by a dependency-accumulation pass whose shared updates are
 // OpenMP-style atomic adds. AMO density is low — most work is traversal.
 func buildBC(p Params) (*Instance, error) {
-	g := graph.Kronecker(10, p.scaled(4), p.Seed+8)
+	g := bcGraph(p).generate()
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
 	dist := alloc.NamedWords("dist", g.N)
@@ -138,7 +141,7 @@ func buildBC(p Params) (*Instance, error) {
 // intersection with per-thread counters flushed to a global total — the
 // OpenMP-reduction pattern with almost no AMOs (Table III: 10 KB).
 func buildTC(p Params) (*Instance, error) {
-	g := graph.Kronecker(8, p.scaled(6), p.Seed+9)
+	g := kronecker(8, p.scaled(6), p.Seed+9).generate()
 	alloc := NewAlloc()
 	sg := layoutGraph(alloc, g)
 	total := alloc.NamedLines("total", 1)
@@ -194,10 +197,8 @@ func buildTC(p Params) (*Instance, error) {
 }
 
 func init() {
-	bc := &Spec{Name: "bc", Code: "BC", Suite: "GAP", Sync: "OpenMP", Class: Low}
-	bc.Build = func(p Params) (*Instance, error) { return buildChecked(bc, p, buildBC) }
-	register(bc)
-	tc := &Spec{Name: "tc", Code: "TC", Suite: "GAP", Sync: "OpenMP", Class: Low}
-	tc.Build = func(p Params) (*Instance, error) { return buildChecked(tc, p, buildTC) }
-	register(tc)
+	register(&Spec{Name: "bc", Code: "BC", Suite: "GAP", Sync: "OpenMP", Class: Low,
+		build: buildBC, footprint: perNode(bcGraph, 16)})
+	register(&Spec{Name: "tc", Code: "TC", Suite: "GAP", Sync: "OpenMP", Class: Low,
+		build: buildTC, footprint: fixed(memory.LineSize)})
 }

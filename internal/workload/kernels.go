@@ -10,12 +10,16 @@ import (
 	"dynamo/internal/memory"
 )
 
+// fluidCells is Fluidanimate's grid cell count at scale 1; each cell has
+// a mutex line and an accumulator line.
+const fluidCells = 192
+
 // buildFluidanimate is the PARSEC Fluidanimate analog: particles update
 // their grid cell's accumulators under fine-grained per-cell mutexes, with
 // occasional two-cell interactions taken in lock order. Cell locks are
 // revisited by the same thread — the reuse pattern of Fig. 3(b).
 func buildFluidanimate(p Params) (*Instance, error) {
-	cells := p.scaled(192)
+	cells := p.scaled(fluidCells)
 	particles := p.scaled(2600)
 	const iters = 2
 	alloc := NewAlloc()
@@ -110,9 +114,6 @@ var histInputs = map[string]struct {
 // pixel words and scatter stadd increments into the bucket array.
 func buildHistogram(p Params) (*Instance, error) {
 	input := p.Input
-	if input == "" {
-		input = "IMG"
-	}
 	shape := histInputs[input]
 	pixels := p.scaled(shape.pixels)
 	const pxPerWord = 4
@@ -189,13 +190,19 @@ func buildHistogram(p Params) (*Instance, error) {
 	return inst, nil
 }
 
+// Radix Sort sorts radixKeys keys at scale 1, each one of radix digit
+// values.
+const (
+	radixKeys = 12_000
+	radix     = 256
+)
+
 // buildRadixSort is the parallel radix sort analog: a count phase of stadd
 // scatters into a packed shared count array, a prefix-sum phase, and a
 // scatter phase that claims output slots with ldadd — separated by POSIX
 // barriers (Table III: "POSIX barrier, stadd").
 func buildRadixSort(p Params) (*Instance, error) {
-	n := p.scaled(12_000)
-	const radix = 256
+	n := p.scaled(radixKeys)
 	alloc := NewAlloc()
 	src := alloc.NamedWords("src", n)
 	dst := alloc.NamedWords("dst", n)
@@ -288,9 +295,6 @@ var spmvInputs = map[string]struct {
 // format: y[row] += val * x[col] via stadd scatters.
 func buildSPMV(p Params) (*Instance, error) {
 	input := p.Input
-	if input == "" {
-		input = "JP"
-	}
 	shape := spmvInputs[input]
 	cols := p.scaled(shape.cols)
 	nnz := cols * shape.nnzPerCol
@@ -384,21 +388,18 @@ func buildSPMV(p Params) (*Instance, error) {
 }
 
 func init() {
-	flu := &Spec{Name: "fluidanimate", Code: "FLU", Suite: "PARSEC", Sync: "POSIX mutex, cas", Class: Medium}
-	flu.Build = func(p Params) (*Instance, error) { return buildChecked(flu, p, buildFluidanimate) }
-	register(flu)
-
-	hist := &Spec{Name: "histogram", Code: "HIST", Suite: "Kernel", Sync: "stadd", Class: High,
-		Inputs: []string{"IMG", "NASA", "BMP24"}}
-	hist.Build = func(p Params) (*Instance, error) { return buildChecked(hist, p, buildHistogram) }
-	register(hist)
-
-	rsor := &Spec{Name: "radixsort", Code: "RSOR", Suite: "Kernel", Sync: "POSIX barrier, stadd", Class: High}
-	rsor.Build = func(p Params) (*Instance, error) { return buildChecked(rsor, p, buildRadixSort) }
-	register(rsor)
-
-	spmv := &Spec{Name: "spmv", Code: "SPMV", Suite: "Kernel", Sync: "stadd", Class: High,
-		Inputs: []string{"JP", "rma10"}}
-	spmv.Build = func(p Params) (*Instance, error) { return buildChecked(spmv, p, buildSPMV) }
-	register(spmv)
+	register(&Spec{Name: "fluidanimate", Code: "FLU", Suite: "PARSEC", Sync: "POSIX mutex, cas", Class: Medium,
+		build:     buildFluidanimate,
+		footprint: func(p Params) int64 { return int64(p.scaled(fluidCells)) * 2 * memory.LineSize }})
+	register(&Spec{Name: "histogram", Code: "HIST", Suite: "Kernel", Sync: "stadd", Class: High,
+		Inputs:    []string{"IMG", "NASA", "BMP24"},
+		build:     buildHistogram,
+		footprint: func(p Params) int64 { return int64(histInputs[p.Input].buckets) * 8 }})
+	register(&Spec{Name: "radixsort", Code: "RSOR", Suite: "Kernel", Sync: "POSIX barrier, stadd", Class: High,
+		build:     buildRadixSort,
+		footprint: func(p Params) int64 { return radix*16 + int64(p.scaled(radixKeys))*8 }})
+	register(&Spec{Name: "spmv", Code: "SPMV", Suite: "Kernel", Sync: "stadd", Class: High,
+		Inputs:    []string{"JP", "rma10"},
+		build:     buildSPMV,
+		footprint: func(p Params) int64 { return int64(spmvInputs[p.Input].rows) * 8 }})
 }

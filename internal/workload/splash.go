@@ -24,6 +24,12 @@ type splashShape struct {
 	casAccums      int     // extra direct-CAS accumulators (Water)
 }
 
+// at is the shape at p's scale: the lock count scales, nothing else does.
+func (s splashShape) at(p Params) splashShape {
+	s.locks = p.scaled(s.locks)
+	return s
+}
+
 // buildSplash creates an instance from a shape. Validation counts every
 // mutex-protected increment and every CAS-retry increment: a lost update
 // or broken mutual exclusion fails the run.
@@ -114,17 +120,21 @@ func buildSplash(shape splashShape, p Params) (*Instance, error) {
 	return inst, nil
 }
 
+// radiosityResults is Radiosity's per-task result cell count at scale 1
+// (a 163 KB-class footprint).
+const radiosityResults = 2600
+
 // buildRadiosity models Radiosity's defining structure (Section VI-B): a
 // shared task queue behind a single highly contended mutex, read before
 // acquisition, with moderate per-task work — the ping-pong pattern where
 // far AMOs win.
 func buildRadiosity(p Params) (*Instance, error) {
+	nResults := p.scaled(radiosityResults)
 	alloc := NewAlloc()
 	queueLock := NewNamedMutex(alloc, "queue-lock")
-	head := alloc.NamedLines("queue-head", 1)              // queue head index
-	processed := alloc.NamedLines("processed", 1)          // completed-task count
-	results := alloc.NamedLines("results", p.scaled(2600)) // per-task result cells (163 KB-class footprint)
-	nResults := p.scaled(2600)
+	head := alloc.NamedLines("queue-head", 1)        // queue head index
+	processed := alloc.NamedLines("processed", 1)    // completed-task count
+	results := alloc.NamedLines("results", nResults) // per-task result cells
 	totalTasks := p.Threads * p.scaled(40)
 	inst := &Instance{
 		AMOFootprintBytes: int64(nResults)*memory.LineSize + 2*memory.LineSize,
@@ -169,21 +179,18 @@ func buildRadiosity(p Params) (*Instance, error) {
 }
 
 func registerSplash(name, code string, class Class, sync string, shape splashShape) {
-	spec := &Spec{
+	register(&Spec{
 		Name:  name,
 		Code:  code,
 		Suite: "Splash-3",
 		Sync:  sync,
 		Class: class,
-	}
-	spec.Build = func(p Params) (*Instance, error) {
-		return buildChecked(spec, p, func(p Params) (*Instance, error) {
-			s := shape
-			s.locks = p.scaled(shape.locks)
-			return buildSplash(s, p)
-		})
-	}
-	register(spec)
+		build: func(p Params) (*Instance, error) { return buildSplash(shape.at(p), p) },
+		footprint: func(p Params) int64 {
+			s := shape.at(p)
+			return int64(s.locks)*memory.LineSize + int64(s.casAccums)*8
+		},
+	})
 }
 
 func init() {
@@ -211,15 +218,15 @@ func init() {
 		locks: 256, iters: 55, compute: 1700, privateWords: 512,
 		privateTouches: 10, critWords: 1, hotFrac: 0.05, casAccums: 768,
 	})
-	radiosity := &Spec{
+	register(&Spec{
 		Name:  "radiosity",
 		Code:  "RAD",
 		Suite: "Splash-3",
 		Sync:  "POSIX mutex",
 		Class: Medium,
-	}
-	radiosity.Build = func(p Params) (*Instance, error) {
-		return buildChecked(radiosity, p, buildRadiosity)
-	}
-	register(radiosity)
+		build: buildRadiosity,
+		footprint: func(p Params) int64 {
+			return int64(p.scaled(radiosityResults))*memory.LineSize + 2*memory.LineSize
+		},
+	})
 }

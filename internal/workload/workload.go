@@ -16,6 +16,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynamo/internal/cpu"
@@ -120,8 +121,46 @@ type Spec struct {
 	Class Class
 	// Inputs lists accepted Input values; the first is the default.
 	Inputs []string
-	// Build constructs the instance.
-	Build func(Params) (*Instance, error)
+	// build constructs the instance from checked params.
+	build func(Params) (*Instance, error)
+	// footprint is the AMOFootprintBytes build reports for checked
+	// params, computed from the sizes build allocates by (lock and cell
+	// counts, graph dimensions, input shapes) without building anything.
+	footprint func(Params) int64
+}
+
+// Build validates p and constructs the instance.
+func (s *Spec) Build(p Params) (*Instance, error) {
+	p, err := s.check(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.build(p)
+}
+
+// AMOFootprint returns the AMO footprint, in bytes, of the instance
+// Build(p) returns (Table III's column), without generating any input or
+// program. It rejects the params Build rejects.
+func (s *Spec) AMOFootprint(p Params) (int64, error) {
+	p, err := s.check(p)
+	if err != nil {
+		return 0, err
+	}
+	return s.footprint(p), nil
+}
+
+// check validates p and its input, and fills in the default input.
+func (s *Spec) check(p Params) (Params, error) {
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	switch {
+	case p.Input == "":
+		p.Input = s.DefaultInput()
+	case !slices.Contains(s.Inputs, p.Input):
+		return p, fmt.Errorf("workload: %s has no input %q (have %v)", s.Name, p.Input, s.Inputs)
+	}
+	return p, nil
 }
 
 // DefaultInput returns the first input name or "".
@@ -188,24 +227,10 @@ func All() []*Spec {
 	return specs
 }
 
-// build validates params and input, then calls fn.
-func buildChecked(s *Spec, p Params, fn func(Params) (*Instance, error)) (*Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Input != "" {
-		ok := false
-		for _, in := range s.Inputs {
-			if in == p.Input {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("workload: %s has no input %q (have %v)", s.Name, p.Input, s.Inputs)
-		}
-	}
-	return fn(p)
+// fixed is the footprint of a workload whose AMO-updated data does not
+// scale.
+func fixed(bytes int64) func(Params) int64 {
+	return func(Params) int64 { return bytes }
 }
 
 // Alloc is a bump allocator for the simulated address space. Each instance

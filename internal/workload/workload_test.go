@@ -60,8 +60,8 @@ func TestRegistryComplete(t *testing.T) {
 		if s.Code != code {
 			t.Errorf("%s code = %q, want %q", name, s.Code, code)
 		}
-		if s.Build == nil {
-			t.Errorf("%s has no builder", name)
+		if s.build == nil || s.footprint == nil {
+			t.Errorf("%s has no builder or no footprint", name)
 		}
 	}
 	if _, err := Get("bogus"); err == nil {
@@ -263,6 +263,44 @@ func TestInputVariantsDiffer(t *testing.T) {
 		}
 		if len(footprints) < 2 {
 			t.Errorf("%s input variants share one footprint", wl)
+		}
+	}
+}
+
+// TestFootprintMatchesBuild: each spec's footprint, computed from sizes
+// alone, equals the AMOFootprintBytes its builder computes from what it
+// allocates, for every workload and declared input (the default one
+// too) over a grid of threads, scales and seeds, so Table III can print
+// footprints without building anything. Both reject the same params.
+func TestFootprintMatchesBuild(t *testing.T) {
+	for _, s := range All() {
+		inputs := append([]string{""}, s.Inputs...)
+		for _, in := range inputs {
+			for _, threads := range []int{1, 8, 32, 64} {
+				for _, scale := range []float64{0.05, 0.1, 1} {
+					for _, seed := range []int64{1, 7} {
+						p := Params{Threads: threads, Seed: seed, Scale: scale, Input: in}
+						inst, err := s.Build(p)
+						if err != nil {
+							t.Fatalf("%s %+v: %v", s.Name, p, err)
+						}
+						fp, err := s.AMOFootprint(p)
+						if err != nil {
+							t.Fatalf("%s %+v: footprint: %v", s.Name, p, err)
+						}
+						if fp != inst.AMOFootprintBytes {
+							t.Errorf("%s %+v: footprint %d B, Build reports %d B", s.Name, p, fp, inst.AMOFootprintBytes)
+						}
+					}
+				}
+			}
+		}
+		for _, bad := range []Params{{Threads: 0}, {Threads: 65}, {Threads: 2, Input: "missing"}} {
+			_, berr := s.Build(bad)
+			_, ferr := s.AMOFootprint(bad)
+			if berr == nil || ferr == nil || berr.Error() != ferr.Error() {
+				t.Errorf("%s %+v: Build err %v, footprint err %v, want the same error", s.Name, bad, berr, ferr)
+			}
 		}
 	}
 }
