@@ -60,8 +60,8 @@ go test -race -run TestParallelSerialDeterminism ./internal/experiments
 go test -race ./internal/cpu ./internal/machine
 # A program's run-ahead queue is written on its goroutine and read on the
 # engine's: repeat the tests that hand it across, abort it, panic through
-# it and resume it on another goroutine.
-go test -race -count=10 -run 'RunsAhead|RunAhead|QueuedOperations|Abort|Panic|Resume' \
+# it, resume it on another goroutine and spin in the core for it.
+go test -race -count=10 -run 'RunsAhead|RunAhead|QueuedOperations|Abort|Panic|Resume|Spin' \
 	./internal/cpu ./internal/machine
 
 # Robustness gate: invariant-checked runs through the CLI (sanitizer on,

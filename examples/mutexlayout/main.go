@@ -44,9 +44,7 @@ func run(layoutFar bool, policy string) uint64 {
 			// Acquire: read Kind, CAS Lock, write Owner and NUsers.
 			th.Load(memory.Addr(metaBase + 8))
 			for th.CAS(memory.Addr(lockAddr), 0, uint64(th.ID())+1) != 0 {
-				for th.Load(memory.Addr(lockAddr)) != 0 {
-					th.Pause(12)
-				}
+				th.SpinUntil(memory.Addr(lockAddr), 0, 12)
 			}
 			th.Store(memory.Addr(metaBase), uint64(th.ID())+1)
 			th.Store(memory.Addr(metaBase+16), 1)

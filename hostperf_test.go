@@ -55,6 +55,10 @@ func TestHostPerfReportPopulated(t *testing.T) {
 	if hp.QueueDepthMax <= 0 {
 		t.Fatalf("queue depth never observed: %+v", hp)
 	}
+	// Each of the four programs is resumed at least to start and to return.
+	if hp.Resumes < 8 {
+		t.Fatalf("%d program resumptions counted, want at least 8", hp.Resumes)
+	}
 	// The simulator schedules CPU, RN, HN and NoC events on any real run:
 	// attribution must see more than the untagged bucket.
 	kinds := map[string]bool{}

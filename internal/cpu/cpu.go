@@ -25,6 +25,20 @@
 // so only one side runs at a time and simulations remain fully
 // deterministic. (The go1.23 constraint admits iter.Pull while the
 // module's go directive stays 1.22.)
+//
+// A spin-wait runs in the core, too. SpinUntil(a, want, pause) queues one
+// operation, and the core executes it as the loop
+//
+//	for t.Load(a) != want {
+//		t.Pause(pause)
+//	}
+//
+// would: each poll is an ordinary Load and each pause an ordinary Pause,
+// executed at the same event with the same instructions, Observe records,
+// stall spans and request records. Only the host work differs: the core
+// resumes the program once, with the poll that reads want, instead of
+// once per poll. Like the queue, the spin state is left out of Snapshot,
+// since replaying the event stream rebuilds it.
 package cpu
 
 import (
@@ -54,6 +68,7 @@ const (
 	opAMOStore // no-return (AtomicStore)
 	opFence
 	opPause
+	opSpin // a SpinUntil: poll addr until it reads compare, pausing cycles between polls
 )
 
 type op struct {
@@ -86,6 +101,10 @@ const runAhead = 8
 //     engine's side must therefore communicate through Thread operations.
 //   - A program's panic can surface at an earlier simulated cycle, and the
 //     operations it queued before panicking never execute.
+//
+// SpinUntil is the one call that stands for many operations: the core
+// runs every poll and pause of the wait with the same operations at the
+// same cycles as the explicit loop, and resumes the program once.
 type Thread struct {
 	id    int
 	yield func(struct{}) bool
@@ -147,6 +166,20 @@ func (t *Thread) Pause(n int) {
 		return
 	}
 	t.post(op{kind: opPause, cycles: sim.Tick(n)})
+}
+
+// SpinUntil waits until the word at a reads want, executing exactly the
+// operations of
+//
+//	for t.Load(a) != want {
+//		t.Pause(pause)
+//	}
+//
+// at the same cycles (no Pause when pause <= 0, as Pause(0) is a no-op),
+// but the core issues the polls and pauses itself and resumes the program
+// only once the poll that reads want completes.
+func (t *Thread) SpinUntil(a memory.Addr, want uint64, pause int) {
+	t.call(op{kind: opSpin, addr: a, compare: want, cycles: sim.Tick(max(pause, 0))})
 }
 
 // Load reads the 64-bit word at a, blocking until the value returns.
@@ -281,6 +314,12 @@ type Core struct {
 	waiting  op
 	blocked  bool
 	onFinish func()
+	// spin is the SpinUntil in progress while spinning is set; pausing
+	// says its Pause after a missed poll is under way. Neither is in
+	// Snapshot: replay rebuilds them.
+	spin     op
+	spinning bool
+	pausing  bool
 	// stallName/stallStart describe the pending blocked operation for the
 	// observability bus; stallName is empty when no stall is recorded.
 	stallName  string
@@ -289,6 +328,9 @@ type Core struct {
 	// Instructions counts committed instructions (compute cycles count one
 	// each), the denominator of APKI.
 	Instructions uint64
+	// Resumes counts the times the core resumed the program's coroutine.
+	// It measures host work, not simulated work, so no result records it.
+	Resumes uint64
 	// FinishedAt is the cycle the program completed.
 	FinishedAt sim.Tick
 }
@@ -358,23 +400,43 @@ func (c *Core) Abort() {
 	c.finished = true
 }
 
-// advance executes the program's next operation. While operations are
-// queued it takes the next one; once the queue is drained it hands result
-// to the program and resumes the coroutine, which queues more or returns.
-// Every operation therefore executes in the event at which the core moves
-// past the one before it, whether or not the coroutine switched in
-// between. It runs on the simulation thread. A program's panic re-raises
-// here, wrapped with the program's stack.
+// advance executes the program's next operation. During a SpinUntil it
+// takes the spin's next poll or pause until a poll reads the wanted value;
+// otherwise, while operations are queued, it takes the next one; once the
+// queue is drained it hands result to the program and resumes the
+// coroutine, which queues more or returns. Every operation therefore
+// executes in the event at which the core moves past the one before it,
+// whether or not the coroutine switched in between. It runs on the
+// simulation thread. A program's panic re-raises here, wrapped with the
+// program's stack.
 func (c *Core) advance(result uint64) {
 	if c.aborted {
 		return
 	}
 	c.started = true
 	t := &c.thread
+	if c.spinning {
+		switch {
+		case c.pausing:
+			c.pausing = false
+			c.execute(op{kind: opLoad, addr: c.spin.addr})
+			return
+		case result != c.spin.compare:
+			if c.spin.cycles > 0 {
+				c.pausing = true
+				c.execute(op{kind: opPause, cycles: c.spin.cycles})
+			} else {
+				c.execute(op{kind: opLoad, addr: c.spin.addr})
+			}
+			return
+		}
+		c.spinning = false
+	}
 	if t.head == t.n {
 		t.result, t.head, t.n = result, 0, 0
 		// Once the program has returned, next returns at once and the
 		// queue stays empty.
+		c.Resumes++
 		c.next()
 		if t.n == 0 {
 			c.finished = true
@@ -387,6 +449,12 @@ func (c *Core) advance(result uint64) {
 	}
 	o := t.queue[t.head]
 	t.head++
+	if o.kind == opSpin {
+		// The spin's first poll; a SpinUntil is value-returning, so it
+		// is the last operation queued.
+		c.spin, c.spinning = o, true
+		o = op{kind: opLoad, addr: o.addr}
+	}
 	c.execute(o)
 }
 
@@ -545,9 +613,9 @@ type PendingWord struct {
 
 // Snapshot is a serializable image of the core's externally visible state.
 // Blocked records only whether an operation is blocked, not which one, and
-// the program's queue of issued but unexecuted operations is left out —
-// checkpoint verification replays the deterministic event stream, which
-// rebuilds both.
+// the program's queue of issued but unexecuted operations and the state of
+// a SpinUntil in progress are left out — checkpoint verification replays
+// the deterministic event stream, which rebuilds them.
 type Snapshot struct {
 	Started        bool
 	Finished       bool

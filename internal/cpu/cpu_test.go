@@ -482,6 +482,76 @@ func TestProgramFinishesAfterQueuedOperations(t *testing.T) {
 	}
 }
 
+// A barrier wait of many polls resumes its program once per poll when
+// written as the explicit loop, and once in all with SpinUntil, while the
+// core executes the same operations at the same cycles. Core 0 arrives at a
+// two-thread sense-reversing barrier long before core 1 and waits on the
+// sense word, pausing 40 cycles between polls.
+func TestSpinUntilResumesOnce(t *testing.T) {
+	const count, sense = 0x700, 0x740
+	run := func(wait func(th *Thread)) (cores []*Core, ops []ObservedOp, polls int) {
+		s := testSystem(t)
+		cfg := DefaultConfig()
+		cfg.Observe = func(o ObservedOp) {
+			ops = append(ops, o)
+			if o.Core == 0 && o.Load && o.Addr == sense {
+				polls++
+			}
+		}
+		finished := 0
+		arrive := func(th *Thread) {
+			if th.AMO(memory.AMOAdd, count, 1) == 1 {
+				th.Store(count, 0)
+				th.StoreRelease(sense, 1)
+				return
+			}
+			wait(th)
+		}
+		for i, delay := range []int{0, 4000} {
+			c, err := New(cfg, s.Engine, s.RNs[i], func(th *Thread) {
+				th.Compute(delay)
+				arrive(th)
+			}, func() { finished++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			cores = append(cores, c)
+			c.Start(0)
+		}
+		if !s.Engine.RunUntil(func() bool { return finished == 2 }, 1_000_000) {
+			t.Fatal("programs did not finish")
+		}
+		return cores, ops, polls
+	}
+	loopCores, loopOps, loopPolls := run(func(th *Thread) {
+		for th.Load(sense) != 1 {
+			th.Pause(40)
+		}
+	})
+	spinCores, spinOps, spinPolls := run(func(th *Thread) { th.SpinUntil(sense, 1, 40) })
+	if loopPolls < 50 || spinPolls != loopPolls {
+		t.Fatalf("the wait polled %d times with the loop and %d with SpinUntil; want the same, at least 50", loopPolls, spinPolls)
+	}
+	if !slices.Equal(loopOps, spinOps) {
+		t.Error("SpinUntil executed other operations than the loop")
+	}
+	for i := range loopCores {
+		l, s := loopCores[i], spinCores[i]
+		if l.FinishedAt != s.FinishedAt || l.Instructions != s.Instructions {
+			t.Errorf("core %d: loop finished at %d with %d instructions, SpinUntil at %d with %d",
+				i, l.FinishedAt, l.Instructions, s.FinishedAt, s.Instructions)
+		}
+	}
+	// Core 0 is resumed to start, with the AMO's value, after the wait and
+	// once more to return; the loop adds one resumption per missed poll.
+	if got := spinCores[0].Resumes; got > 4 {
+		t.Errorf("SpinUntil resumed its program %d times for %d polls; want at most 4", got, spinPolls)
+	}
+	if got := loopCores[0].Resumes; got < uint64(loopPolls) {
+		t.Errorf("the loop resumed its program %d times for %d polls; want at least one per poll", got, loopPolls)
+	}
+}
+
 // streamLine is the address of the i'th line of a stream cycling over 4,096
 // lines: far more than the L1 and L2 hold, so every access fills its line
 // and L2 victims write back.
@@ -507,13 +577,47 @@ func postedRun(th *Thread, i int) {
 	}
 }
 
+// spinWord is the word the spin cases wait on, on a line of its own.
+const spinWord = 0x140
+
+// spinMisses is how many polls of each of the spin cases' waits miss.
+const spinMisses = 16
+
+// bumpAfterMisses returns an Observe hook that writes the next value of
+// spinWord straight into the functional memory as a wait's spinMisses+1'th
+// poll issues, so that poll reads it: with spinRun or spinLoopRun, each
+// wait misses spinMisses polls and then hits, every poll in the L1.
+func bumpAfterMisses(s *chi.System) func(ObservedOp) {
+	polls := 0
+	return func(o ObservedOp) {
+		if !o.Load || o.Addr != spinWord {
+			return
+		}
+		if polls++; polls > spinMisses {
+			polls = 0
+			s.Data.StoreWord(spinWord, s.Data.Load(spinWord)+1)
+		}
+	}
+}
+
+// spinRun waits for the i'th bump of spinWord with SpinUntil, and
+// spinLoopRun with the explicit loop it stands for.
+func spinRun(th *Thread, i int) { th.SpinUntil(spinWord, uint64(i+1), 1) }
+
+func spinLoopRun(th *Thread, i int) {
+	for th.Load(spinWord) != uint64(i+1) {
+		th.Pause(1)
+	}
+}
+
 // The steady-state operation path allocates nothing: the core reuses its
 // request records and bound continuations, the request node its bound
 // lookup stages and MSHRs, and the home node its transaction, snoop and
 // directory records. Each case warms up until every line it touches has
 // been touched once, then runs batches of 1,000 operations. The hit cases
 // work on a line the core holds UniqueDirty; the far cases ship every
-// atomic to the home node; the stream cases miss on every operation.
+// atomic to the home node; the stream cases miss on every operation; the
+// spin case's operation is a wait of spinMisses missed polls and a hit.
 func TestOpPathAllocatesNothing(t *testing.T) {
 	const batch = 1000
 	for _, tc := range []struct {
@@ -521,21 +625,27 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 		policy chi.Policy
 		warm   int
 		op     func(th *Thread, i int)
+		spin   bool
 	}{
-		{"compute", nearPolicy{}, 0, func(th *Thread, _ int) { th.Compute(1) }},
-		{"load-l1-hit", nearPolicy{}, 0, func(th *Thread, _ int) { th.Load(0x100) }},
-		{"store-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.Store(0x100, 1) }},
-		{"near-amo-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x100, 1) }},
-		{"amostore-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
-		{"amoload-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
-		{"load-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Load(streamLine(i)) }},
-		{"store-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Store(streamLine(i), uint64(i)) }},
-		{"posted-run", nearPolicy{}, 0, postedRun},
+		{"compute", nearPolicy{}, 0, func(th *Thread, _ int) { th.Compute(1) }, false},
+		{"load-l1-hit", nearPolicy{}, 0, func(th *Thread, _ int) { th.Load(0x100) }, false},
+		{"store-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.Store(0x100, 1) }, false},
+		{"near-amo-unique", nearPolicy{}, 0, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x100, 1) }, false},
+		{"amostore-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }, false},
+		{"amoload-far", farPolicy{}, 100, func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }, false},
+		{"load-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Load(streamLine(i)) }, false},
+		{"store-miss-stream", nearPolicy{}, 4096, func(th *Thread, i int) { th.Store(streamLine(i), uint64(i)) }, false},
+		{"posted-run", nearPolicy{}, 0, postedRun, false},
+		{"spin", nearPolicy{}, 1, spinRun, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testSystemWith(t, tc.policy)
+			cfg := DefaultConfig()
+			if tc.spin {
+				cfg.Observe = bumpAfterMisses(s)
+			}
 			ops := 0
-			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
+			c, err := New(cfg, s.Engine, s.RNs[0], func(th *Thread) {
 				th.Store(0x100, 1)
 				th.Fence()
 				for i := 0; ; i++ {
@@ -576,26 +686,36 @@ func TestOpPathAllocatesNothing(t *testing.T) {
 // amoload-far issues value-returning atomics to a line the core never
 // holds, so each runs at the home node's ALU. posted-run mixes seven
 // operations that return nothing with an L1-hit Load (see postedRun).
-// compute, store-l1-hit and amostore-far switch coroutines once per
-// runAhead operations, posted-run once per eight, and the value-returning
-// cases once per operation.
+// spin is one SpinUntil whose first spinMisses L1-hit polls miss, a
+// 1-cycle Pause after each, and spin-loop the same wait as the explicit
+// loop; both also report their time per poll. compute, store-l1-hit and
+// amostore-far switch coroutines once per runAhead operations, posted-run
+// once per eight, spin once per wait, and the value-returning cases and
+// spin-loop once per operation.
 func BenchmarkThreadOp(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		op   func(th *Thread, i int)
+		spin bool
 	}{
-		{"compute", func(th *Thread, _ int) { th.Compute(1) }},
-		{"load-l1-hit", func(th *Thread, _ int) { th.Load(0x100) }},
-		{"store-l1-hit", func(th *Thread, _ int) { th.Store(0x100, 1) }},
-		{"load-miss", func(th *Thread, i int) { th.Load(streamLine(i)) }},
-		{"amostore-far", func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }},
-		{"amoload-far", func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }},
-		{"posted-run", postedRun},
+		{"compute", func(th *Thread, _ int) { th.Compute(1) }, false},
+		{"load-l1-hit", func(th *Thread, _ int) { th.Load(0x100) }, false},
+		{"store-l1-hit", func(th *Thread, _ int) { th.Store(0x100, 1) }, false},
+		{"load-miss", func(th *Thread, i int) { th.Load(streamLine(i)) }, false},
+		{"amostore-far", func(th *Thread, _ int) { th.AMOStore(memory.AMOAdd, 0x2000, 1) }, false},
+		{"amoload-far", func(th *Thread, _ int) { th.AMO(memory.AMOAdd, 0x2000, 1) }, false},
+		{"posted-run", postedRun, false},
+		{"spin", spinRun, true},
+		{"spin-loop", spinLoopRun, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := testSystemWith(b, farPolicy{})
+			cfg := DefaultConfig()
+			if bc.spin {
+				cfg.Observe = bumpAfterMisses(s)
+			}
 			warm, done := false, false
-			c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
+			c, err := New(cfg, s.Engine, s.RNs[0], func(th *Thread) {
 				th.Load(0x100)
 				warm = true
 				for i := 0; i < b.N; i++ {
@@ -611,6 +731,9 @@ func BenchmarkThreadOp(b *testing.B) {
 			b.ResetTimer()
 			if !s.Engine.RunUntil(func() bool { return done }, 0) {
 				b.Fatal("program did not finish")
+			}
+			if bc.spin {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(spinMisses+1)), "ns/poll")
 			}
 		})
 	}

@@ -817,6 +817,10 @@ func (m *Machine) collect(cores []*cpu.Core) *Result {
 		r.Obs = m.Sys.Obs.Report()
 	}
 	r.Check = m.Sys.Check.Report()
-	r.HostPerf = m.Cfg.Perf.Report()
+	if r.HostPerf = m.Cfg.Perf.Report(); r.HostPerf != nil {
+		for _, c := range cores {
+			r.HostPerf.Resumes += c.Resumes
+		}
+	}
 	return r
 }

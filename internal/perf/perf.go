@@ -280,6 +280,10 @@ type Report struct {
 	GCCycles         uint64  `json:"gc_cycles"`
 	// GOMAXPROCS records the host parallelism the run executed under.
 	GOMAXPROCS int `json:"gomaxprocs"`
+	// Resumes counts the times the cores resumed their programs'
+	// coroutines, each a pair of coroutine switches (exact; the machine
+	// fills it in, as the profiler does not see the cores).
+	Resumes uint64 `json:"resumes"`
 }
 
 // Report closes the measurement window and renders the digest. A nil
@@ -357,6 +361,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, " (sampled 1/%d)\n", r.SampleStride)
 	}
 	fmt.Fprintf(&b, "event queue     avg depth %.1f, max %d\n", r.QueueDepthAvg, r.QueueDepthMax)
+	fmt.Fprintf(&b, "programs        %d resumptions\n", r.Resumes)
 	fmt.Fprintf(&b, "host heap       %.1f MB allocated, %d objects, %d GC cycles (GOMAXPROCS %d)\n",
 		float64(r.HeapAllocBytes)/(1<<20), r.HeapAllocObjects, r.GCCycles, r.GOMAXPROCS)
 	return b.String()

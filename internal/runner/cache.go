@@ -155,9 +155,10 @@ func (s *store) load(q Request, digest string) (*Outcome, time.Duration, error) 
 	return out, elapsed, nil
 }
 
-// read returns the raw cache document for digest once it decodes,
-// os.ErrNotExist on a clean miss, or errEvicted after removing an
-// unusable file.
+// read returns the raw cache document for digest once it decodes and its
+// meta is what digest names, os.ErrNotExist on a clean miss, or
+// errEvicted after removing an unusable file: corrupt, of another schema,
+// or answering another request than digest's.
 func (s *store) read(digest string) ([]byte, error) {
 	if s == nil {
 		return nil, os.ErrNotExist
@@ -167,7 +168,7 @@ func (s *store) read(digest string) ([]byte, error) {
 	if err != nil {
 		return nil, os.ErrNotExist
 	}
-	if _, _, err := DecodeEntry(data); err != nil {
+	if e, err := decodeEntry(data); err != nil || metaDigest(e.Meta) != digest {
 		return nil, s.evict(path)
 	}
 	return data, nil

@@ -110,23 +110,32 @@ func randomRequest(rng *rand.Rand) Request {
 
 // TestDigestMatchesJSONReference: over random requests covering every
 // metadata key and every class of escaped byte, Digest hashes exactly the
-// bytes json.Marshal writes for meta(), and metaMatches accepts the
-// request's own metadata and nothing that differs from it.
+// bytes json.Marshal writes for meta(), and so does metaDigest for the
+// meta map itself; metaMatches accepts the request's own metadata and
+// nothing that differs from it, and metaDigest names no meta with a key
+// outside metaKeys.
 func TestDigestMatchesJSONReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		q := randomRequest(rng)
-		if got, want := q.Digest(), referenceDigest(q); got != want {
+		want := referenceDigest(q)
+		if got := q.Digest(); got != want {
 			t.Fatalf("request %#v: Digest = %s, reference %s", q, got, want)
 		}
 		n := q.normalize()
 		m := n.meta()
+		if got := metaDigest(m); got != want {
+			t.Fatalf("meta %v: metaDigest = %s, reference %s", m, got, want)
+		}
 		if !n.metaMatches(m) {
 			t.Fatalf("request %#v does not match its own meta %v", q, m)
 		}
 		m["extra"] = ""
 		if n.metaMatches(m) {
 			t.Fatalf("request %#v matches meta with an extra key", q)
+		}
+		if got := metaDigest(m); got != "" {
+			t.Fatalf("meta %v with an extra key has digest %s", m, got)
 		}
 		delete(m, "extra")
 		m["schema"] += "0"

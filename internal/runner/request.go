@@ -231,12 +231,38 @@ func (q *Request) metaMatches(m map[string]string) bool {
 
 // Digest returns the request's canonical content digest: the hex SHA-256
 // of its normalized metadata as the JSON object json.Marshal writes for
-// meta() — keys sorted, every value a string, HTML-escaped — written
-// directly, with no map and no reflection. The bytes must never change:
-// persisted cache entries, checkpoints and quarantine markers are named
-// by them.
+// meta() (see writeDigest). The bytes must never change: persisted cache
+// entries, checkpoints and quarantine markers are named by them.
 func (q Request) Digest() string {
 	q = q.normalize()
+	return writeDigest(&q, nil)
+}
+
+// metaDigest returns the digest of a persisted entry's meta: the digest
+// of the request whose canonical metadata it is, or "" when it holds a
+// key no request's metadata has, as no digest names such an entry.
+func metaDigest(m map[string]string) string {
+	n := 0
+	for _, k := range metaKeys {
+		if _, ok := m[k]; ok {
+			n++
+		}
+	}
+	if n != len(m) {
+		return ""
+	}
+	return writeDigest(nil, m)
+}
+
+// writeDigest is the one writer of a digest: the hex SHA-256 of the
+// metadata of the normalized request q or, when q is nil, of the meta map
+// m, as the JSON object json.Marshal writes for the map — keys sorted,
+// every value a string, HTML-escaped — written directly, with no map
+// (for q) and no reflection. Only metaKeys are written, so a map holding
+// any other key gets the digest of its metaKeys alone. The value is
+// appended in place rather than through a function value, which would
+// move the buffer to the heap.
+func writeDigest(q *Request, m map[string]string) string {
 	var buf [320]byte
 	b := append(buf[:0], '{')
 	for _, k := range metaKeys {
@@ -249,7 +275,14 @@ func (q Request) Digest() string {
 		b = append(b, `":"`...)
 		start := len(b)
 		var ok bool
-		if b, ok = q.appendMeta(b, k); !ok {
+		if q != nil {
+			b, ok = q.appendMeta(b, k)
+		} else {
+			var v string
+			v, ok = m[k]
+			b = append(b, v...)
+		}
+		if !ok {
 			b = b[:mark]
 			continue
 		}

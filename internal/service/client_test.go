@@ -1,12 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,13 +141,78 @@ func TestWaitContextCancelled(t *testing.T) {
 
 // TestExecuteRefusesAnotherRequestsEntry: a served result that answers
 // another request — the job under another ConfigSchema, as a server built
-// at another schema serves it, or a misnamed <digest>.json holding another
-// workload's entry — fails the job with an error naming both metas, and
-// Execute does not resubmit: a resubmission would fetch the same answer.
+// at another schema serves it, or another workload's entry — fails the job
+// with an error naming both metas, and Execute does not resubmit: a
+// resubmission would fetch the same answer. The server itself never
+// serves an entry its digest does not name (see
+// TestResultEvictsAnotherRequestsEntry), so a handler in front of it
+// serves the foreign entries.
 func TestExecuteRefusesAnotherRequestsEntry(t *testing.T) {
+	svc, srv, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 1})
+	q := counterReq(451)
+	out, err := c.Execute(q, runner.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := c.ResultBytes(q.Digest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := runner.EncodeEntry(runner.Request{Workload: "tc", Threads: 2, Scale: 0.05}, out, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := url.Parse("http://" + srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var served atomic.Pointer[[]byte]
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/"+q.Digest() {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(*served.Load())
+			return
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	fc := Dial(front.URL)
+	for _, bad := range []struct {
+		name  string
+		entry []byte
+		// served and asked are a meta field as the served entry and the
+		// request have it.
+		served, asked string
+	}{
+		{"schema 2", withMeta(t, good, "schema", "2"), `"schema":"2"`, `"schema":"1"`},
+		{"another workload", other, `"workload":"tc"`, `"counter-ops":"20"`},
+	} {
+		served.Store(&bad.entry)
+		before := svc.r.Stats().Requests
+		_, err := fc.Execute(q, runner.ExecOptions{})
+		if !errors.Is(err, runner.ErrWrongEntry) {
+			t.Fatalf("%s: execute err = %v, want ErrWrongEntry", bad.name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, bad.served) || !strings.Contains(msg, bad.asked) {
+			t.Errorf("%s: error %q does not name both metas (%s, %s)", bad.name, msg, bad.served, bad.asked)
+		}
+		if n := svc.r.Stats().Requests - before; n != 1 {
+			t.Errorf("%s: Execute submitted %d times, want 1 (no resubmission)", bad.name, n)
+		}
+	}
+}
+
+// TestResultEvictsAnotherRequestsEntry: GET /v1/jobs/{digest} serves only
+// an entry whose meta the digest names. A cache file that holds the job
+// under another ConfigSchema, or another workload's entry, is evicted like
+// a corrupt file: the server heals a finished job's file from its
+// in-memory outcome and serves that, and answers a digest it has no
+// outcome for with not found.
+func TestResultEvictsAnotherRequestsEntry(t *testing.T) {
 	dir := t.TempDir()
 	svc, _, c := startService(t, Options{CacheDir: dir, Jobs: 1})
-	q := counterReq(451)
+	q := counterReq(452)
 	out, err := c.Execute(q, runner.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -155,31 +226,41 @@ func TestExecuteRefusesAnotherRequestsEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unknown := counterReq(453).Digest()
 	for _, bad := range []struct {
 		name  string
 		entry []byte
-		// served and asked are a meta field as the served entry and the
-		// request have it.
-		served, asked string
 	}{
-		{"schema 2", withMeta(t, good, "schema", "2"), `"schema":"2"`, `"schema":"1"`},
-		{"another workload", other, `"workload":"tc"`, `"counter-ops":"20"`},
+		{"schema 2", withMeta(t, good, "schema", "2")},
+		{"another workload", other},
 	} {
-		// The server's runner still remembers the finished job, so it
-		// answers from memory and serves whatever the file now holds.
 		if err := os.WriteFile(path, bad.entry, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		before := svc.r.Stats().Requests
-		_, err := c.Execute(q, runner.ExecOptions{})
-		if !errors.Is(err, runner.ErrWrongEntry) {
-			t.Fatalf("%s: execute err = %v, want ErrWrongEntry", bad.name, err)
+		before := svc.r.Stats().Evictions
+		data, err := c.ResultBytes(q.Digest())
+		if err != nil {
+			t.Fatalf("%s: %v", bad.name, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, bad.served) || !strings.Contains(msg, bad.asked) {
-			t.Errorf("%s: error %q does not name both metas (%s, %s)", bad.name, msg, bad.served, bad.asked)
+		if !bytes.Equal(data, good) {
+			t.Errorf("%s: served %s, want the job's own entry", bad.name, data)
 		}
-		if n := svc.r.Stats().Requests - before; n != 1 {
-			t.Errorf("%s: Execute submitted %d times, want 1 (no resubmission)", bad.name, n)
+		if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, good) {
+			t.Errorf("%s: cache file not healed to the job's entry (%v)", bad.name, err)
+		}
+		// No job of this runner has the unknown digest, so nothing heals it.
+		unknownPath := filepath.Join(dir, unknown+".json")
+		if err := os.WriteFile(unknownPath, bad.entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := c.ResultBytes(unknown); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: a misnamed entry was served for a digest with no result: %v, %.60q", bad.name, err, data)
+		}
+		if _, err := os.Stat(unknownPath); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: misnamed entry not evicted: %v", bad.name, err)
+		}
+		if n := svc.r.Stats().Evictions - before; n != 2 {
+			t.Errorf("%s: %d evictions, want 2", bad.name, n)
 		}
 	}
 }

@@ -47,9 +47,7 @@ func NewNamedMutexes(a *Alloc, name string, n int) []Mutex {
 func (m Mutex) Lock(t *cpu.Thread) {
 	t.Load(m.base + mtxKind)
 	for t.CAS(m.base+mtxLock, 0, uint64(t.ID())+1) != 0 {
-		for t.Load(m.base+mtxLock) != 0 {
-			t.Pause(12)
-		}
+		t.SpinUntil(m.base+mtxLock, 0, 12)
 	}
 	t.Load(m.base + mtxOwner)
 	t.Store(m.base+mtxOwner, uint64(t.ID())+1)
@@ -94,9 +92,7 @@ func NewNamedSpinLocks(a *Alloc, name string, n int) []SpinLock {
 // Lock acquires the spinlock.
 func (l SpinLock) Lock(t *cpu.Thread) {
 	for t.CAS(l.addr, 0, 1) != 0 {
-		for t.Load(l.addr) != 0 {
-			t.Pause(8)
-		}
+		t.SpinUntil(l.addr, 0, 8)
 	}
 }
 
@@ -135,9 +131,7 @@ func (b *Barrier) Wait(t *cpu.Thread, sense *uint64) {
 		t.StoreRelease(b.sense, *sense)
 		return
 	}
-	for t.Load(b.sense) != *sense {
-		t.Pause(40)
-	}
+	t.SpinUntil(b.sense, *sense, 40)
 }
 
 // FarMutex is the far-AMO-friendly mutex layout Section III-B3 calls for
@@ -164,9 +158,7 @@ func NewFarMutex(a *Alloc) FarMutex {
 func (m FarMutex) Lock(t *cpu.Thread) {
 	t.Load(m.meta) // Kind
 	for t.CAS(m.lock, 0, uint64(t.ID())+1) != 0 {
-		for t.Load(m.lock) != 0 {
-			t.Pause(12)
-		}
+		t.SpinUntil(m.lock, 0, 12)
 	}
 	t.Load(m.meta + 8)
 	t.Store(m.meta+8, uint64(t.ID())+1) // Owner
